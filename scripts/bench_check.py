@@ -2,31 +2,32 @@
 """Gate a ``bench_smoke.py`` result against the committed baseline.
 
 A thin CLI over :mod:`repro.obs.regress` (the same comparator behind
-``repro regress``).  The gates are unchanged since PR 3/5:
+``repro regress``).  The gates:
 
 * **cycle counts** — fully deterministic, must match the baseline
   *exactly* (any drift is a behaviour change; if intentional, re-run
-  ``scripts/bench_smoke.py --fast`` and commit the new baseline);
-* **fast-forward speedup** — the fast/dense cycles-per-second ratio is
-  machine-normalized (both runs execute on the same host, so hardware
-  speed cancels), and must not regress more than ``--tolerance``
-  (default 20%) below the baseline's ratio for any app/profile;
+  ``scripts/bench_smoke.py`` and commit the new baseline);
+* **ledger gates** (``bench_smoke.py --ledger`` documents) — ledger-on
+  runs must finish at the ledger-off cycle; the on/off wall-clock
+  overhead only warns;
 * **sweep gates** (``bench_smoke.py --sweep`` documents) — per-point
   cycle counts and the warm-cache hit rate (must be 1.0) are exact,
   while the parallel/serial wall ratio may not fall more than
   ``--sweep-tolerance`` (default 35%) below the baseline;
 * **engine-matrix gates** (``bench_smoke.py --events`` documents) —
-  cycles exact per profile/app, fast- and event-engine speedups gated
-  by ``--tolerance`` against the baseline, and any row carrying an
-  absolute ``event_floor`` (the memory-bound 10x event-engine
-  contract) gated against it with no tolerance.
+  cycles exact per profile/app.  The event-engine speedup (the
+  event/dense cycles-per-second ratio, machine-normalized because both
+  runs execute on the same host) may not regress more than
+  ``--tolerance`` (default 20%) below the baseline, and any row
+  carrying an absolute ``event_floor`` (the memory-bound 10x
+  event-engine contract) is gated against it with no tolerance.
 
 Every failure now carries a diagnosis line (what to check, how to
 re-record) instead of a bare diff.
 
 Usage::
 
-    python scripts/bench_smoke.py --fast --output BENCH_sim.json
+    python scripts/bench_smoke.py --ledger --output BENCH_sim.json
     python scripts/bench_check.py BENCH_sim.json BENCH_baseline.json
     python scripts/bench_smoke.py --sweep --output BENCH_sweep.json
     python scripts/bench_check.py BENCH_sweep.json BENCH_sweep_baseline.json
@@ -89,18 +90,6 @@ def main(argv: list[str] | None = None) -> int:
               f"(baseline "
               f"{baseline['sweep'].get('parallel_speedup', 0.0):.2f}x) — OK")
     for profile, base_apps in sorted(
-        (baseline.get("fast_forward") or {}).items()
-    ):
-        for app in sorted(base_apps):
-            where = f"fast_forward[{profile}][{app}]"
-            if any(f.where == where for f in failures):
-                continue
-            row = (current.get("fast_forward", {}).get(profile) or {}) \
-                .get(app)
-            if isinstance(row, dict) and "speedup" in row:
-                print(f"{where}: {row['speedup']:.2f}x "
-                      f"(baseline {base_apps[app]['speedup']:.2f}x) — OK")
-    for profile, base_apps in sorted(
         (baseline.get("engines") or {}).items()
     ):
         for app in sorted(base_apps):
@@ -112,8 +101,7 @@ def main(argv: list[str] | None = None) -> int:
                 floor = base_apps[app].get("event_floor")
                 floor_note = (f", floor {floor:.1f}x"
                               if isinstance(floor, (int, float)) else "")
-                print(f"{where}: fast {row.get('fast_speedup', 0.0):.2f}x,"
-                      f" event {row['event_speedup']:.2f}x (baseline "
+                print(f"{where}: event {row['event_speedup']:.2f}x (baseline "
                       f"{base_apps[app].get('event_speedup', 0.0):.2f}x"
                       f"{floor_note}) — OK")
 

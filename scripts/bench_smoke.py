@@ -5,17 +5,7 @@ Writes ``BENCH_sim.json`` (or ``--output``) with, per app, the simulated
 cycle count (deterministic — a regression gate), the host wall-clock
 seconds of the simulation loop, and the simulation rate in simulated
 cycles per wall second (informational on its own — wall time depends on
-the machine).
-
-With ``--fast`` each app is additionally run twice — dense and with the
-idle-cycle-skipping fast-forward core — on two platform profiles
-(``baseline`` = HARP, ``memory-bound`` = EVAL_HARP at 5% bandwidth,
-where QPI misses dominate and skipping pays).  The two runs must finish
-at the *same* cycle (the core is cycle-exact; mismatch exits non-zero),
-and the recorded ``speedup`` — the fast/dense cycles-per-second ratio —
-is machine-normalized, so ``scripts/bench_check.py`` can gate on it
-across heterogeneous CI hosts.  Exits non-zero if any run fails to
-verify.
+the machine).  Exits non-zero if any run fails to verify.
 
 ``--sweep`` benchmarks the sweep execution engine instead: a fixed
 app x bandwidth grid is run serially, through a 4-worker process pool,
@@ -23,13 +13,15 @@ and again against a warm result cache, writing ``BENCH_sweep.json``
 (or ``--output``) with points/sec for each mode.  The three modes must
 agree on every cycle count (exit non-zero otherwise) and the warm run
 must hit the cache for every point; the parallel/serial wall ratio is
-machine-normalized the same way the fast-forward speedup is.
+machine-normalized (both modes run on the same host, so hardware speed
+cancels).
 
-``--events`` benchmarks the full engine matrix instead: every app runs
-dense, fast (scan-based skipping), and event (priority-queue wake-ups)
-on two profiles, writing ``BENCH_events.json`` (or ``--output``).  All
-three engines must finish at the same cycle, and the memory-bound rows
-carry the absolute 10x event-engine speedup floor that
+``--events`` benchmarks the two engines instead: every app runs dense
+and event (idle-cycle skipping) on two profiles, writing
+``BENCH_events.json`` (or ``--output``).  Both engines must finish at
+the same cycle; the recorded ``event_speedup`` — the event/dense
+cycles-per-second ratio — is machine-normalized, and the memory-bound
+rows carry the absolute 10x event-engine speedup floor that
 ``repro regress --bench`` / ``scripts/bench_check.py`` enforce.
 
 ``--ledger`` adds the token-provenance zero-cost check: each app runs
@@ -64,14 +56,6 @@ NODES, EDGES = 300, 900
 SWEEP_BANDWIDTHS = (0.5, 1.0, 2.0, 4.0)
 SWEEP_JOBS = 4
 
-# The fast-forward comparison profiles: the stock platform, and a
-# bandwidth-starved one where the accelerator spends most cycles waiting
-# on the QPI channel — the regime the fast core exists for.
-PROFILES = {
-    "baseline": HARP,
-    "memory-bound": EVAL_HARP.scaled(0.05),
-}
-
 # The engine-matrix profiles (``--events``).  The memory-bound leg runs
 # at 0.5% QPI bandwidth — the Figure-10 low-bandwidth regime, where the
 # machine is quiescent for >97% of cycles and wake-up-driven skipping
@@ -83,7 +67,7 @@ EVENT_PROFILES = {
     "memory-bound": EVAL_HARP.scaled(0.005),
 }
 EVENT_FLOOR = 10.0
-ENGINES = ("dense", "fast", "event")
+ENGINES = ("dense", "event")
 
 
 def build_spec(app: str):
@@ -198,11 +182,11 @@ def run_sweep_bench(output: str) -> int:
 
 
 def run_events_bench(output: str) -> int:
-    """The three-engine matrix: dense vs fast vs event per profile/app.
+    """The engine matrix: dense vs event per profile/app.
 
-    Every engine must finish at the same cycle (exit non-zero
-    otherwise); the recorded per-engine speedups are cycles-per-second
-    ratios against the dense run on the same host, so they are
+    Both engines must finish at the same cycle (exit non-zero
+    otherwise); the recorded event speedup is a cycles-per-second ratio
+    against the dense run on the same host, so it is
     machine-normalized.  The memory-bound rows carry the absolute
     ``event_floor`` the regression gate enforces.
     """
@@ -214,37 +198,24 @@ def run_events_bench(output: str) -> int:
                 engine: run_once(app, platform, engine=engine)
                 for engine in ENGINES
             }
-            dense = rows["dense"]
-            for engine in ("fast", "event"):
-                if rows[engine]["cycles"] != dense["cycles"]:
-                    print(f"FAIL {app} [{profile}]: {engine} engine "
-                          f"diverged ({rows[engine]['cycles']} != "
-                          f"{dense['cycles']} cycles)", file=sys.stderr)
-                    return 1
-
-            def speedup(engine: str) -> float:
-                if not dense["cycles_per_sec"]:
-                    return 0.0
-                return round(
-                    rows[engine]["cycles_per_sec"]
-                    / dense["cycles_per_sec"], 3)
-
-            row = {
-                "cycles": dense["cycles"],
-                **rows,
-                "fast_speedup": speedup("fast"),
-                "event_speedup": speedup("event"),
-            }
+            dense, event = rows["dense"], rows["event"]
+            if event["cycles"] != dense["cycles"]:
+                print(f"FAIL {app} [{profile}]: event engine diverged "
+                      f"({event['cycles']} != {dense['cycles']} cycles)",
+                      file=sys.stderr)
+                return 1
+            speedup = (round(event["cycles_per_sec"]
+                             / dense["cycles_per_sec"], 3)
+                       if dense["cycles_per_sec"] else 0.0)
+            row = {"cycles": dense["cycles"], **rows,
+                   "event_speedup": speedup}
             if profile == "memory-bound":
                 row["event_floor"] = EVENT_FLOOR
             engines_doc[profile][app] = row
             print(f"{app} [{profile}]: {dense['cycles']} cycles — dense "
-                  f"{dense['wall_seconds']:.2f}s, fast "
-                  f"{rows['fast']['wall_seconds']:.2f}s "
-                  f"({row['fast_speedup']:.2f}x), event "
-                  f"{rows['event']['wall_seconds']:.2f}s "
-                  f"({row['event_speedup']:.2f}x, "
-                  f"{rows['event']['ff_jumps']} jumps) — CYCLE-EXACT")
+                  f"{dense['wall_seconds']:.2f}s, event "
+                  f"{event['wall_seconds']:.2f}s ({speedup:.2f}x, "
+                  f"{event['ff_jumps']} jumps) — CYCLE-EXACT")
 
     payload = {
         "seed": SEED,
@@ -262,10 +233,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default=None)
     parser.add_argument(
-        "--fast", action="store_true",
-        help="also compare dense vs fast-forward runs per profile",
-    )
-    parser.add_argument(
         "--sweep", action="store_true",
         help="benchmark the sweep engine (serial vs parallel vs "
              "warm-cache) instead of the simulator itself",
@@ -278,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--events", action="store_true",
-        help="benchmark the dense/fast/event engine matrix "
+        help="benchmark the dense/event engine matrix "
              "(BENCH_events.json), asserting cycle-exactness and "
              "recording per-engine speedups",
     )
@@ -303,34 +270,6 @@ def main(argv: list[str] | None = None) -> int:
         "graph": {"nodes": NODES, "edges": EDGES},
         "runs": runs,
     }
-
-    if args.fast:
-        fast_forward: dict = {}
-        for profile, platform in PROFILES.items():
-            fast_forward[profile] = {}
-            for app in APPS:
-                dense = run_once(app, platform)
-                fast = run_once(app, platform, engine="fast")
-                if fast["cycles"] != dense["cycles"]:
-                    print(f"FAIL {app} [{profile}]: fast-forward diverged "
-                          f"({fast['cycles']} != {dense['cycles']} cycles)",
-                          file=sys.stderr)
-                    return 1
-                speedup = (fast["cycles_per_sec"] / dense["cycles_per_sec"]
-                           if dense["cycles_per_sec"] else 0.0)
-                fast_forward[profile][app] = {
-                    "cycles": dense["cycles"],
-                    "dense": dense,
-                    "fast": fast,
-                    "speedup": round(speedup, 3),
-                }
-                print(f"{app} [{profile}]: {dense['cycles']} cycles, "
-                      f"dense {dense['wall_seconds']:.2f}s vs "
-                      f"fast {fast['wall_seconds']:.2f}s "
-                      f"({speedup:.2f}x, {fast['ff_jumps']} jumps, "
-                      f"{fast['ff_cycles_skipped']} cycles skipped) "
-                      f"— CYCLE-EXACT")
-        payload["fast_forward"] = fast_forward
 
     if args.ledger:
         ledger_doc: dict = {}

@@ -8,8 +8,8 @@ commit it alongside the change that caused it:
     python scripts/update_goldens.py
 
 The scenarios themselves are defined in ``repro.eval.goldens``; the
-fixtures pin the dense, fast-forward, and event-engine executions
-alike, so a diff here means observable simulator behaviour moved.
+fixtures pin the dense and event-engine executions alike, so a diff
+here means observable simulator behaviour moved.
 """
 
 from __future__ import annotations

@@ -148,20 +148,14 @@ def _build_fault_plan(spec, config: SimConfig, seed: int,
     )
 
 
-def _engine_from_args(args: argparse.Namespace) -> str:
-    """Resolve the simulation engine: --engine wins, --fast is an alias."""
-    engine = getattr(args, "engine", None)
-    if engine:
-        return engine
-    return "fast" if getattr(args, "fast", False) else "dense"
-
-
 def _add_engine_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", choices=("dense", "fast", "event"),
-                        default=None,
-                        help="simulation engine: dense (tick everything), "
-                             "fast (scan-based idle skipping), event "
-                             "(priority-queue wake-ups) — all cycle-exact")
+    parser.add_argument("--engine", choices=("dense", "event"),
+                        default="dense",
+                        help="simulation engine: dense (tick everything) "
+                             "or event (skip idle cycles) — both "
+                             "cycle-exact")
+    parser.add_argument("--fast", dest="engine", action="store_const",
+                        const="event", help="alias for --engine event")
 
 
 def _store_from_args(args: argparse.Namespace) -> RunStore | None:
@@ -318,8 +312,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     obs = Observability() if (args.trace_out or args.metrics_out
                               or store is not None) else None
     platform = EVAL_HARP.scaled(args.bandwidth)
-    config = SimConfig(prefetch=args.prefetch,
-                       engine=_engine_from_args(args))
+    config = SimConfig(prefetch=args.prefetch, engine=args.engine)
     check_interval = (
         args.check_interval
         if args.check_interval is not None
@@ -415,7 +408,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     store = _store_from_args(args)
     obs = Observability(trace_capacity=args.trace_capacity)
     platform = EVAL_HARP.scaled(args.bandwidth)
-    config = SimConfig(engine=_engine_from_args(args))
+    config = SimConfig(engine=args.engine)
     sim = AcceleratorSim(spec, platform=platform, config=config, obs=obs)
     wall_start = time.perf_counter()
     result = sim.run()
@@ -572,7 +565,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     exported = {}
     sweep_pending = None
     apps = tuple(args.apps) if args.apps else None
-    engine = getattr(args, "engine", None)
+    engine = args.engine
     if kind == "table1":
         result = experiments.run_table1(engine=engine)
         print(reporting.format_table1(result))
@@ -786,8 +779,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             print(f"error: {_error_line(exc)}", file=sys.stderr)
             return 1
     elif args.app is not None:
-        _, record = _observed_record(args.app, args.bandwidth,
-                                     _engine_from_args(args))
+        _, record = _observed_record(args.app, args.bandwidth, args.engine)
         store = _store_from_args(args)
         if store is not None:
             record = store.append(record)
@@ -824,7 +816,7 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     retirement (see :mod:`repro.obs.critpath`), and prints the bucket
     decomposition — which sums exactly to the cycle count — plus the
     what-if speedup bounds.  ``--json`` emits the stored summary block
-    (engine-invariant: dense/fast/event produce byte-identical output);
+    (engine-invariant: dense and event produce byte-identical output);
     ``--trace-out`` writes the run's Chrome trace with the chain
     appended as a Perfetto flow-arrow track.  The bottleneck
     classifier's verdict is always cross-checked against the path's
@@ -846,7 +838,7 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     # record, and this is an analysis command — nobody times it.
     obs = Observability()
     platform = EVAL_HARP.scaled(args.bandwidth)
-    config = SimConfig(engine=_engine_from_args(args))
+    config = SimConfig(engine=args.engine)
     sim = AcceleratorSim(spec, platform=platform, config=config, obs=obs,
                          ledger=TokenLedger())
     wall_start = time.perf_counter()
@@ -905,8 +897,7 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
     store = RunStore(args.store)
     history = store.records()
     if args.app is not None:
-        _, record = _observed_record(args.app, args.bandwidth,
-                                     _engine_from_args(args))
+        _, record = _observed_record(args.app, args.bandwidth, args.engine)
         if not args.no_store:
             record = store.append(record)
             history.append(record)
@@ -1066,8 +1057,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="QPI bandwidth multiplier (Figure 10 knob)")
     simulate.add_argument("--prefetch", action="store_true",
                           help="enable next-line prefetch (extension)")
-    simulate.add_argument("--fast", action="store_true",
-                          help="alias for --engine fast")
     _add_engine_option(simulate)
     simulate.add_argument("--trace", action="store_true",
                           help="print an ASCII schedule timeline")
@@ -1100,8 +1089,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("app")
     profile.add_argument("--bandwidth", type=float, default=1.0,
                          help="QPI bandwidth multiplier (Figure 10 knob)")
-    profile.add_argument("--fast", action="store_true",
-                         help="alias for --engine fast")
     _add_engine_option(profile)
     profile.add_argument("--top", type=int, default=16,
                          help="rows to print (most-stalled first)")
@@ -1203,8 +1190,6 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.add_argument("--run", metavar="REF",
                           help="diagnose a stored run instead")
     diagnose.add_argument("--bandwidth", type=float, default=1.0)
-    diagnose.add_argument("--fast", action="store_true",
-                          help="alias for --engine fast")
     diagnose.add_argument("--json", action="store_true",
                           help="emit the ranked findings (and the "
                                "critical-path cross-check, when the "
@@ -1223,8 +1208,6 @@ def build_parser() -> argparse.ArgumentParser:
     critpath.add_argument("--bandwidth", type=float, default=1.0,
                           help="QPI bandwidth multiplier (Figure 10 "
                                "knob)")
-    critpath.add_argument("--fast", action="store_true",
-                          help="alias for --engine fast")
     _add_engine_option(critpath)
     critpath.add_argument("--top", type=int, default=12,
                           help="longest segments to print (default 12)")
@@ -1247,8 +1230,6 @@ def build_parser() -> argparse.ArgumentParser:
     dashboard.add_argument("--out", default="dashboard.html",
                            metavar="FILE")
     dashboard.add_argument("--bandwidth", type=float, default=1.0)
-    dashboard.add_argument("--fast", action="store_true",
-                           help="alias for --engine fast")
     _add_engine_option(dashboard)
     _add_store_options(dashboard)
     dashboard.set_defaults(handler=cmd_dashboard)
@@ -1285,7 +1266,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "apply (default 4)")
     regress.add_argument("--speedup-tolerance", type=float, default=0.20,
                          metavar="F",
-                         help="fast-forward speedup floor tolerance "
+                         help="event-engine speedup floor tolerance "
                               "(default 0.20)")
     regress.add_argument("--sweep-tolerance", type=float, default=0.35,
                          metavar="F",

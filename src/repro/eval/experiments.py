@@ -47,7 +47,7 @@ def _sweep_job(
     """
     config = config or workload.config
     if engine is not None:
-        config = replace(config, engine=engine, fast_forward=False)
+        config = replace(config, engine=engine)
     return SimJob(
         source=workload.source or CallableSource(workload.build_spec),
         platform=platform,
@@ -96,7 +96,7 @@ def run_table1(
     model = OpenClBfsModel()
     config = config or SimConfig()
     if engine is not None:
-        config = replace(config, engine=engine, fast_forward=False)
+        config = replace(config, engine=engine)
     spec_result = simulate_app(
         build_app("SPEC-BFS", graph, 0), platform=EVAL_HARP, config=config
     )

@@ -5,9 +5,8 @@ fixed input seed, fixed platform, default :class:`SimConfig` — reduced
 to a canonical JSON-ready dict: the final cycle count, the full
 :func:`~repro.sim.stats.stats_digest`, and the trace profile (event
 counts per :class:`~repro.obs.events.TraceEventKind`, excluding the
-per-cycle ``STAGE_STALL`` events the skipping engines deliberately
-elide, so one fixture pins the dense, fast-forward, *and* event-engine
-executions alike).
+per-cycle ``STAGE_STALL`` events the event engine deliberately elides,
+so one fixture pins the dense *and* event-engine executions alike).
 
 Graph applications are keyed by ``graph`` (nodes/edges/seed fed through
 :func:`random_graph`); host-fed applications (COOR-LU's block-sparse

@@ -29,7 +29,7 @@ from repro.sim.accelerator import SimConfig
 
 # Bump when execute_job's behaviour changes in a way that invalidates
 # previously cached outcomes (it salts every job digest).
-JOB_SCHEMA = 1
+JOB_SCHEMA = 2
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,9 @@ class Observability:
 
     def credit_skipped_stalls(self, stage: str, reason: StallReason,
                               count: int) -> None:
-        """Fast-forward skip: fold ``count`` repeated stall cycles into
-        the profiler's accounting without emitting per-cycle trace events
-        (the one place fast and dense traces deliberately differ)."""
+        """Idle skip: fold ``count`` repeated stall cycles into the
+        profiler's accounting without emitting per-cycle trace events
+        (the one place event and dense traces deliberately differ)."""
         self.profiler.credit(stage, reason, count)
 
     # -- task queues -----------------------------------------------------------

@@ -551,7 +551,7 @@ def result_saturation(result, platform) -> float:
     """A run's sustained QPI load: ``bytes/cycle / channel capacity``.
 
     Engine-invariant (``SimResult.memory_bytes`` and ``cycles`` are
-    identical across dense/fast/event), so feeding it to
+    identical across dense and event), so feeding it to
     :func:`extract_critical_path` keeps the chain byte-identical too.
     """
     capacity = getattr(platform, "qpi_bytes_per_cycle", 0.0)

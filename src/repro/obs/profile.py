@@ -69,12 +69,12 @@ class StallProfiler:
             row = self._committed[stage] = [0] * len(COLUMNS)
         row[column] += 1
 
-    # -- fast-forward crediting ------------------------------------------------
+    # -- idle-skip crediting ---------------------------------------------------
 
     def credit(self, stage: str, reason: StallReason, count: int) -> None:
         """Account ``count`` skipped cycles that repeat the open stall.
 
-        The fast-forward core skips cycles only when the machine is
+        The event engine skips cycles only when the machine is
         stationary, so each skipped cycle would have re-recorded the
         probe cycle's (already open) stall cell.  Dense equivalent:
         ``count`` repeats commit the open cell plus ``count - 1`` copies

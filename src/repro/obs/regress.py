@@ -25,7 +25,7 @@ cycle-drift      fail      exact cycle count changed within a series /
                            fully deterministic — any drift is a behaviour
                            change, not noise)
 hit-rate         fail      warm-cache sweep hit rate below 1.0
-speedup-floor    fail      fast-forward, engine-matrix, or parallel-sweep
+speedup-floor    fail      engine-matrix or parallel-sweep
                            speedup below ``baseline * (1 - tolerance)``,
                            or an event-engine speedup below its row's
                            absolute ``event_floor``
@@ -67,8 +67,9 @@ _CYCLE_DIAGNOSIS = (
 )
 _SPEEDUP_DIAGNOSIS = (
     "machine-normalized speedup regressed beyond its tolerance band — "
-    "profile the affected path (`repro profile --fast`, or the sweep "
-    "fleet page in `repro dashboard`) before re-recording baselines."
+    "profile the affected path (`repro profile --engine event`, or the "
+    "sweep fleet page in `repro dashboard`) before re-recording "
+    "baselines."
 )
 _WALL_DIAGNOSIS = (
     "wall clock is host-dependent, so this is a warning: check the "
@@ -114,10 +115,10 @@ def series_key(record) -> tuple | None:
     """The identity under which runs are comparable, or None to skip.
 
     Everything that legitimately changes cycles is part of the key:
-    app, seed, config digest, platform bandwidth, sim mode (fast is
+    app, seed, config digest, platform bandwidth, sim mode (event is
     cycle-exact vs dense by contract, but regress keeps them separate so
-    a fast-path bug reads as *its* series drifting, not as noise in a
-    mixed one).  Sweep and golden records are handled separately.
+    an event-engine bug reads as *its* series drifting, not as noise in
+    a mixed one).  Sweep and golden records are handled separately.
     """
     if record.kind in ("golden", "sweep") or record.cycles <= 0:
         return None
@@ -293,13 +294,12 @@ def regress_bench(
 ) -> list[Regression]:
     """Compare a fresh benchmark document against a committed baseline.
 
-    Understands all three ``bench_smoke.py`` shapes: ``--sweep``
-    documents (``points`` tag->cycles, ``sweep``
-    serial/parallel/warm_cache), ``--fast`` documents (``runs``
-    app->{cycles,...}, ``fast_forward`` profile->app->{cycles,
-    speedup}), and ``--events`` documents (``engines``
-    profile->app->{cycles, fast_speedup, event_speedup}, where rows may
-    carry an absolute ``event_floor``).
+    Understands every ``bench_smoke.py`` shape: ``--sweep`` documents
+    (``points`` tag->cycles, ``sweep`` serial/parallel/warm_cache), the
+    default document (``runs`` app->{cycles,...}, plus ``ledger``
+    app->{cycles, off, on, overhead} under ``--ledger``), and
+    ``--events`` documents (``engines`` profile->app->{cycles,
+    event_speedup}, where rows may carry an absolute ``event_floor``).
     """
     findings: list[Regression] = []
 
@@ -322,41 +322,11 @@ def regress_bench(
         if finding:
             findings.append(finding)
 
-    # fast_forward: profile -> app -> {"cycles", "speedup"}.
-    cur_ff = current.get("fast_forward") or {}
-    for profile, base_apps in sorted(
-        (baseline.get("fast_forward") or {}).items()
-    ):
-        cur_apps = cur_ff.get(profile) or {}
-        for app, base_row in sorted(base_apps.items()):
-            if not isinstance(base_row, dict):
-                continue
-            row = cur_apps.get(app)
-            where = f"fast_forward[{profile}][{app}]"
-            if not isinstance(row, dict):
-                findings.append(Regression(
-                    rule="cycle-drift", where=where, severity="fail",
-                    message="present in baseline, missing from current "
-                            "result",
-                    diagnosis=_CYCLE_DIAGNOSIS,
-                ))
-                continue
-            finding = _cycle_drift(where, base_row.get("cycles"),
-                                   row.get("cycles"))
-            if finding:
-                findings.append(finding)
-            finding = _speedup_floor(
-                where, base_row.get("speedup"), row.get("speedup"),
-                speedup_tolerance, "fast-forward speedup",
-            )
-            if finding:
-                findings.append(finding)
-
-    # engines: profile -> app -> {"cycles", "fast_speedup",
-    # "event_speedup"[, "event_floor"]}.  Cycles are exact; per-engine
-    # speedups get the relative floor against the baseline, and rows
-    # that declare an absolute "event_floor" (the memory-bound 10x
-    # contract) are additionally gated against it with no tolerance.
+    # engines: profile -> app -> {"cycles", "event_speedup"[,
+    # "event_floor"]}.  Cycles are exact; the event-engine speedup gets
+    # the relative floor against the baseline, and rows that declare an
+    # absolute "event_floor" (the memory-bound 10x contract) are
+    # additionally gated against it with no tolerance.
     cur_engines = current.get("engines") or {}
     for profile, base_apps in sorted(
         (baseline.get("engines") or {}).items()
@@ -379,14 +349,13 @@ def regress_bench(
                                    row.get("cycles"))
             if finding:
                 findings.append(finding)
-            for key, label in (("fast_speedup", "fast-engine speedup"),
-                               ("event_speedup", "event-engine speedup")):
-                finding = _speedup_floor(
-                    where, base_row.get(key), row.get(key),
-                    speedup_tolerance, label,
-                )
-                if finding:
-                    findings.append(finding)
+            finding = _speedup_floor(
+                where, base_row.get("event_speedup"),
+                row.get("event_speedup"), speedup_tolerance,
+                "event-engine speedup",
+            )
+            if finding:
+                findings.append(finding)
             floor = base_row.get("event_floor")
             have = row.get("event_speedup")
             if (isinstance(floor, (int, float))

@@ -5,7 +5,7 @@ for one process; this module makes the answer *persist*.  Every
 ``repro simulate / profile / experiment / fault-campaign`` invocation
 appends one :class:`RunRecord` — app, platform, config digest, seed,
 metrics snapshot, exact stall-attribution table, verification result,
-wall clock, fast/dense mode — to an append-only JSONL store
+wall clock, engine — to an append-only JSONL store
 (``.repro/runs.jsonl`` by default), so regression questions become
 ``repro runs diff`` instead of re-running simulations by hand.
 
@@ -77,7 +77,7 @@ class RunRecord:
     timestamp: str = ""
     app_mode: str = ""             # speculative | coordinative
     host_fed: bool = False
-    sim_mode: str = "dense"        # dense | fast | event | sweep
+    sim_mode: str = "dense"        # dense | event | sweep
     seed: int | None = None
     wall_seconds: float = 0.0
     platform: dict[str, Any] = field(default_factory=dict)
@@ -169,7 +169,7 @@ def record_from_result(
         app=result.app,
         app_mode=spec.mode,
         host_fed=spec.host_feed is not None,
-        sim_mode=config.resolved_engine(),
+        sim_mode=config.engine,
         cycles=result.cycles,
         seconds=result.seconds,
         utilization=result.utilization,
@@ -214,7 +214,7 @@ def record_from_outcome(
         app=outcome.app,
         app_mode=outcome.app_mode,
         host_fed=outcome.host_fed,
-        sim_mode=config.resolved_engine(),
+        sim_mode=config.engine,
         cycles=outcome.cycles,
         seconds=outcome.seconds,
         utilization=outcome.utilization,

@@ -25,8 +25,7 @@ from repro.errors import (
 )
 from repro.eval.platforms import HARP, HarpPlatform
 from repro.obs import MetricsRegistry, Observability
-from repro.sim.events import EventScheduler
-from repro.sim.fastpath import FastForwardScheduler
+from repro.sim.fastpath import EventScheduler
 from repro.sim.faults import FaultPlan
 from repro.sim.host import HostAdapter
 from repro.sim.invariants import DEFAULT_CHECK_INTERVAL, InvariantChecker
@@ -35,7 +34,6 @@ from repro.sim.live import LiveIndexTracker
 from repro.sim.memory import MemorySystem
 from repro.sim.pipeline import PipelineInstance
 from repro.sim.rule_engine import RuleEngineSim
-from repro.sim.stages import CallStage
 from repro.sim.stats import SimCounters, SimStats
 from repro.sim.taskqueue import MultiBankTaskQueue
 from repro.sim.token import SimToken
@@ -61,28 +59,15 @@ class SimConfig:
     max_cycles: int = 30_000_000
     deadlock_window: int = 200_000
     # Simulation engine: "dense" ticks every component every cycle;
-    # "fast" is the scan-based idle-skipping core (sim/fastpath.py);
-    # "event" is the priority-queue discrete-event core (sim/events.py).
-    # All three are cycle-exact (see docs/simulator.md).
+    # "event" skips idle cycles by reading registered wake-ups
+    # (sim/fastpath.py).  Both are cycle-exact (see docs/simulator.md).
     engine: str = "dense"
-    # Legacy alias for engine="fast", kept so existing callers and
-    # cached job digests keep working; mutually exclusive with
-    # engine="event".
-    fast_forward: bool = False
-    # Minimum-jump hysteresis (fast engine only): a projected skip
-    # shorter than this many cycles is not worth the wake-up scan's
-    # overhead, so the fast loop keeps stepping densely instead.  Cycle
-    # counts are unaffected either way — only which cycles are simulated
-    # vs replayed changes.  The event engine probes in O(1) and ignores
-    # this knob.
-    ff_min_jump: int = 8
 
     def __post_init__(self) -> None:
         for name in (
             "station_depth", "fifo_depth", "queue_banks",
             "queue_depth_per_bank", "rule_lanes",
             "minimum_broadcast_interval", "max_cycles", "deadlock_window",
-            "ff_min_jump",
         ):
             value = getattr(self, name)
             if not isinstance(value, int) or value <= 0:
@@ -90,22 +75,11 @@ class SimConfig:
                     f"SimConfig.{name} must be a positive integer, "
                     f"got {value!r}"
                 )
-        if self.engine not in ("dense", "fast", "event"):
+        if self.engine not in ("dense", "event"):
             raise SpecificationError(
-                f"SimConfig.engine must be 'dense', 'fast' or 'event', "
+                f"SimConfig.engine must be 'dense' or 'event', "
                 f"got {self.engine!r}"
             )
-        if self.fast_forward and self.engine == "event":
-            raise SpecificationError(
-                "SimConfig.fast_forward conflicts with engine='event'; "
-                "pick one engine"
-            )
-
-    def resolved_engine(self) -> str:
-        """The engine to run: folds the legacy fast_forward alias in."""
-        if self.fast_forward:
-            return "fast"
-        return self.engine
 
 
 @dataclass
@@ -128,11 +102,11 @@ class SimResult:
     # original instance).
     metrics: MetricsRegistry | None = None
     obs: Observability | None = None
-    # Fast-forward telemetry (zero for dense runs).  Deliberately kept
-    # out of SimStats so dense and fast statistics stay bit-identical.
+    # Idle-skip telemetry (zero for dense runs).  Deliberately kept
+    # out of SimStats so dense and event statistics stay bit-identical.
     ff_jumps: int = 0
     ff_cycles_skipped: int = 0
-    # Which engine produced the run: "dense" | "fast" | "event".
+    # Which engine produced the run: "dense" | "event".
     engine: str = "dense"
     # Per-token provenance record (None unless a TokenLedger was
     # attached); obs/critpath.py turns it into a critical path.
@@ -238,9 +212,6 @@ class AcceleratorSim:
         # instead of chasing pipeline/dict indirections every cycle.
         self._stages = [s for p in self.pipelines for s in p.stages]
         self._fifos = [s.input for s in self._stages]
-        self._timed_stages = [
-            s for s in self._stages if isinstance(s, CallStage)
-        ]
         self._engine_list = list(self.engines.values())
         # Bound methods, resolved once: the per-cycle loop is pure
         # dispatch, with no attribute chasing.  Checkpoint deepcopies
@@ -248,19 +219,14 @@ class AcceleratorSim:
         self._stage_ticks = [s.tick for s in self._stages]
         self._fifo_commits = [f.commit for f in self._fifos]
         self._queue_list = list(self.queues.values())
-        # Fast-forward: `quiet` is cleared by every state-mutating action
+        # Idle skipping: `quiet` is cleared by every state-mutating action
         # inside a cycle; a cycle that ends quiet is provably a repeat.
         self.quiet = True
         # Event-engine wake queue; EventScheduler plants its WakeQueue
-        # here so emit_at and the stages can arm wake-ups at issue time.
+        # here so the stages can arm wake-ups at issue time.
         self.wakes = None
-        self.engine = config.resolved_engine()
-        if self.engine == "event":
-            self.ff = EventScheduler(self)
-        elif self.engine == "fast":
-            self.ff = FastForwardScheduler(self)
-        else:
-            self.ff = None
+        self.engine = config.engine
+        self.ff = EventScheduler(self) if self.engine == "event" else None
 
     # -- services stages call ---------------------------------------------------
 
@@ -387,7 +353,7 @@ class AcceleratorSim:
     def _check_limits(self) -> None:
         """Runaway and deadlock guards, shared by both run loops.
 
-        The fast loop calls this after a skip as well, so both errors
+        The event loop calls this after a skip as well, so both errors
         raise at exactly the cycle a dense run would raise them at.
         """
         if self.cycle >= self.config.max_cycles:
@@ -405,7 +371,7 @@ class AcceleratorSim:
             raise DeadlockError(self.cycle, "; ".join(report[:8]))
 
     def _run_fast(self) -> None:
-        """The fast-forward loop: dense probe cycles, idle spans skipped.
+        """The event-engine loop: dense probe cycles, idle spans skipped.
 
         Every executed cycle is a full dense :meth:`step`; when one ends
         quiet (no stage fired, no silent mutation, no event delivered, no
@@ -417,11 +383,7 @@ class AcceleratorSim:
         while self._work_remaining():
             self.step()
             self._check_limits()
-            if (
-                self.quiet
-                and self.active_stages_this_cycle == 0
-                and self.cycle >= ff.probe_after
-            ):
+            if self.quiet and self.active_stages_this_cycle == 0:
                 target = ff.jump_target()
                 if target > self.cycle:
                     ff.skip_to(target)

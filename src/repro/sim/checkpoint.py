@@ -112,7 +112,7 @@ class CheckpointManager:
             self.capture()
 
     def next_event_cycle(self, now: int) -> int:
-        """Next scheduled capture — a fast-forward wake-up, so snapshots
+        """Next scheduled capture — an event-engine wake-up, so snapshots
         land on exactly the same cycles as a dense run."""
         return max(self._next_capture, now + 1)
 

@@ -1,58 +1,28 @@
-"""Priority-queue discrete-event engine for the cycle simulator.
+"""The event engine's wake-up queue.
 
-The fast-forward core (:mod:`repro.sim.fastpath`) already skips idle
-spans, but it *discovers* wake-ups by scanning: every probe walks all
-outstanding memory requests and every function-unit's in-flight list, so
-probe cost grows with machine occupancy — exactly when the machine is
-memory-bound and probes are most frequent.  This module inverts that:
-components *register* their wake-ups in a priority queue at the moment
-they schedule future work, and a probe is a heap peek.
+Components *register* their wake-ups here at the moment they schedule
+future work, so finding the next cycle at which anything can happen is
+a heap peek, not a scan of the machine.  The scheduler that reads the
+queue and skips idle cycles lives in :mod:`repro.sim.fastpath`.
 
-Two pieces:
-
-* :class:`WakeQueue` — a heapq of ``(cycle, seq, key)`` entries with a
-  monotonically increasing ``seq`` as a stable FIFO tie-break, so
-  same-cycle wake-ups are always observed in registration order and the
-  engine is deterministic.  Keyed entries support O(1) ``cancel`` /
-  re-``arm`` via lazy deletion (a dead entry is discarded when it
-  reaches the heap top, never eagerly).
-* :class:`EventScheduler` — a :class:`FastForwardScheduler` whose
-  ``next_wakeup`` reads the queue instead of scanning components, and
-  whose ``jump_target`` drops the minimum-jump hysteresis: with O(1)
-  probes, even a one-cycle idle gap is worth skipping.
-
-Wake-up contract (who arms what):
-
-* The memory system arms ``("mem", req_id)`` at every tracked
-  transfer's completion cycle (pipeline loads, Expand/Call operand
-  streams, host batch DMA) and cancels it on retire.
-* :class:`~repro.sim.stages.CallStage` arms an anonymous wake-up at
-  issue time for its latency timer — the one stage-private clock.
-* Rule-engine deliveries need no separate arming: the simulator's
-  ``_event_heap`` is already a ``(cycle, seq, event)`` priority queue,
-  so the scheduler peeks its head in O(1).
-* Fault-plan window boundaries, checkpoint captures, invariant-checker
-  passes, and the minimum-broadcast boundary (only when a broadcast
-  would actually fire an otherwise) remain O(1) probe-time reads — they
-  are single scalars owned by their components, so a queue entry would
-  add churn without removing a scan.
-
-Cycle-exactness is inherited from the fast-forward core: every executed
-cycle is still a full dense :meth:`step`, only provably-stationary
-cycles are skipped, and the inherited :meth:`skip_to` replays their
-stall accounting in bulk (see docs/simulator.md).  The scheduler and
-its queue live inside the simulator's checkpointed object graph, so
-rollback restores the pending heap along with the machine and replayed
-cycles re-arm their own wake-ups without double-counting.
+:class:`WakeQueue` is a heapq of ``(cycle, seq, key)`` entries with a
+monotonically increasing ``seq`` as a stable FIFO tie-break, so
+same-cycle wake-ups are always observed in registration order and the
+engine is deterministic.  Keyed entries support O(1) ``cancel`` /
+re-``arm`` via lazy deletion (a dead entry is discarded when it reaches
+the heap top, never eagerly).  The queue lives inside the simulator's
+checkpointed object graph, so rollback restores the pending heap along
+with the machine.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from repro.sim.fastpath import NEVER, FastForwardScheduler
+__all__ = ["WakeQueue", "NEVER"]
 
-__all__ = ["WakeQueue", "EventScheduler", "NEVER"]
+# Sentinel for "no wake-up scheduled" — far beyond any max_cycles.
+NEVER = 1 << 62
 
 
 class WakeQueue:
@@ -138,76 +108,3 @@ class WakeQueue:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WakeQueue({self.pending()!r})"
-
-
-class EventScheduler(FastForwardScheduler):
-    """Fast-forward scheduling driven by registered wake-ups.
-
-    Drop-in for :class:`FastForwardScheduler` (the run loop, stall
-    crediting, checkpointing, and telemetry are inherited); only wake-up
-    *discovery* changes.  Attaching the scheduler plants its queue on
-    the simulator (``sim.wakes``) and the memory system
-    (``memory.wakes``) so issue paths arm wake-ups from then on.
-    """
-
-    def __init__(self, sim) -> None:
-        super().__init__(sim)
-        self.queue = WakeQueue()
-        sim.wakes = self.queue
-        sim.memory.wakes = self.queue
-
-    # -- wake-up aggregation ---------------------------------------------------
-
-    def next_wakeup(self, now: int) -> int:
-        """Earliest cycle > ``now`` at which any component could act.
-
-        The wake queue answers for memory completions and function-unit
-        timers; pending event deliveries are an O(1) peek at the event
-        heap (itself a priority queue); the remaining scalar clocks are
-        read directly.
-        """
-        sim = self.sim
-        wake = self.queue.next_after(now)
-        heap = sim._event_heap
-        if heap and heap[0][0] < wake:
-            wake = heap[0][0]
-        when = self._next_broadcast_cycle(now)
-        if when < wake:
-            wake = when
-        if sim.faults is not None:
-            when = sim.faults.next_event_cycle(now)
-            if when < wake:
-                wake = when
-        if sim.checkpoints is not None:
-            when = sim.checkpoints.next_event_cycle(now)
-            if when < wake:
-                wake = when
-        if sim.checker is not None:
-            when = sim.checker.next_check_cycle(now)
-            if when < wake:
-                wake = when
-        return wake
-
-    # -- the jump --------------------------------------------------------------
-
-    def jump_target(self) -> int:
-        """Like the base scheduler's, minus the minimum-jump hysteresis.
-
-        The scan-based probe costs enough that sub-``ff_min_jump`` skips
-        lose money; a heap peek does not, so every quiescent gap — even
-        a single cycle — is jumped.  The clamp is identical, so
-        max_cycles and the deadlock window trip at exactly the dense
-        run's cycle.
-        """
-        sim = self.sim
-        wake = self.next_wakeup(sim.cycle - 1)
-        cap = min(
-            sim.config.max_cycles,
-            sim._last_progress_cycle + sim.config.deadlock_window + 1,
-        )
-        target = min(max(wake, sim.cycle), cap)
-        if target <= sim.cycle:
-            return sim.cycle
-        if self.log is not None:
-            self.log.append((sim.cycle, target, wake))
-        return target

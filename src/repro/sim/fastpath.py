@@ -1,14 +1,29 @@
-"""Event-driven fast-forward scheduling for the cycle simulator.
+"""Idle-cycle skipping for the cycle simulator: the event engine.
 
 The dense core advances every stage, queue bank, rule lane, and memory
 channel on every cycle, even when the whole accelerator is quiescent
 waiting on a 200 ns QPI miss — exactly the irregular-latency pattern the
 paper's memory subsystem (Figure 7, Choi et al. timing constants)
-produces.  The fast-forward core skips those idle cycles: every
-component reports a ``next_event_cycle(now)`` — the earliest future
-cycle at which it could possibly act — and, when a whole cycle passes in
-which *nothing* made progress, the scheduler jumps the clock directly to
-the earliest reported wake-up instead of ticking through the idle gap.
+produces.  The event engine (``SimConfig.engine="event"``) skips those
+idle cycles: components register their wake-ups in a
+:class:`~repro.sim.events.WakeQueue` at the moment they schedule future
+work, and when a whole cycle passes in which *nothing* made progress,
+the scheduler jumps the clock straight to the earliest pending wake-up.
+
+Wake-up contract (who arms what):
+
+* The memory system arms ``("mem", req_id)`` at every tracked
+  transfer's completion cycle (pipeline loads, Expand/Call operand
+  streams, host batch DMA) and cancels it on retire.
+* :class:`~repro.sim.stages.CallStage` arms an anonymous wake-up at
+  issue time for its latency timer — the one stage-private clock.
+* Rule-engine deliveries need no separate arming: the simulator's
+  ``_event_heap`` is already a ``(cycle, seq, event)`` priority queue,
+  so the scheduler peeks its head.
+* Fault-plan window boundaries, checkpoint captures, invariant-checker
+  passes, and the minimum-broadcast boundary (only when a broadcast
+  would actually fire an otherwise) are single scalars owned by their
+  components, read at probe time.
 
 Cycle-exactness argument (see docs/simulator.md for the full version):
 
@@ -16,11 +31,7 @@ Cycle-exactness argument (see docs/simulator.md for the full version):
   mutation, no event delivered, no otherwise triggered) leaves the
   machine state *stationary*: every stage's decision next cycle depends
   only on that unchanged state plus the clock.
-* The only clock-driven state changes are enumerated as wake-up sources:
-  memory-request completions, function-unit timers, event-heap delivery
-  times, the minimum-broadcast interval (only when a broadcast would
-  actually trigger an otherwise), fault-plan window boundaries,
-  checkpoint captures, and invariant-checker passes.
+* The only clock-driven state changes are the wake-up sources above.
 * Therefore every skipped cycle would have been an exact repeat of the
   probe cycle just executed — so its *accounting* effects (per-stage
   stall cycles, queue-full counters, rule-engine allocation stalls, the
@@ -28,25 +39,28 @@ Cycle-exactness argument (see docs/simulator.md for the full version):
   by the number of skipped cycles, and per-stage accounting still sums
   exactly to the total cycle count.
 
-The scheduler object lives inside the simulator's checkpointed object
-graph, so rollback restores its bookkeeping along with the rest of the
-machine and replayed cycles are never double-counted.
+The scheduler and its queue live inside the simulator's checkpointed
+object graph, so rollback restores the pending heap and the jump
+bookkeeping along with the machine, and replayed cycles re-arm their own
+wake-ups without double-counting.
 """
 
 from __future__ import annotations
 
-# Sentinel for "no wake-up scheduled" — far beyond any max_cycles.
-NEVER = 1 << 62
+from repro.sim.events import NEVER, WakeQueue
 
 
-class FastForwardScheduler:
-    """Wake-up aggregation plus skip crediting for one simulator.
+class EventScheduler:
+    """Wake-up discovery plus skip crediting for one simulator.
 
     Attached by :class:`~repro.sim.accelerator.AcceleratorSim` when
-    ``SimConfig.fast_forward`` is set.  ``cycle_stalls`` collects the
-    ``(stage, reason)`` stall records of the cycle being executed; when
-    that cycle turns out to be quiescent, those records describe exactly
-    what every skipped cycle would have recorded.
+    ``SimConfig.engine == "event"``.  Attaching plants the wake queue on
+    the simulator (``sim.wakes``) and the memory system
+    (``memory.wakes``) so issue paths arm wake-ups from then on.
+    ``cycle_stalls`` collects the ``(stage, reason)`` stall records of
+    the cycle being executed; when that cycle turns out to be quiescent,
+    those records describe exactly what every skipped cycle would have
+    recorded.
     """
 
     def __init__(self, sim) -> None:
@@ -55,37 +69,27 @@ class FastForwardScheduler:
         self.cycles_skipped = 0
         # Stall records of the current (probe) cycle: (stage, reason).
         self.cycle_stalls: list = []
-        # Declined-jump hold-off: no re-probe before this cycle.  While
-        # the machine stays quiescent the wake-up set is stationary, so a
-        # declined probe's answer holds for the whole declined gap; and
-        # if progress *does* happen, stepping densely until the hold-off
-        # expires is always legal — it only defers the next long jump by
-        # (at most) ff_min_jump cycles.
-        self.probe_after = 0
         # Optional jump journal for tests: (from_cycle, to_cycle, wake).
         self.log: list[tuple[int, int, int]] | None = None
+        self.queue = WakeQueue()
+        sim.wakes = self.queue
+        sim.memory.wakes = self.queue
 
-    # -- wake-up aggregation ---------------------------------------------------
+    # -- wake-up discovery -----------------------------------------------------
 
     def next_wakeup(self, now: int) -> int:
-        """Earliest cycle > ``now`` at which any component could act."""
+        """Earliest cycle > ``now`` at which any component could act.
+
+        The wake queue answers for memory completions and function-unit
+        timers; pending event deliveries are a peek at the event heap
+        (itself a priority queue); the remaining scalar clocks are read
+        directly.
+        """
         sim = self.sim
-        wake = NEVER
+        wake = self.queue.next_after(now)
         heap = sim._event_heap
-        if heap:
-            when = heap[0][0]
-            if when < wake:
-                wake = when
-        when = sim.memory.next_event_cycle(now)
-        if when < wake:
-            wake = when
-        for stage in sim._timed_stages:
-            when = stage.next_event_cycle(now)
-            if when < wake:
-                wake = when
-        when = sim.host.next_event_cycle(now)
-        if when < wake:
-            wake = when
+        if heap and heap[0][0] < wake:
+            wake = heap[0][0]
         when = self._next_broadcast_cycle(now)
         if when < wake:
             wake = when
@@ -133,11 +137,11 @@ class FastForwardScheduler:
     def jump_target(self) -> int:
         """Where to move the clock after a quiescent cycle.
 
-        Clamped so the run loop's limit checks (max_cycles, the deadlock
-        window) fire at exactly the same cycle they would in dense mode.
-        Jumps shorter than ``SimConfig.ff_min_jump`` are declined
-        (hysteresis): on short stalls the wake-up probe costs more than
-        densely stepping the gap, and dense stepping is always legal.
+        Every quiescent gap, even a single cycle, is jumped: a probe is
+        a heap peek, so skipping never costs more than stepping.  The
+        target is clamped so the run loop's limit checks (max_cycles,
+        the deadlock window) fire at exactly the cycle they would in
+        dense mode.
         """
         sim = self.sim
         wake = self.next_wakeup(sim.cycle - 1)
@@ -146,15 +150,15 @@ class FastForwardScheduler:
             sim._last_progress_cycle + sim.config.deadlock_window + 1,
         )
         target = min(max(wake, sim.cycle), cap)
-        if target - sim.cycle < sim.config.ff_min_jump:
-            self.probe_after = target
+        if target <= sim.cycle:
             return sim.cycle
         if self.log is not None:
             self.log.append((sim.cycle, target, wake))
         return target
 
     def skip_to(self, target: int) -> None:
-        """Jump the clock to ``target``, crediting the skipped cycles.
+        """Jump the clock forward to ``target``, crediting the skipped
+        cycles.
 
         Every skipped cycle is an exact repeat of the probe cycle, so
         its stall records are replayed ``skipped`` times: per-stage stall
@@ -165,8 +169,6 @@ class FastForwardScheduler:
         """
         sim = self.sim
         skipped = target - sim.cycle
-        if skipped <= 0:
-            return
         obs = sim.obs
         credited: set[str] = set()
         for stage, reason in self.cycle_stalls:

@@ -163,7 +163,7 @@ class FaultPlan:
             self.log.append(f"cycle {cycle}: {event.describe()}")
 
     def next_event_cycle(self, now: int) -> int:
-        """Next fault-window boundary — a fast-forward wake-up, so window
+        """Next fault-window boundary — an event-engine wake-up, so window
         activations (and their ``fired_at`` stamps) match a dense run."""
         return self._next_boundary if self._next_boundary > now else now + 1
 

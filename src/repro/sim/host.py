@@ -14,7 +14,6 @@ from typing import Iterator
 
 from repro.core.indexing import TaskIndex
 from repro.core.spec import ApplicationSpec, SeedTask
-from repro.sim.fastpath import NEVER
 
 
 class HostAdapter:
@@ -140,16 +139,3 @@ class HostAdapter:
 
     def busy(self) -> bool:
         return self._pending is not None
-
-    def next_event_cycle(self, now: int) -> int:
-        """Completion of the in-flight batch DMA, if one is pending.
-
-        (Redundant with the MemorySystem's scan — the transfer is a
-        tracked request — but kept so every component declares its own
-        wake-ups; a batch blocked on queue space has no timed wake.)
-        """
-        if self._transfer_req is not None:
-            done = self.ctx.memory.done_at(self._transfer_req)
-            if done > now:
-                return done
-        return NEVER

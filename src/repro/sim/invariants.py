@@ -87,7 +87,7 @@ class InvariantChecker:
             self.check()
 
     def next_check_cycle(self, now: int) -> int:
-        """Next sanitizer boundary — a fast-forward wake-up, so checks
+        """Next sanitizer boundary — an event-engine wake-up, so checks
         (and ``stats.invariant_checks``) match a dense run exactly."""
         return ((now // self.interval) + 1) * self.interval
 

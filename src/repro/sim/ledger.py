@@ -14,12 +14,12 @@ rule rendezvous answer (which token's event decided the promise), the
 memory request completion, the queue grant, or the host batch launch.
 
 Every cycle recorded is engine-independent by construction: events are
-appended only when a token actually moves (the ``dense``/``fast``/
-``event`` engines execute exactly the same non-quiescent cycles), and
+appended only when a token actually moves (the ``dense`` and ``event``
+engines execute exactly the same non-quiescent cycles), and
 resource readiness is stamped with the *scheduled* completion cycle
 (``MemorySystem.done_at``, the rule instance's decision cycle) rather
 than the cycle the completion happened to be observed on.  Ledgers are
-therefore byte-identical across all three engines.
+therefore byte-identical across both engines.
 
 Checkpoint/rollback safety comes for free from placement: the ledger is
 an attribute of the simulator and deliberately *not* a shared checkpoint

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from repro.eval.platforms import HarpPlatform
 from repro.errors import SimulationError
-from repro.sim.fastpath import NEVER
 
 
 @dataclass
@@ -240,20 +239,7 @@ class MemorySystem:
     def quiescent(self, now: int) -> bool:
         return all(r.done_at <= now for r in self._outstanding.values())
 
-    # -- fast-forward interface -----------------------------------------------
-
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest completion of an outstanding request after ``now``.
-
-        This covers every tracked transfer in the machine — pipeline
-        loads, Expand/Call operand streams, and host batch DMA — since
-        they all go through :meth:`_track`.
-        """
-        wake = NEVER
-        for request in self._outstanding.values():
-            if now < request.done_at < wake:
-                wake = request.done_at
-        return wake
+    # -- idle-skip crediting ---------------------------------------------------
 
     def latest_completion(self) -> int:
         """Latest completion over outstanding requests (-1 when none).

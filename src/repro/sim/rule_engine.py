@@ -15,7 +15,6 @@ from typing import Any, Mapping
 from repro.core.events import Event
 from repro.core.indexing import TaskIndex
 from repro.core.rule import RuleInstance, RuleType, RuleVerdict
-from repro.sim.fastpath import NEVER
 
 
 @dataclass
@@ -171,7 +170,7 @@ class RuleEngineSim:
         """Fire otherwise for awaited lanes whose parent ties the minimum.
 
         Returns the number of lanes triggered (a trigger resolves the
-        promise — progress the fast-forward core must not skip over).
+        promise — progress the event engine must not skip over).
         """
         fired = 0
         ledger = self.ledger
@@ -192,7 +191,7 @@ class RuleEngineSim:
     def would_fire_otherwise(self, min_live: TaskIndex | None) -> bool:
         """Pure predicate: would :meth:`broadcast_minimum` trigger a lane?
 
-        Evaluated by the fast-forward scheduler on stationary state, so a
+        Evaluated by the event scheduler on stationary state, so a
         minimum-broadcast boundary only counts as a wake-up when crossing
         it would actually change something.
         """
@@ -204,7 +203,7 @@ class RuleEngineSim:
                 return True
         return False
 
-    # -- fast-forward interface -----------------------------------------------
+    # -- idle-skip crediting ---------------------------------------------------
 
     def credit_alloc_stalls(self, count: int) -> None:
         """Replay ``count`` skipped repeats of one failed allocation.
@@ -218,11 +217,6 @@ class RuleEngineSim:
             failed = self.faults.lanes_failed(self.name)
             if failed and len(self.lanes) >= max(0, self.max_lanes - failed):
                 self.stats.fault_alloc_stalls += count
-
-    def next_event_cycle(self, now: int) -> int:
-        """Engines are event-driven: deliveries wake via the event heap
-        and otherwise triggers via the broadcast-boundary predicate."""
-        return NEVER
 
     @property
     def occupancy(self) -> int:

@@ -28,7 +28,6 @@ from repro.core.kernel import (
 )
 from repro.errors import SimulationError
 from repro.obs.events import StallReason
-from repro.sim.fastpath import NEVER
 from repro.sim.fifo import Fifo
 from repro.sim.token import SimToken
 
@@ -99,19 +98,13 @@ class Stage:
         self.stall_cycles += 1
         ctx = self.ctx
         if ctx.ff is not None:
-            # Fast-forward probe: if this whole cycle turns out to make
+            # Event-engine probe: if this whole cycle turns out to make
             # no progress, every skipped cycle repeats this stall.
             ctx.ff.cycle_stalls.append((self, reason))
         if ctx.obs is not None:
             ctx.obs.stage_stall(ctx.cycle, self.name, reason)
 
-    # -- fast-forward interface -----------------------------------------------
-
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest future cycle this stage could act at without any other
-        state changing.  Memory-request completions are reported by the
-        MemorySystem, so only stages with private timers override this."""
-        return NEVER
+    # -- idle-skip crediting ---------------------------------------------------
 
     def credit_skipped_stalls(self, reason: StallReason, count: int) -> None:
         """Replay ``count`` skipped repeats of one probe-cycle stall."""
@@ -619,15 +612,6 @@ class CallStage(Stage):
             self.in_flight.append((token, done_at, stream_req))
         elif self.input.visible:
             self._stall(StallReason.MEMORY)
-
-    def next_event_cycle(self, now: int) -> int:
-        # The function-unit latency timer is the one stage-private clock;
-        # operand-stream completions are reported by the MemorySystem.
-        wake = NEVER
-        for _token, done_at, _req in self.in_flight:
-            if now < done_at < wake:
-                wake = done_at
-        return wake
 
     def busy(self) -> bool:
         return bool(self.in_flight) or len(self.input) > 0

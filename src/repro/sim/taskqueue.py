@@ -14,7 +14,6 @@ from typing import Any
 
 from repro.core.indexing import TaskIndex
 from repro.errors import SimulationError
-from repro.sim.fastpath import NEVER
 
 
 class MultiBankTaskQueue:
@@ -158,8 +157,3 @@ class MultiBankTaskQueue:
 
     def bank_occupancy(self) -> list[int]:
         return [len(b) for b in self.banks]
-
-    def next_event_cycle(self, now: int) -> int:
-        """Queues hold no timers: pops and pushes are driven by stages,
-        and fault-windowed bank stalls wake via the FaultPlan's boundary."""
-        return NEVER

@@ -127,6 +127,20 @@ class TestCli:
                      "--no-store"]) == 0
         assert "VERIFIED" in capsys.readouterr().out
 
+    def test_fast_is_an_alias_for_event_engine(self, capsys):
+        outputs = []
+        for flags in (["--fast"], ["--engine", "event"]):
+            assert main(["simulate", "SPEC-BFS", *flags, "--no-store"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "event engine:" in outputs[0]
+
+    def test_removed_fast_engine_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "SPEC-BFS", "--engine", "fast", "--no-store"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fast'" in capsys.readouterr().err
+
     def test_experiment_table1_with_json(self, capsys, tmp_path):
         target = str(tmp_path / "t1.json")
         store = tmp_path / "store"

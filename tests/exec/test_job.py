@@ -41,9 +41,7 @@ class TestDigest:
         ("rule_lanes", 64),
         ("station_depth", 4),
         ("queue_banks", 8),
-        ("fast_forward", True),
         ("engine", "event"),
-        ("ff_min_jump", 2),
         ("max_cycles", 123_456),
         ("minimum_broadcast_interval", 5),
     ])

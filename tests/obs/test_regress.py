@@ -36,8 +36,8 @@ def sweep_rec(points_per_sec: float) -> RunRecord:
 BENCH = {
     "points": {"SPEC-BFS@1x": 3614, "SPEC-SSSP@1x": 5120},
     "runs": {"SPEC-BFS": {"cycles": 3614, "wall_seconds": 0.4}},
-    "fast_forward": {
-        "eval": {"SPEC-BFS": {"cycles": 3614, "speedup": 2.0}},
+    "engines": {
+        "eval": {"SPEC-BFS": {"cycles": 3614, "event_speedup": 2.0}},
     },
     "sweep": {
         "n_points": 8,
@@ -108,14 +108,14 @@ class TestBenchGates:
     def test_cycle_drift_anywhere_fails(self):
         current = copy.deepcopy(BENCH)
         current["points"]["SPEC-BFS@1x"] += 1
-        current["fast_forward"]["eval"]["SPEC-BFS"]["cycles"] -= 5
+        current["engines"]["eval"]["SPEC-BFS"]["cycles"] -= 5
         rules = [f.rule for f in regress_bench(current, BENCH)]
         assert rules == ["cycle-drift", "cycle-drift"]
 
     def test_missing_entry_fails(self):
         current = copy.deepcopy(BENCH)
         del current["points"]["SPEC-SSSP@1x"]
-        del current["fast_forward"]["eval"]["SPEC-BFS"]
+        del current["engines"]["eval"]["SPEC-BFS"]
         findings = regress_bench(current, BENCH)
         assert all(f.rule == "cycle-drift" and f.severity == "fail"
                    for f in findings)
@@ -123,9 +123,9 @@ class TestBenchGates:
 
     def test_speedup_floor_is_multiplicative(self):
         current = copy.deepcopy(BENCH)
-        current["fast_forward"]["eval"]["SPEC-BFS"]["speedup"] = 1.61
+        current["engines"]["eval"]["SPEC-BFS"]["event_speedup"] = 1.61
         assert regress_bench(current, BENCH) == []   # above 2.0 * 0.8
-        current["fast_forward"]["eval"]["SPEC-BFS"]["speedup"] = 1.59
+        current["engines"]["eval"]["SPEC-BFS"]["event_speedup"] = 1.59
         findings = regress_bench(current, BENCH)
         assert [f.rule for f in findings] == ["speedup-floor"]
 

@@ -1,17 +1,16 @@
-"""Differential harness: every engine must be cycle-exact vs dense.
+"""Differential harness: the event engine must be cycle-exact vs dense.
 
-Every test here runs the same workload through the full engine matrix —
-once densely (the reference interpreter, every cycle stepped), once
-with the scan-based fast-forward core (``engine="fast"``), and once
-with the priority-queue event engine (``engine="event"``) — and asserts
-the executions are indistinguishable: identical final cycle counts,
+Every test here runs the same workload through both engines — once
+densely (the reference interpreter, every cycle stepped) and once with
+the idle-skipping event engine (``engine="event"``) — and asserts the
+executions are indistinguishable: identical final cycle counts,
 identical :func:`~repro.sim.stats.stats_digest`, identical
 metrics-registry snapshots, identical event-trace *schedules*, and
 identical stall-attribution accounting (every row summing exactly to
 the total cycle count).
 
 The one deliberate divergence is per-cycle ``STAGE_STALL`` trace events:
-both skipping engines fold a skipped quiescent span into the profiler
+the event engine folds a skipped quiescent span into the profiler
 via ``credit_skipped_stalls`` instead of emitting one event per cycle,
 so trace comparison filters stall events out and compares everything
 else (fires, queue traffic, rule-engine lifecycle, memory events,
@@ -37,10 +36,6 @@ from repro.sim.accelerator import (
 from repro.sim.faults import FaultEvent, FaultKind, FaultPlan
 from repro.sim.stats import stats_digest
 from repro.substrates.graphs import random_graph
-
-# The non-reference engines; dense is the oracle they are diffed against.
-SKIPPING_ENGINES = ("fast", "event")
-
 
 # -- helpers ----------------------------------------------------------------
 
@@ -95,7 +90,7 @@ def _schedule(obs: Observability) -> list[tuple]:
 
 
 def _assert_equivalent(label: str, dense, other) -> None:
-    """Full-depth equivalence between a dense and a skipping execution."""
+    """Full-depth equivalence between a dense and an event execution."""
     dense_result, dense_obs, stages = dense
     other_result, other_obs, other_stages = other
     assert other_stages == stages
@@ -127,16 +122,13 @@ def _assert_equivalent(label: str, dense, other) -> None:
         assert sum(v for k, v in row.items() if k != "total") == total
 
 
-def _three_way(app: str, label: str, **kwargs) -> dict:
-    """Run dense + both skipping engines, assert full equivalence, and
-    return the runs keyed by engine for extra per-test assertions."""
-    runs = {
-        engine: _run(app, engine=engine, **kwargs)
-        for engine in ("dense",) + SKIPPING_ENGINES
-    }
-    for engine in SKIPPING_ENGINES:
-        _assert_equivalent(f"{label}[{engine}]", runs["dense"], runs[engine])
-    return runs
+def _diff_engines(app: str, label: str, **kwargs):
+    """Run dense and event, assert full equivalence, and return the
+    event run's SimResult for extra per-test assertions."""
+    dense = _run(app, engine="dense", **kwargs)
+    event = _run(app, engine="event", **kwargs)
+    _assert_equivalent(label, dense, event)
+    return event[0]
 
 
 # -- tier-1 smoke subset ----------------------------------------------------
@@ -144,31 +136,26 @@ def _three_way(app: str, label: str, **kwargs) -> dict:
 
 @pytest.mark.parametrize("app", ["SPEC-BFS", "SPEC-SSSP", "SPEC-CC"])
 def test_memory_bound_runs_are_cycle_exact(app: str) -> None:
-    """The headline case: a bandwidth-starved run is mostly idle, so both
-    skipping engines skip aggressively — and must still match to the
+    """The headline case: a bandwidth-starved run is mostly idle, so the
+    event engine skips aggressively — and must still match to the
     cycle."""
-    runs = _three_way(app, app, platform=EVAL_HARP.scaled(0.05))
-    # The point of the exercise: both skipping engines actually skipped.
-    for engine in SKIPPING_ENGINES:
-        assert runs[engine][0].ff_jumps > 0, engine
-        assert runs[engine][0].ff_cycles_skipped > 0, engine
-    # The event engine drops the minimum-jump hysteresis, so it never
-    # skips fewer cycles than the scan-based core here.
-    assert (runs["event"][0].ff_cycles_skipped
-            >= runs["fast"][0].ff_cycles_skipped)
+    result = _diff_engines(app, app, platform=EVAL_HARP.scaled(0.05))
+    # The point of the exercise: the event engine actually skipped.
+    assert result.ff_jumps > 0
+    assert result.ff_cycles_skipped > 0
 
 
 @pytest.mark.parametrize("app", ["SPEC-BFS", "SPEC-SSSP"])
 def test_fault_injection_is_cycle_exact(app: str) -> None:
     """Fault boundaries, invariant sweeps, and degraded resources are all
     wake-up sources; a seeded mixed-mode plan must not break exactness
-    on any engine."""
-    _three_way(app, app, platform=EVAL_HARP, fault_seed=11)
+    on the event engine."""
+    _diff_engines(app, app, platform=EVAL_HARP, fault_seed=11)
 
 
 def test_rollback_recovery_is_cycle_exact() -> None:
     """Force a rollback (total lane outage -> liveness trip) and require
-    the resilient driver's full trajectory to match on every engine:
+    the resilient driver's full trajectory to match on both engines:
     failure cycles, error strings, attempts, rollbacks, final stats."""
     def resilient(engine: str):
         spec = _spec("SPEC-BFS", 200, 600, 7)
@@ -184,20 +171,19 @@ def test_rollback_recovery_is_cycle_exact() -> None:
 
     dense = resilient("dense")
     assert dense.rollbacks >= 1, "fault plan failed to force a rollback"
-    for engine in SKIPPING_ENGINES:
-        other = resilient(engine)
-        assert other.result.cycles == dense.result.cycles, engine
-        assert other.attempts == dense.attempts, engine
-        assert other.rollbacks == dense.rollbacks, engine
-        assert [f.cycle for f in other.failures] == [
-            f.cycle for f in dense.failures
-        ], engine
-        assert [f.error for f in other.failures] == [
-            f.error for f in dense.failures
-        ], engine
-        assert stats_digest(other.result.stats) == stats_digest(
-            dense.result.stats
-        ), engine
+    event = resilient("event")
+    assert event.result.cycles == dense.result.cycles
+    assert event.attempts == dense.attempts
+    assert event.rollbacks == dense.rollbacks
+    assert [f.cycle for f in event.failures] == [
+        f.cycle for f in dense.failures
+    ]
+    assert [f.error for f in event.failures] == [
+        f.error for f in dense.failures
+    ]
+    assert stats_digest(event.result.stats) == stats_digest(
+        dense.result.stats
+    )
 
 
 # -- the full seeded matrix (slow) ------------------------------------------
@@ -222,5 +208,5 @@ _MATRIX_CONFIGS = {
 def test_differential_matrix(app: str, cfg: str,
                              fault_seed: int | None) -> None:
     platform, overrides = _MATRIX_CONFIGS[cfg]
-    _three_way(app, f"{app}/{cfg}", platform=platform,
-               config_kwargs=overrides, fault_seed=fault_seed)
+    _diff_engines(app, f"{app}/{cfg}", platform=platform,
+                  config_kwargs=overrides, fault_seed=fault_seed)

@@ -57,6 +57,12 @@ class TestConfigValidation:
         with pytest.raises(SpecificationError, match="rule_lanes"):
             SimConfig(rule_lanes=2.5)
 
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(SpecificationError,
+                           match="'dense' or 'event'") as excinfo:
+            SimConfig(engine="fast")
+        assert "'fast'" in str(excinfo.value)
+
     def test_defaults_valid(self):
         SimConfig()  # must not raise
 

@@ -1,11 +1,11 @@
 """Golden-trace regression: fixed-seed runs must reproduce exactly.
 
 Each fixture in ``tests/golden/`` pins one scenario's final cycle count,
-full stats digest, and (stall-filtered) trace profile.  Every engine —
-dense, scan-based fast-forward, and the priority-queue event engine —
-is checked against the *same* fixture, so this suite doubles as a
-standing cycle-exactness pin for both skipping engines, across graph
-(BFS/SSSP) and host-fed (COOR-LU/DMR) applications.
+full stats digest, and (stall-filtered) trace profile.  Both engines —
+dense and the idle-skipping event engine — are checked against the
+*same* fixture, so this suite doubles as a standing cycle-exactness pin
+for the event engine, across graph (BFS/SSSP) and host-fed
+(COOR-LU/DMR) applications.
 
 On an intentional timing/statistics change, regenerate the fixtures via
 ``python scripts/update_goldens.py`` and commit the JSON diff.
@@ -32,7 +32,7 @@ def _load(name: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("engine", ["dense", "fast", "event"])
+@pytest.mark.parametrize("engine", ["dense", "event"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_run_matches_fixture(name: str, engine: str) -> None:
     expected = _load(name)
