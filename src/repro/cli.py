@@ -24,7 +24,6 @@ Commands
 ``dashboard``   write the self-contained HTML telemetry dashboard
 ``sweep-status``status of the running (or crashed) sweep in a store
 ``regress``     rule-based regression detection over the run store
-                and BENCH_*.json trajectories
 
 Sweep-running commands (``experiment``, ``dse``, ``fault-campaign``)
 accept ``--jobs N`` (parallel workers), ``--cache/--no-cache``,
@@ -939,40 +938,21 @@ def cmd_sweep_status(args: argparse.Namespace) -> int:
 def cmd_regress(args: argparse.Namespace) -> int:
     """Rule-based regression detection (see docs/observability.md).
 
-    Without ``--bench``: group the run store into comparable series and
-    flag cycle drift (fail) and wall-clock / throughput outliers (warn).
-    With ``--bench CURRENT BASELINE``: compare two ``BENCH_*.json``
-    documents using the same gates as ``scripts/bench_check.py``.
-    Exit 1 iff any *fail*-severity finding fired; warnings alone exit 0.
+    Group the run store into comparable series and flag cycle drift
+    (fail) and wall-clock / throughput outliers (warn).  Exit 1 iff any
+    *fail*-severity finding fired; warnings alone exit 0.
     """
-    from repro.obs.regress import (
-        format_regressions,
-        regress_bench,
-        regress_store,
-    )
+    from repro.obs.regress import format_regressions, regress_store
 
     try:
-        if args.bench:
-            with open(args.bench[0], "r", encoding="utf-8") as handle:
-                current = json.load(handle)
-            with open(args.bench[1], "r", encoding="utf-8") as handle:
-                baseline = json.load(handle)
-            findings = regress_bench(
-                current, baseline,
-                speedup_tolerance=args.speedup_tolerance,
-                sweep_tolerance=args.sweep_tolerance,
-                wall_band=args.wall_band,
-            )
-            source = f"{args.bench[0]} vs {args.bench[1]}"
-        else:
-            store = RunStore(args.store)
-            records = store.records()
-            findings = regress_store(
-                records,
-                wall_band=args.wall_band,
-                min_wall_samples=args.min_wall_samples,
-            )
-            source = f"{len(records)} runs in {store.path}"
+        store = RunStore(args.store)
+        records = store.records()
+        findings = regress_store(
+            records,
+            wall_band=args.wall_band,
+            min_wall_samples=args.min_wall_samples,
+        )
+        source = f"{len(records)} runs in {store.path}"
     except (OSError, ValueError) as exc:
         print(f"error: {_error_line(exc)}", file=sys.stderr)
         return 1
@@ -1247,15 +1227,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     regress = sub.add_parser(
         "regress", help="rule-based regression detection over the run "
-                        "store or BENCH_*.json files (exit 1 on any "
-                        "fail-severity finding)")
+                        "store (exit 1 on any fail-severity finding)")
     regress.add_argument("--store", default=DEFAULT_STORE_DIR,
                          metavar="DIR",
                          help="run store to analyze (default .repro)")
-    regress.add_argument("--bench", nargs=2,
-                         metavar=("CURRENT", "BASELINE"),
-                         help="compare two BENCH_*.json documents "
-                              "instead of the run store")
     regress.add_argument("--wall-band", type=float, default=0.5,
                          metavar="F",
                          help="wall-clock / throughput noise band "
@@ -1264,14 +1239,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="series length before wall-clock warnings "
                               "apply (default 4)")
-    regress.add_argument("--speedup-tolerance", type=float, default=0.20,
-                         metavar="F",
-                         help="event-engine speedup floor tolerance "
-                              "(default 0.20)")
-    regress.add_argument("--sweep-tolerance", type=float, default=0.35,
-                         metavar="F",
-                         help="parallel-sweep speedup floor tolerance "
-                              "(default 0.35)")
     regress.add_argument("--json", action="store_true",
                          help="emit findings as JSON")
     regress.set_defaults(handler=cmd_regress)

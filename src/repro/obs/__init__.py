@@ -42,7 +42,6 @@ from repro.obs.profile import (
 from repro.obs.regress import (
     Regression,
     format_regressions,
-    regress_bench,
     regress_store,
 )
 from repro.obs.tracer import EventTracer
@@ -167,7 +166,6 @@ __all__ = [
     "format_status",
     "load_status",
     "merge_fleet_trace",
-    "regress_bench",
     "regress_store",
     "write_fleet_trace",
 ]

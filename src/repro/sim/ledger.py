@@ -4,7 +4,7 @@ A :class:`TokenLedger` is an opt-in recorder threaded through the sim
 core the same way the fault and observability hooks are: every component
 holds ``ledger = None`` by default and pays one identity test, so with
 the ledger disabled the simulator's behaviour — cycles included — is
-bit-identical (a tested invariant, see ``bench_smoke``'s ledger section).
+bit-identical (a tested invariant, see ``tests/sim/test_ledger.py``).
 
 Per :class:`~repro.sim.token.SimToken` uid the ledger keeps a
 time-ordered list of lifecycle events — birth from a queue grant, forks,

@@ -1,15 +1,8 @@
-"""Regression detection: store series rules, bench gates, CLI exit."""
+"""Regression detection: store series rules, rendering, CLI exit."""
 
-import copy
-import importlib.util
 import json
-from pathlib import Path
 
-from repro.obs.regress import (
-    format_regressions,
-    regress_bench,
-    regress_store,
-)
+from repro.obs.regress import format_regressions, regress_store
 from repro.obs.runstore import RunRecord, RunStore
 
 
@@ -31,32 +24,6 @@ def sweep_rec(points_per_sec: float) -> RunRecord:
         extra={"command": "experiment:figure10",
                "sweep": {"jobs": 2, "points_per_sec": points_per_sec}},
     )
-
-
-BENCH = {
-    "points": {"SPEC-BFS@1x": 3614, "SPEC-SSSP@1x": 5120},
-    "runs": {"SPEC-BFS": {"cycles": 3614, "wall_seconds": 0.4}},
-    "engines": {
-        "eval": {"SPEC-BFS": {"cycles": 3614, "event_speedup": 2.0}},
-    },
-    "sweep": {
-        "n_points": 8,
-        "workers": 2,
-        "parallel_speedup": 1.6,
-        "serial": {"wall_seconds": 2.0, "points_per_sec": 4.0},
-        "parallel": {"wall_seconds": 1.25, "points_per_sec": 6.4},
-        "warm_cache": {"wall_seconds": 0.1, "points_per_sec": 80.0,
-                       "hit_rate": 1.0},
-    },
-    "ledger": {
-        "SPEC-BFS": {
-            "cycles": 3614,
-            "off": {"cycles": 3614, "wall_seconds": 0.4},
-            "on": {"cycles": 3614, "wall_seconds": 0.5},
-            "overhead": 1.25,
-        },
-    },
-}
 
 
 class TestStoreRules:
@@ -101,80 +68,6 @@ class TestStoreRules:
         assert regress_store(runs[:-1] + [sweep_rec(9.0)]) == []
 
 
-class TestBenchGates:
-    def test_identical_documents_are_quiet(self):
-        assert regress_bench(copy.deepcopy(BENCH), BENCH) == []
-
-    def test_cycle_drift_anywhere_fails(self):
-        current = copy.deepcopy(BENCH)
-        current["points"]["SPEC-BFS@1x"] += 1
-        current["engines"]["eval"]["SPEC-BFS"]["cycles"] -= 5
-        rules = [f.rule for f in regress_bench(current, BENCH)]
-        assert rules == ["cycle-drift", "cycle-drift"]
-
-    def test_missing_entry_fails(self):
-        current = copy.deepcopy(BENCH)
-        del current["points"]["SPEC-SSSP@1x"]
-        del current["engines"]["eval"]["SPEC-BFS"]
-        findings = regress_bench(current, BENCH)
-        assert all(f.rule == "cycle-drift" and f.severity == "fail"
-                   for f in findings)
-        assert len(findings) == 2
-
-    def test_speedup_floor_is_multiplicative(self):
-        current = copy.deepcopy(BENCH)
-        current["engines"]["eval"]["SPEC-BFS"]["event_speedup"] = 1.61
-        assert regress_bench(current, BENCH) == []   # above 2.0 * 0.8
-        current["engines"]["eval"]["SPEC-BFS"]["event_speedup"] = 1.59
-        findings = regress_bench(current, BENCH)
-        assert [f.rule for f in findings] == ["speedup-floor"]
-
-    def test_sweep_gates(self):
-        current = copy.deepcopy(BENCH)
-        current["sweep"]["warm_cache"]["hit_rate"] = 0.5
-        current["sweep"]["parallel_speedup"] = 0.9   # below 1.6 * 0.65
-        current["sweep"]["serial"]["wall_seconds"] = 4.0
-        rules = {f.rule: f.severity
-                 for f in regress_bench(current, BENCH)}
-        assert rules == {"hit-rate": "fail", "speedup-floor": "fail",
-                         "points-per-sec": "warn"}
-
-
-class TestLedgerGates:
-    def test_off_cycle_drift_fails(self):
-        current = copy.deepcopy(BENCH)
-        current["ledger"]["SPEC-BFS"]["cycles"] += 1
-        findings = regress_bench(current, BENCH)
-        assert [(f.rule, f.severity) for f in findings] \
-            == [("cycle-drift", "fail")]
-
-    def test_on_vs_off_divergence_fails(self):
-        current = copy.deepcopy(BENCH)
-        current["ledger"]["SPEC-BFS"]["on"]["cycles"] += 3
-        findings = regress_bench(current, BENCH)
-        assert [(f.rule, f.severity) for f in findings] \
-            == [("cycle-drift", "fail")]
-        assert "perturbed" in findings[0].message
-
-    def test_missing_app_fails(self):
-        current = copy.deepcopy(BENCH)
-        del current["ledger"]["SPEC-BFS"]
-        findings = regress_bench(current, BENCH)
-        assert [(f.rule, f.severity) for f in findings] \
-            == [("cycle-drift", "fail")]
-
-    def test_wall_and_overhead_warn_outside_band_only(self):
-        current = copy.deepcopy(BENCH)
-        current["ledger"]["SPEC-BFS"]["off"]["wall_seconds"] = 0.5
-        current["ledger"]["SPEC-BFS"]["overhead"] = 1.5
-        assert regress_bench(current, BENCH) == []  # inside 50% band
-        current["ledger"]["SPEC-BFS"]["off"]["wall_seconds"] = 0.7
-        current["ledger"]["SPEC-BFS"]["overhead"] = 2.0
-        findings = regress_bench(current, BENCH)
-        assert [(f.rule, f.severity) for f in findings] \
-            == [("wall-clock", "warn"), ("wall-clock", "warn")]
-
-
 class TestCritpathShift:
     def _ledgered(self, run_id, dominant):
         record = rec(run_id=run_id)
@@ -216,13 +109,12 @@ class TestRendering:
         assert format_regressions([], "all clear") == "all clear"
 
     def test_fails_sort_before_warnings(self):
-        current = copy.deepcopy(BENCH)
-        current["sweep"]["serial"]["wall_seconds"] = 4.0
-        current["points"]["SPEC-BFS@1x"] += 7
-        text = format_regressions(regress_bench(current, BENCH))
+        records = [rec(1000, wall=1.0, run_id=f"{i:06d}") for i in range(3)]
+        records.append(rec(1007, wall=4.0, run_id="000004"))
+        text = format_regressions(regress_store(records))
         assert text.startswith("1 regression(s), 1 warning(s):")
         assert text.index("FAIL [cycle-drift]") \
-            < text.index("warn [points-per-sec]")
+            < text.index("warn [wall-clock]")
         assert "->" in text   # diagnosis lines ride along
 
 
@@ -258,57 +150,9 @@ class TestCli:
         assert doc["fails"] == 1
         assert doc["findings"][0]["rule"] == "cycle-drift"
 
-    def test_bench_mode(self, tmp_path, capsys):
+    def test_unreadable_store_is_one_error_line(self, tmp_path, capsys):
         from repro.cli import main
 
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        base.write_text(json.dumps(BENCH))
-        current = copy.deepcopy(BENCH)
-        cur.write_text(json.dumps(current))
-        assert main(["regress", "--bench", str(cur), str(base)]) == 0
-        capsys.readouterr()
-        current["points"]["SPEC-BFS@1x"] += 1
-        cur.write_text(json.dumps(current))
-        assert main(["regress", "--bench", str(cur), str(base)]) == 1
-
-    def test_unreadable_bench_is_one_error_line(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert main(["regress", "--bench", str(tmp_path / "nope.json"),
-                     str(tmp_path / "nope.json")]) == 1
+        (tmp_path / "runs.jsonl").mkdir()   # exists, but cannot be read
+        assert main(["regress", "--store", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
-
-
-class TestBenchCheckScript:
-    def load(self):
-        path = Path(__file__).resolve().parents[2] / "scripts" \
-            / "bench_check.py"
-        spec = importlib.util.spec_from_file_location("bench_check", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_passes_on_identical_documents(self, tmp_path, capsys):
-        bench_check = self.load()
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        base.write_text(json.dumps(BENCH))
-        cur.write_text(json.dumps(BENCH))
-        assert bench_check.main([str(cur), str(base)]) == 0
-        out = capsys.readouterr().out
-        assert "benchmark check passed" in out
-        assert "— OK" in out
-
-    def test_fails_on_drift(self, tmp_path, capsys):
-        bench_check = self.load()
-        current = copy.deepcopy(BENCH)
-        current["runs"]["SPEC-BFS"]["cycles"] += 3
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        base.write_text(json.dumps(BENCH))
-        cur.write_text(json.dumps(current))
-        assert bench_check.main([str(cur), str(base)]) == 1
-        captured = capsys.readouterr()
-        assert "FAIL runs[SPEC-BFS]" in captured.err
-        assert "benchmark check passed" not in captured.out
