@@ -149,12 +149,10 @@ def _build_fault_plan(spec, config: SimConfig, seed: int,
 
 def _add_engine_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=("dense", "event"),
-                        default="dense",
-                        help="simulation engine: dense (tick everything) "
-                             "or event (skip idle cycles) — both "
-                             "cycle-exact")
-    parser.add_argument("--fast", dest="engine", action="store_const",
-                        const="event", help="alias for --engine event")
+                        default=SimConfig.engine,
+                        help="simulation engine: event (skip idle cycles, "
+                             "the default) or dense (tick everything, the "
+                             "oracle) — both cycle-exact")
 
 
 def _store_from_args(args: argparse.Namespace) -> RunStore | None:
@@ -743,7 +741,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
         return 1
 
 
-def _observed_record(app: str, bandwidth: float, engine: str = "dense"):
+def _observed_record(app: str, bandwidth: float,
+                     engine: str = SimConfig.engine):
     """Run ``app`` once with full observability; return (spec, record)."""
     spec = _default_spec(app)
     obs = Observability()

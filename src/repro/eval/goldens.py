@@ -66,7 +66,7 @@ def _build_spec(scenario: dict):
     return build_app(scenario["app"], **scenario["inputs"])
 
 
-def collect(name: str, *, engine: str = "dense") -> dict:
+def collect(name: str, *, engine: str = SimConfig.engine) -> dict:
     """Run one golden scenario and return its canonical dict."""
     scenario = SCENARIOS[name]
     obs = Observability(trace_capacity=1 << 20)

@@ -58,10 +58,11 @@ class SimConfig:
     minimum_broadcast_interval: int = 4
     max_cycles: int = 30_000_000
     deadlock_window: int = 200_000
-    # Simulation engine: "dense" ticks every component every cycle;
-    # "event" skips idle cycles by reading registered wake-ups
-    # (sim/fastpath.py).  Both are cycle-exact (see docs/simulator.md).
-    engine: str = "dense"
+    # Simulation engine: "event" (the default) skips idle cycles by
+    # reading registered wake-ups (sim/fastpath.py); "dense" ticks every
+    # component every cycle and is the oracle.  Both are cycle-exact
+    # (see docs/simulator.md).
+    engine: str = "event"
 
     def __post_init__(self) -> None:
         for name in (

@@ -9,10 +9,11 @@ queue and skips idle cycles lives in :mod:`repro.sim.fastpath`.
 monotonically increasing ``seq`` as a stable FIFO tie-break, so
 same-cycle wake-ups are always observed in registration order and the
 engine is deterministic.  Keyed entries support O(1) ``cancel`` /
-re-``arm`` via lazy deletion (a dead entry is discarded when it reaches
-the heap top, never eagerly).  The queue lives inside the simulator's
-checkpointed object graph, so rollback restores the pending heap along
-with the machine.
+re-``arm`` via lazy deletion: a dead entry is discarded when it reaches
+the heap top, or all at once when dead entries outnumber live ones (a
+run with few idle probes would otherwise keep one per retired memory
+request).  The queue lives inside the simulator's checkpointed object
+graph, so rollback restores the pending heap along with the machine.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class WakeQueue:
     heap entries discarded lazily when they surface.
     """
 
-    __slots__ = ("_heap", "_seq", "_armed")
+    __slots__ = ("_heap", "_seq", "_armed", "_dead")
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, object]] = []
@@ -43,19 +44,39 @@ class WakeQueue:
         # key -> seq of its only live entry; a heap entry whose seq no
         # longer matches was cancelled or superseded by a re-arm.
         self._armed: dict = {}
+        # Heap entries cancelled or superseded and not yet discarded.
+        self._dead = 0
 
     def arm(self, cycle: int, key=None) -> None:
         """Register a wake-up at ``cycle``; re-arming a key moves it."""
         seq = self._seq
         self._seq += 1
         if key is not None:
+            if key in self._armed:
+                self._dead += 1
             self._armed[key] = seq
         heapq.heappush(self._heap, (cycle, seq, key))
+        self._maybe_compact()
 
     def cancel(self, key) -> None:
         """Drop a keyed wake-up (no-op when absent — retire races are
         legal: the entry may already have fired or been re-armed)."""
-        self._armed.pop(key, None)
+        if self._armed.pop(key, None) is not None:
+            self._dead += 1
+            self._maybe_compact()
+
+    def _maybe_compact(self) -> None:
+        """Discard every dead entry once they are the majority.
+
+        ``(cycle, seq)`` orders entries totally, so the rebuilt heap
+        pops in exactly the order the old one would have; each rebuild
+        follows at least half a heap's worth of cancels, so it costs
+        O(1) amortized per cancel.
+        """
+        if 2 * self._dead > len(self._heap):
+            self._heap = [e for e in self._heap if self._live(e)]
+            heapq.heapify(self._heap)
+            self._dead = 0
 
     def _live(self, entry) -> bool:
         _cycle, seq, key = entry
@@ -74,6 +95,7 @@ class WakeQueue:
             cycle, seq, key = heap[0]
             if key is not None and self._armed.get(key) != seq:
                 heapq.heappop(heap)
+                self._dead -= 1
                 continue
             if cycle <= now:
                 heapq.heappop(heap)
@@ -94,6 +116,7 @@ class WakeQueue:
             cycle, seq, key = heapq.heappop(heap)
             if key is not None:
                 if self._armed.get(key) != seq:
+                    self._dead -= 1
                     continue
                 del self._armed[key]
             fired.append((cycle, key))

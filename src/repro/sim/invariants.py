@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import InvariantViolation
+from repro.sim.events import NEVER
 from repro.sim.stages import (
     CallStage,
     ExpandStage,
@@ -67,7 +68,7 @@ class InvariantChecker:
                 for token in stage.input.drain():
                     yield token, 1
                 if isinstance(stage, LoadStage):
-                    for token, _req in stage.station:
+                    for token, _req, _done in stage.station:
                         yield token, 1
                 elif isinstance(stage, RendezvousStage):
                     for token in stage.station:
@@ -101,6 +102,7 @@ class InvariantChecker:
         self._check_admission_credits(tokens, violations)
         self._check_rule_lanes(tokens, violations)
         self._check_queues(violations)
+        self._check_kept_counters(violations)
         self._check_minimum_monotone(violations)
         if at_drain:
             self._check_drained(violations)
@@ -215,6 +217,48 @@ class InvariantChecker:
                         f"priority heaps hold {heap_total} entries but "
                         f"banks mark {sum(occupancy)}",
                     ))
+
+    def _check_kept_counters(self, violations: list[Violation]) -> None:
+        """Hot-path bookkeeping agrees with the state it summarizes.
+
+        Queue sizes, load-station earliest completions and the memory
+        horizon are updated where the state changes so the per-cycle
+        code never scans; here each is recomputed by the scan it saves.
+        """
+        sim = self.sim
+        for queue in sim.queues.values():
+            banked = sum(queue.bank_occupancy())
+            if len(queue) != banked:
+                violations.append(Violation(
+                    "queue-count", f"queue {queue.task_set!r}",
+                    f"kept size {len(queue)} but banks hold {banked}",
+                ))
+        memory = sim.memory
+        for pipeline in sim.pipelines:
+            for stage in pipeline.stages:
+                if not isinstance(stage, LoadStage):
+                    continue
+                earliest = min(
+                    (memory.done_at(req) for _token, req, _ in stage.station),
+                    default=NEVER,
+                )
+                if stage.earliest != earliest:
+                    violations.append(Violation(
+                        "station-earliest", stage.name,
+                        f"kept earliest completion {stage.earliest} but "
+                        f"the station's is {earliest}",
+                    ))
+        pending = any(
+            request.done_at > sim.cycle
+            for request in memory._outstanding.values()
+        )
+        if memory.pending(sim.cycle) != pending:
+            violations.append(Violation(
+                "memory-horizon", "MemorySystem",
+                f"horizon {memory.horizon} says pending="
+                f"{not pending} at cycle {sim.cycle}, outstanding "
+                f"requests say {pending}",
+            ))
 
     def _check_minimum_monotone(self, violations: list[Violation]) -> None:
         """The global live minimum never moves backwards in the well-order.

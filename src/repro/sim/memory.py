@@ -134,6 +134,10 @@ class MemorySystem:
         self.stats = MemoryStats()
         self._outstanding: dict[int, _Request] = {}
         self._next_id = 0
+        # Latest completion ever tracked.  A request retires only once
+        # its completion has passed, so while this lies in the future it
+        # names a request still outstanding: ``pending`` is one compare.
+        self.horizon = -1
         # Event-engine wake queue (a sim.events.WakeQueue); when attached,
         # every tracked transfer arms its completion cycle at issue time
         # so the scheduler never has to scan ``_outstanding``.
@@ -145,6 +149,8 @@ class MemorySystem:
         req_id = self._next_id
         self._next_id += 1
         self._outstanding[req_id] = _Request(done_at, nbytes)
+        if done_at > self.horizon:
+            self.horizon = done_at
         if self.wakes is not None:
             self.wakes.arm(done_at, ("mem", req_id))
         return req_id
@@ -219,6 +225,8 @@ class MemorySystem:
         return request.done_at
 
     def retire(self, req_id: int) -> None:
+        # Callers retire a request only once its completion has passed;
+        # ``horizon`` relies on it.
         if self._outstanding.pop(req_id, None) is None:
             raise SimulationError(
                 f"retire of unknown memory request {req_id}"
@@ -234,10 +242,10 @@ class MemorySystem:
 
     def pending(self, now: int) -> bool:
         """True while any outstanding request has not yet completed."""
-        return any(r.done_at > now for r in self._outstanding.values())
+        return self.horizon > now
 
     def quiescent(self, now: int) -> bool:
-        return all(r.done_at <= now for r in self._outstanding.values())
+        return self.horizon <= now
 
     # -- idle-skip crediting ---------------------------------------------------
 

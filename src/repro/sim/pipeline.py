@@ -17,29 +17,31 @@ from repro.synthesis.datapath import StageProgram, StageSpec
 class SourceStage(Stage):
     """Queue pop port: turns workset entries into pipeline tokens."""
 
-    __slots__ = ("task_set",)
+    __slots__ = ("task_set", "queue")
 
     def __init__(self, ctx, task_set: str, name: str) -> None:
         super().__init__(ctx, None, name)
         self.task_set = task_set
+        self.queue = ctx.queues[task_set]
 
     def tick(self) -> None:
-        queue = self.ctx.queues[self.task_set]
+        queue = self.queue
+        if not len(queue):
+            # Every branch below is side-effect-free on an empty queue
+            # (a refused pop leaves the wavefront where it was).
+            return
         if not self.can_send():
-            if len(queue):
-                self._stall(StallReason.BACKPRESSURE)
+            self._stall(StallReason.BACKPRESSURE)
             return
         credits = self.ctx.admission_credits
         if credits is not None and credits[self.task_set] <= 0:
-            if len(queue):
-                # Admission credits are bounded by the rule-lane count.
-                self._stall(StallReason.RULE)
+            # Admission credits are bounded by the rule-lane count.
+            self._stall(StallReason.RULE)
             return
         popped = queue.pop()
         if popped is None:
-            if len(queue):
-                # Work is queued but every bank refused the pop (faults).
-                self._stall(StallReason.QUEUE)
+            # Work is queued but every bank refused the pop (faults).
+            self._stall(StallReason.QUEUE)
             return
         if credits is not None:
             credits[self.task_set] -= 1

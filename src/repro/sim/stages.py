@@ -28,6 +28,7 @@ from repro.core.kernel import (
 )
 from repro.errors import SimulationError
 from repro.obs.events import StallReason
+from repro.sim.events import NEVER
 from repro.sim.fifo import Fifo
 from repro.sim.token import SimToken
 
@@ -157,24 +158,29 @@ class LabelStage(Stage):
 class LoadStage(Stage):
     """Out-of-order load unit: a station of in-flight cache requests."""
 
-    __slots__ = ("station", "depth", "in_order")
+    __slots__ = ("station", "depth", "in_order", "earliest")
 
     def __init__(self, ctx, op, name: str) -> None:
         super().__init__(ctx, op, name)
-        self.station: list[tuple[SimToken, int]] = []
+        # (token, request id, completion cycle) per in-flight load.
+        self.station: list[tuple[SimToken, int, int]] = []
         self.depth = ctx.config.station_depth
         self.in_order = not ctx.config.out_of_order
+        # Earliest completion over the station (NEVER when empty).  A
+        # request's completion cycle is fixed at issue, so before this
+        # cycle no entry can be ready and the release scan is skipped.
+        self.earliest = NEVER
 
     def tick(self) -> None:
         ctx = self.ctx
+        station = self.station
         # 1) release one completed request (head-only when in-order).
-        if self.station and not self.can_send():
+        if station and not self.can_send():
             self._stall(StallReason.BACKPRESSURE)
-        elif self.station:
-            candidates = self.station[:1] if self.in_order else self.station
-            for entry in candidates:
-                token, req = entry
-                if ctx.memory.ready(ctx.cycle, req):
+        elif station and ctx.cycle >= self.earliest:
+            candidates = station[:1] if self.in_order else station
+            for position, (token, req, done_at) in enumerate(candidates):
+                if done_at <= ctx.cycle:
                     op: Load = self.op
                     token.env[op.dst] = ctx.state.load(
                         op.region, op.addr(token.env)
@@ -185,7 +191,10 @@ class LoadStage(Stage):
                             token.uid, ctx.cycle, self.name, "pass"
                         )
                     ctx.memory.retire(req)
-                    self.station.remove(entry)
+                    del station[position]
+                    self.earliest = min(
+                        (entry[2] for entry in station), default=NEVER
+                    )
                     self.send(token)
                     self.mark_active()
                     break
@@ -198,7 +207,10 @@ class LoadStage(Stage):
             if ctx.ledger is not None:
                 ctx.ledger.issue(token.uid, ctx.cycle, self.name)
             req = ctx.memory.issue_load(ctx.cycle, addr)
-            self.station.append((token, req))
+            done_at = ctx.memory.done_at(req)
+            station.append((token, req, done_at))
+            if done_at < self.earliest:
+                self.earliest = done_at
         elif self.input.visible:
             self._stall(StallReason.MEMORY)
 
@@ -414,29 +426,38 @@ class RendezvousStage(Stage):
 
     def tick(self) -> None:
         ctx = self.ctx
-        # 1) release one decided token.
+        station = self.station
+        # 1) release one decided token.  Nothing downstream changes
+        # before the first release, so each exit's readiness is read at
+        # most once per tick.
         released = False
         blocked = False
-        candidates = self.station[:1] if self.in_order else self.station
-        for token in list(candidates):
+        pass_ok = squash_ok = None
+        candidates = station[:1] if self.in_order else station
+        for position, token in enumerate(candidates):
             engine, instance = token.lanes[0]
-            if not instance.returned:
+            value = instance.value
+            if value is None:
                 continue
-            if instance.value:
-                if not self.can_send():
+            if value:
+                if pass_ok is None:
+                    pass_ok = self.can_send()
+                if not pass_ok:
                     blocked = True
                     continue
-                self.station.remove(token)
+                del station[position]
                 token.lanes.pop(0)
                 engine.release(instance)
                 self._record_verdict(token, instance, "pass")
                 self.send(token)
             else:
-                if self.epilogue_entry is not None and \
-                        not self.epilogue_entry.can_push():
+                if squash_ok is None:
+                    squash_ok = self.epilogue_entry is None or \
+                        self.epilogue_entry.can_push()
+                if not squash_ok:
                     blocked = True
                     continue
-                self.station.remove(token)
+                del station[position]
                 token.lanes.pop(0)
                 engine.release(instance)
                 ctx.counters.squashes.inc()
@@ -556,8 +577,8 @@ class CallStage(Stage):
         if self.in_flight and not self.can_send():
             self._stall(StallReason.BACKPRESSURE)
         elif self.in_flight:
-            for entry in self.in_flight:
-                token, done_at, stream_req = entry
+            for position, (token, done_at, stream_req) in \
+                    enumerate(self.in_flight):
                 if done_at > ctx.cycle:
                     continue
                 if stream_req is not None:
@@ -582,7 +603,7 @@ class CallStage(Stage):
                     ctx.ledger.ready(token.uid, ready_at, self.name, -1, kind)
                     ctx.ledger.release(token.uid, ctx.cycle, self.name,
                                        "pass")
-                self.in_flight.remove(entry)
+                del self.in_flight[position]
                 self.send(token)
                 self.mark_active()
                 break

@@ -45,6 +45,9 @@ class MultiBankTaskQueue:
         self._serial = 0
         self._push_wave = 0
         self._pop_wave = 0
+        # Occupancy kept where it changes (push/pop), so the pop port's
+        # per-cycle emptiness test and can_push never sum over the banks.
+        self._size = 0
         self.pushes = 0
         self.pops = 0
         self.high_watermark = 0
@@ -56,11 +59,10 @@ class MultiBankTaskQueue:
         return len(self.banks) * self.depth_per_bank
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self.banks)
+        return self._size
 
     def can_push(self, count: int = 1) -> bool:
-        free = sum(self.depth_per_bank - len(b) for b in self.banks)
-        return free >= count
+        return self.capacity - self._size >= count
 
     # -- wavefront ports -----------------------------------------------------
 
@@ -83,9 +85,11 @@ class MultiBankTaskQueue:
                     bank.append(entry)
                 self._push_wave = (slot + 1) % len(self.banks)
                 self.pushes += 1
-                self.high_watermark = max(self.high_watermark, len(self))
+                self._size += 1
+                if self._size > self.high_watermark:
+                    self.high_watermark = self._size
                 if self.obs is not None:
-                    self.obs.queue_push(self.task_set, len(self))
+                    self.obs.queue_push(self.task_set, self._size)
                 return
         raise SimulationError(f"push into full task queue {self.task_set!r}")
 
@@ -111,8 +115,9 @@ class MultiBankTaskQueue:
             _, _, entry = heapq.heappop(self._heaps[best_slot])
             self.banks[best_slot].pop()
             self.pops += 1
+            self._size -= 1
             if self.obs is not None:
-                self.obs.queue_pop(self.task_set, len(self))
+                self.obs.queue_pop(self.task_set, self._size)
             if self.ledger is not None:
                 self.ledger.queue_grant(self.task_set)
             return entry
@@ -125,9 +130,10 @@ class MultiBankTaskQueue:
             if bank:
                 self._pop_wave = (slot + 1) % len(self.banks)
                 self.pops += 1
+                self._size -= 1
                 entry = bank.popleft()
                 if self.obs is not None:
-                    self.obs.queue_pop(self.task_set, len(self))
+                    self.obs.queue_pop(self.task_set, self._size)
                 if self.ledger is not None:
                     self.ledger.queue_grant(self.task_set)
                 return entry

@@ -127,19 +127,30 @@ class TestCli:
                      "--no-store"]) == 0
         assert "VERIFIED" in capsys.readouterr().out
 
-    def test_fast_is_an_alias_for_event_engine(self, capsys):
+    def test_event_is_the_default_engine(self, capsys):
         outputs = []
-        for flags in (["--fast"], ["--engine", "event"]):
+        for flags in ([], ["--engine", "event"], ["--engine", "dense"]):
             assert main(["simulate", "SPEC-BFS", *flags, "--no-store"]) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert "event engine:" in outputs[0]
+        default, event, dense = outputs
+        assert default == event
+        assert "event engine:" in default
+        # The dense oracle prints the same run, minus the skip summary.
+        assert [line for line in default.splitlines()
+                if not line.startswith("event engine:")] == \
+            dense.splitlines()
 
     def test_removed_fast_engine_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "SPEC-BFS", "--engine", "fast", "--no-store"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'fast'" in capsys.readouterr().err
+
+    def test_retired_fast_alias_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "SPEC-BFS", "--fast", "--no-store"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --fast" in capsys.readouterr().err
 
     def test_experiment_table1_with_json(self, capsys, tmp_path):
         target = str(tmp_path / "t1.json")

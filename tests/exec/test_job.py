@@ -41,7 +41,7 @@ class TestDigest:
         ("rule_lanes", 64),
         ("station_depth", 4),
         ("queue_banks", 8),
-        ("engine", "event"),
+        ("engine", "dense"),
         ("max_cycles", 123_456),
         ("minimum_broadcast_interval", 5),
     ])

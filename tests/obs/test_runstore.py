@@ -105,7 +105,7 @@ class TestRecordFromResult:
         assert record.app == "SPEC-BFS"
         assert record.app_mode == "speculative"
         assert not record.host_fed
-        assert record.sim_mode == "dense"
+        assert record.sim_mode == SimConfig().engine
         assert record.seed == 11
         assert record.config_digest == config_digest(config)
         assert set(record.stalls) == set(names)

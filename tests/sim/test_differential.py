@@ -23,10 +23,13 @@ marked ``slow``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps.registry import build_app
 from repro.eval.platforms import EVAL_HARP, HARP
+from repro.eval.workloads import WIDE_CONFIG
 from repro.obs import Observability, TraceEventKind
 from repro.sim.accelerator import (
     AcceleratorSim,
@@ -35,7 +38,7 @@ from repro.sim.accelerator import (
 )
 from repro.sim.faults import FaultEvent, FaultKind, FaultPlan
 from repro.sim.stats import stats_digest
-from repro.substrates.graphs import random_graph
+from repro.substrates.graphs import random_graph, rmat_graph
 
 # -- helpers ----------------------------------------------------------------
 
@@ -143,6 +146,33 @@ def test_memory_bound_runs_are_cycle_exact(app: str) -> None:
     # The point of the exercise: the event engine actually skipped.
     assert result.ff_jumps > 0
     assert result.ff_cycles_skipped > 0
+
+
+def test_starved_wide_point_is_cycle_exact() -> None:
+    """The benchmark's starved shape at test size: SPEC-BFS on an rmat
+    graph at 5% bandwidth with the Figure 9 graph config (128-deep
+    rendezvous stations), invariant-checked so every kept counter is
+    compared against its scan along the way."""
+    graph = rmat_graph(7, edge_factor=8, seed=4)
+    runs = []
+    for engine in ("dense", "event"):
+        obs = Observability(trace_capacity=1 << 20)
+        sim = AcceleratorSim(
+            build_app("SPEC-BFS", graph, 0),
+            platform=EVAL_HARP.scaled(0.05),
+            config=replace(WIDE_CONFIG, engine=engine),
+            replicas={"visit": 4, "update": 2},
+            check_interval=64, obs=obs,
+        )
+        result = sim.run()
+        names = [st.name for p in sim.pipelines for st in p.stages]
+        runs.append((result, obs, names))
+    _assert_equivalent("SPEC-BFS rmat@0.05x", *runs)
+    dense, event = runs[0][0], runs[1][0]
+    assert event.stats.per_stage_stalls == dense.stats.per_stage_stalls
+    assert event.stats.per_stage_active == dense.stats.per_stage_active
+    assert event.stats.invariant_checks == dense.stats.invariant_checks > 0
+    assert event.ff_cycles_skipped > event.cycles // 2
 
 
 @pytest.mark.parametrize("app", ["SPEC-BFS", "SPEC-SSSP"])

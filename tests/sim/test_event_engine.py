@@ -135,11 +135,28 @@ def test_cancel_rearm_matches_brute_force_model(script) -> None:
     _apply(model, script)
     assert queue.pending() == model.pending()
     assert len(queue) == len(model.pending())
+    # The dead-entry count that triggers compaction stays exact.
+    assert queue._dead == len(queue._heap) - len(queue)
     # Interleave probes and drains the way the scheduler does.
     for now in (5, 12, 25):
         assert queue.pop_due(now) == model.pop_due(now)
         assert queue.next_after(now) == model.next_after(now)
+        assert queue._dead == len(queue._heap) - len(queue)
     assert queue.pending() == model.pending()
+
+
+def test_cancelled_entries_do_not_accumulate() -> None:
+    """A run with no idle probe retires thousands of memory requests
+    between two ``next_after`` calls; their dead entries must not pile
+    up in the heap."""
+    queue = WakeQueue()
+    queue.arm(10**6, ("fu", 0))
+    for req in range(10_000):
+        queue.arm(req + 200, ("mem", req))
+        queue.cancel(("mem", req))
+        assert len(queue._heap) <= 3
+    assert queue.pending() == [(10**6, 0, ("fu", 0))]
+    assert queue.next_after(0) == 10**6
 
 
 @given(script=SCRIPTS, now=st.integers(-1, 31))

@@ -6,8 +6,10 @@ from repro.apps.registry import build_app
 from repro.errors import InvariantViolation
 from repro.eval.platforms import HARP
 from repro.sim.accelerator import AcceleratorSim, SimConfig
+from repro.sim.events import NEVER
 from repro.sim.faults import FaultEvent, FaultKind, FaultPlan
 from repro.sim.invariants import InvariantChecker
+from repro.sim.stages import LoadStage
 from repro.substrates.graphs import random_graph
 
 GRAPH = random_graph(40, 90, seed=111)
@@ -99,6 +101,48 @@ class TestCorruptionDetection:
         with pytest.raises(InvariantViolation) as excinfo:
             sim.checker.check()
         assert excinfo.value.invariant == "minimum-monotonicity"
+
+
+
+def _load_stages(sim):
+    return [stage for pipeline in sim.pipelines for stage in pipeline.stages
+            if isinstance(stage, LoadStage)]
+
+
+class TestKeptCounters:
+    """Each hot-path counter is checked against the scan it replaces."""
+
+    def test_counters_hold_on_every_cycle(self):
+        sim = _sim(check_interval=1)
+        result = sim.run()
+        assert result.stats.invariant_checks >= result.cycles
+
+    def test_queue_count_drift_caught(self):
+        sim = _sim(check_interval=INTERVAL)
+        _step_until(sim, lambda s: any(len(q) for q in s.queues.values()))
+        queue = next(q for q in sim.queues.values() if len(q))
+        queue._size += 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.checker.check()
+        assert excinfo.value.invariant == "queue-count"
+
+    def test_station_earliest_drift_caught(self):
+        sim = _sim(check_interval=INTERVAL)
+        _step_until(sim, lambda s: any(st.station for st in _load_stages(s)))
+        stage = next(st for st in _load_stages(sim) if st.station)
+        stage.earliest = NEVER
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.checker.check()
+        assert excinfo.value.invariant == "station-earliest"
+        assert excinfo.value.component == stage.name
+
+    def test_memory_horizon_drift_caught(self):
+        sim = _sim(check_interval=INTERVAL)
+        _step_until(sim, lambda s: s.memory.pending(s.cycle))
+        sim.memory.horizon = -1
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.checker.check()
+        assert excinfo.value.invariant == "memory-horizon"
 
 
 class TestLiveness:

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.indexing import TaskIndex
 from repro.errors import SimulationError
+from repro.sim.faults import FaultEvent, FaultKind, FaultPlan
 from repro.sim.taskqueue import MultiBankTaskQueue
 
 
@@ -135,3 +136,49 @@ def test_fifo_conserves_tasks(values, banks):
     while len(queue):
         seen.append(queue.pop()[0].positions[0])
     assert sorted(seen) == sorted(values)
+
+
+# One queue operation: ("push", value), ("pop", None), or
+# ("stall", bank) which toggles a bank-stall fault window on that bank.
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 30)),
+        st.tuples(st.just("pop"), st.none()),
+        st.tuples(st.just("stall"), st.integers(0, 3)),
+    ),
+    max_size=80,
+)
+
+
+@given(_OPS, st.sampled_from(["fifo", "priority"]), st.integers(1, 4),
+       st.integers(1, 6))
+def test_size_count_matches_bank_sums(ops, policy, banks, depth):
+    """``len`` and ``can_push`` are a kept count; the banks are the truth."""
+    stalled: set[int] = set()
+
+    def plan():
+        return FaultPlan([
+            FaultEvent(FaultKind.BANK_STALL, 0, duration=1 << 30,
+                       target="t", bank=bank)
+            for bank in sorted(stalled)
+        ])
+
+    queue = MultiBankTaskQueue("t", banks=banks, depth_per_bank=depth,
+                               pop_policy=policy, faults=plan())
+    queue.faults.advance(0)
+    for kind, arg in ops:
+        if kind == "push" and queue.can_push():
+            _push(queue, arg)
+        elif kind == "pop":
+            queue.pop()
+        elif kind == "stall":
+            stalled ^= {arg}
+            queue.faults = plan()
+            queue.faults.advance(0)
+        occupancy = queue.bank_occupancy()
+        assert len(queue) == sum(occupancy)
+        assert len(queue) == sum(1 for _ in queue.entries())
+        free = sum(depth - used for used in occupancy)
+        for count in range(queue.capacity + 2):
+            assert queue.can_push(count) == (free >= count)
+    assert queue.pushes - queue.pops == len(queue)
