@@ -1,11 +1,13 @@
 """Golden-trace regression: fixed-seed runs must reproduce exactly.
 
 Each fixture in ``tests/golden/`` pins one scenario's final cycle count,
-full stats digest, and (stall-filtered) trace profile.  Both engines —
+full stats digest, (stall-filtered) trace profile, stall-profiler
+accounting and token-ledger digest.  Both engines —
 dense and the idle-skipping event engine — are checked against the
 *same* fixture, so this suite doubles as a standing cycle-exactness pin
 for the event engine, across graph (BFS/SSSP) and host-fed
-(COOR-LU/DMR) applications.
+(COOR-LU/DMR) applications.  One scenario additionally pins its Chrome
+trace bytes, one digest per engine.
 
 On an intentional timing/statistics change, regenerate the fixtures via
 ``python scripts/update_goldens.py`` and commit the JSON diff.
@@ -37,11 +39,16 @@ def _load(name: str) -> dict:
 def test_golden_run_matches_fixture(name: str, engine: str) -> None:
     expected = _load(name)
     actual = collect(name, engine=engine)
+    if "chrome_trace_sha256" in expected:
+        assert actual.pop("chrome_trace_sha256")[engine] == \
+            expected.pop("chrome_trace_sha256")[engine], (
+                f"golden {name!r} ({engine}) Chrome trace drifted; {REGEN}"
+            )
     assert actual["cycles"] == expected["cycles"], (
         f"golden {name!r} ({engine}) cycle count drifted: "
         f"{actual['cycles']} != {expected['cycles']}; {REGEN}"
     )
-    for section in ("stats", "trace"):
+    for section in ("stats", "trace", "profile", "ledger_sha256"):
         assert actual[section] == expected[section], (
             f"golden {name!r} ({engine}) {section} drifted; {REGEN}"
         )
