@@ -1,7 +1,8 @@
-"""Stall-attribution profiling: fold the event stream into cycle accounting.
+"""Stall-attribution profiling: fold the probe stream into cycle accounting.
 
-The profiler is an online tracer sink, so it sees every stage event even
-after the ring buffer wraps.  For each stage it classifies every cycle
+The profiler reads the simulator's probe directly (its ``on_<kind>``
+handlers), so it sees every stage firing and stall even after the trace
+ring wraps.  For each stage it classifies every cycle
 as exactly one of *active*, one of the four :class:`StallReason` buckets,
 or *idle* — a fire beats a stall recorded in the same cycle, the first
 stall reason wins among stalls — so the per-stage rows sum **exactly** to
@@ -12,7 +13,7 @@ the rest of the machine, so replayed cycles are never double-counted.
 
 from __future__ import annotations
 
-from repro.obs.events import StallReason, TraceEvent, TraceEventKind
+from repro.obs.events import StallReason
 
 # Column order of one accounting row; "active" must sort before every
 # stall reason (classification precedence is the column index).
@@ -32,7 +33,7 @@ _REASON_INDEX = {
 
 
 class StallProfiler:
-    """Per-stage cycle accounting, folded online from the event stream."""
+    """Per-stage cycle accounting, folded online from the probe stream."""
 
     def __init__(self) -> None:
         # stage -> [active, queue, memory, rule, backpressure]
@@ -40,28 +41,28 @@ class StallProfiler:
         # stage -> (cycle, column) for the cycle still being observed.
         self._open: dict[str, tuple[int, int]] = {}
 
-    # -- sink -----------------------------------------------------------------
+    # -- probe consumer ---------------------------------------------------------
 
-    def on_event(self, event: TraceEvent) -> None:
-        kind = event.kind
-        if kind is TraceEventKind.STAGE_FIRE:
-            column = 0
-        elif kind is TraceEventKind.STAGE_STALL:
-            column = _REASON_INDEX[event.reason]
-        else:
-            return
-        stage = event.name
+    def on_fire(self, cycle: int, stage: str, *_) -> None:
+        self._observe(cycle, stage, 0)
+
+    on_born = on_alloc = on_fork = on_release = on_verdict = on_fire
+
+    def on_stall(self, cycle: int, stage: str, reason: StallReason) -> None:
+        self._observe(cycle, stage, _REASON_INDEX[reason])
+
+    def _observe(self, cycle: int, stage: str, column: int) -> None:
         open_cell = self._open.get(stage)
         if open_cell is not None:
-            cycle, held = open_cell
-            if cycle == event.cycle:
+            held_cycle, held = open_cell
+            if held_cycle == cycle:
                 # Same cycle observed twice: a fire beats any stall; among
                 # stalls, the first recorded reason wins.
                 if column == 0 and held != 0:
                     self._open[stage] = (cycle, 0)
                 return
             self._commit(stage, held)
-        self._open[stage] = (event.cycle, column)
+        self._open[stage] = (cycle, column)
 
     def _commit(self, stage: str, column: int) -> None:
         row = self._committed.get(stage)
@@ -71,25 +72,25 @@ class StallProfiler:
 
     # -- idle-skip crediting ---------------------------------------------------
 
-    def credit(self, stage: str, reason: StallReason, count: int) -> None:
-        """Account ``count`` skipped cycles that repeat the open stall.
-
-        The event engine skips cycles only when the machine is
-        stationary, so each skipped cycle would have re-recorded the
-        probe cycle's (already open) stall cell.  Dense equivalent:
-        ``count`` repeats commit the open cell plus ``count - 1`` copies
-        and leave the last repeat open — i.e. the committed row grows by
-        ``count`` and the open cell slides forward by ``count`` cycles.
-        """
-        if count <= 0:
-            return
-        row = self._committed.get(stage)
-        if row is None:
-            row = self._committed[stage] = [0] * len(COLUMNS)
-        row[_REASON_INDEX[reason]] += count
-        open_cell = self._open.get(stage)
-        if open_cell is not None:
-            self._open[stage] = (open_cell[0] + count, open_cell[1])
+    def on_skip(self, cycle: int, count: int, stalls) -> None:
+        """Account ``count`` skipped repeats of a stationary cycle whose
+        ``(stage, reason)`` stall records are ``stalls``: as ``count``
+        dense repeats would, each stage's committed row grows by
+        ``count`` in its open (first-recorded) reason, and the open cell
+        slides forward by ``count`` cycles."""
+        credited: set[str] = set()
+        for stage, reason in stalls:
+            name = stage.name
+            if name in credited:
+                continue
+            credited.add(name)
+            row = self._committed.get(name)
+            if row is None:
+                row = self._committed[name] = [0] * len(COLUMNS)
+            row[_REASON_INDEX[reason]] += count
+            open_cell = self._open.get(name)
+            if open_cell is not None:
+                self._open[name] = (open_cell[0] + count, open_cell[1])
 
     # -- reporting ------------------------------------------------------------
 
@@ -122,7 +123,7 @@ class UtilizationTimeline:
     run outgrows ``max_buckets`` the resolution halves (adjacent buckets
     merge, the width doubles), so any run folds into at most
     ``max_buckets`` points — the series the dashboard's utilization
-    timeline plots.  Like the profiler it is an online tracer sink, so
+    timeline plots.  Like the profiler it reads the probe directly, so
     the timeline is complete even after the ring buffer wraps, and it is
     plain data, so checkpoints copy it and rollbacks restore it.
     """
@@ -134,10 +135,8 @@ class UtilizationTimeline:
         self.bucket_cycles = 1
         self.counts: list[int] = []
 
-    def on_event(self, event: TraceEvent) -> None:
-        if event.kind is not TraceEventKind.STAGE_FIRE:
-            return
-        index = event.cycle // self.bucket_cycles
+    def on_fire(self, cycle: int, *_) -> None:
+        index = cycle // self.bucket_cycles
         while index >= self.max_buckets:
             counts = self.counts
             self.counts = [
@@ -145,11 +144,13 @@ class UtilizationTimeline:
                 for i in range(0, len(counts), 2)
             ]
             self.bucket_cycles *= 2
-            index = event.cycle // self.bucket_cycles
+            index = cycle // self.bucket_cycles
         counts = self.counts
         if index >= len(counts):
             counts.extend([0] * (index + 1 - len(counts)))
         counts[index] += 1
+
+    on_born = on_alloc = on_fork = on_release = on_verdict = on_fire
 
     def series(self, total_stages: int) -> list[float]:
         """Per-bucket utilization: active stage-cycles over capacity."""

@@ -162,22 +162,17 @@ class EventScheduler:
 
         Every skipped cycle is an exact repeat of the probe cycle, so
         its stall records are replayed ``skipped`` times: per-stage stall
-        counters, the stage-specific side counters (queue-full, rule
-        allocation stalls), and — when observability is attached — the
-        stall-attribution profiler, which keeps per-stage rows summing
-        exactly to the total cycle count.
+        counters and the stage-specific side counters (queue-full, rule
+        allocation stalls).  One ``skip`` probe emission hands the same
+        records to any consumer (the stall-attribution profiler keeps
+        per-stage rows summing exactly to the total cycle count).
         """
         sim = self.sim
         skipped = target - sim.cycle
-        obs = sim.obs
-        credited: set[str] = set()
         for stage, reason in self.cycle_stalls:
             stage.credit_skipped_stalls(reason, skipped)
-            if obs is not None and stage.name not in credited:
-                # The profiler charges one cell per stage per cycle with
-                # the first recorded reason winning — mirror that here.
-                credited.add(stage.name)
-                obs.credit_skipped_stalls(stage.name, reason, skipped)
+        if sim.probe is not None:
+            sim.probe.skip(sim.cycle, skipped, self.cycle_stalls)
         # Dense mode refreshes the progress watermark on every cycle
         # with an outstanding memory completion still in the future.
         latest = sim.memory.latest_completion()

@@ -77,12 +77,9 @@ class HostAdapter:
         self._transfer_req = self.ctx.memory.issue_stream(
             self.ctx.cycle, nbytes
         )
-        if self.ctx.ledger is not None:
-            self.ctx.ledger.host_issue(
-                self.ctx.cycle,
-                self.ctx.memory.done_at(self._transfer_req),
-                nbytes,
-            )
+        if self.ctx.probe is not None:
+            self.ctx.probe.host_issue(self.ctx.cycle, self._transfer_req,
+                                      nbytes)
         self._update_horizon()
 
     def _update_horizon(self) -> None:
@@ -111,8 +108,6 @@ class HostAdapter:
             if not ctx.memory.ready(ctx.cycle, self._transfer_req):
                 return
             ctx.quiet = False  # silent mutation: batch transfer landed
-            if ctx.ledger is not None:
-                ctx.ledger.mem_take(self._transfer_req)
             ctx.memory.retire(self._transfer_req)
             self._transfer_req = None
         # Inject when every target queue has room for its share.
@@ -122,8 +117,8 @@ class HostAdapter:
         for task_set, count in needed.items():
             if not ctx.queues[task_set].can_push(count):
                 return
-        if ctx.ledger is not None:
-            ctx.ledger.host_inject(self.batches_sent, ctx.cycle)
+        if ctx.probe is not None:
+            ctx.probe.host_inject(ctx.cycle, self.batches_sent)
         for task_set, fields in self._pending:
             ctx.activate(
                 task_set, dict(fields), parent=None,

@@ -46,13 +46,12 @@ class RuleEngineSim:
     """
 
     def __init__(self, name: str, rule_type: RuleType, lanes: int,
-                 faults=None, obs=None, ledger=None) -> None:
+                 faults=None, probe=None) -> None:
         self.name = name
         self.rule_type = rule_type
         self.max_lanes = lanes
         self.faults = faults
-        self.obs = obs  # Observability hooks (None = zero cost)
-        self.ledger = ledger  # TokenLedger decision provenance (None = off)
+        self.probe = probe  # the simulator's Probe (None = unobserved)
         self.lanes: dict[int, _Lane] = {}  # keyed by id(instance)
         self.stats = RuleEngineStats()
         # Event-independent broadcast state, hoisted out of deliver():
@@ -87,8 +86,6 @@ class RuleEngineSim:
         self.stats.peak_occupancy = max(
             self.stats.peak_occupancy, len(self.lanes)
         )
-        if self.obs is not None:
-            self.obs.rule_promise(self.name, len(self.lanes))
         return instance
 
     def mark_awaited(self, instance: RuleInstance) -> None:
@@ -96,8 +93,6 @@ class RuleEngineSim:
         lane = self.lanes.get(id(instance))
         if lane is not None:
             lane.awaited = True
-            if self.obs is not None:
-                self.obs.rule_rendezvous(self.name)
 
     def release(self, instance: RuleInstance) -> None:
         """The rendezvous consumed the verdict; free the lane."""
@@ -110,8 +105,8 @@ class RuleEngineSim:
             self.stats.requires_fired += 1
         elif instance.verdict is RuleVerdict.CLAUSE:
             self.stats.clause_fired += 1
-        if self.obs is not None:
-            self.obs.rule_return(self.name, instance.verdict.name.lower(),
+        if self.probe is not None:
+            self.probe.lane_free(self.probe.now, self.name, instance.verdict,
                                  len(self.lanes))
 
     # -- event bus ------------------------------------------------------------
@@ -138,22 +133,20 @@ class RuleEngineSim:
         if not triggered:
             return
         requires = self._requires
-        ledger = self.ledger
+        probe = self.probe
         for _ in range(rounds):
             for lane in self.lanes.values():
                 if lane.owner_uid == source_uid:
                     continue
                 instance = lane.instance
                 if instance.value is None:
-                    instance.observe_triggered(event, triggered, requires)
                     if (
-                        ledger is not None
-                        and instance.value is not None
-                        and instance.decided_cycle < 0
+                        instance.observe_triggered(event, triggered, requires)
+                        is not None and probe is not None
                     ):
                         # The promise just resolved: remember when and
                         # which token's event decided it.
-                        instance.decided_cycle = ledger.now
+                        instance.decided_cycle = probe.now
                         instance.decided_by = source_uid
 
     def min_allocated_index(self) -> TaskIndex | None:
@@ -173,18 +166,17 @@ class RuleEngineSim:
         promise — progress the event engine must not skip over).
         """
         fired = 0
-        ledger = self.ledger
+        probe = self.probe
         for lane in self.lanes.values():
             if not lane.awaited or lane.instance.returned:
                 continue
             parent = lane.instance.parent_index
             if min_live is None or not min_live.earlier_than(parent):
                 lane.instance.trigger_otherwise()
-                if ledger is not None and lane.instance.decided_cycle < 0:
+                if probe is not None:
                     # Otherwise is a liveness escape, not a causal answer:
                     # no deciding token, only the broadcast cycle.
-                    lane.instance.decided_cycle = ledger.now
-                    lane.instance.decided_by = -1
+                    lane.instance.decided_cycle = probe.now
                 fired += 1
         return fired
 

@@ -28,7 +28,7 @@ class MultiBankTaskQueue:
 
     def __init__(
         self, task_set: str, banks: int = 4, depth_per_bank: int = 1024,
-        pop_policy: str = "fifo", faults=None, obs=None, ledger=None,
+        pop_policy: str = "fifo", faults=None,
     ) -> None:
         if banks < 1 or depth_per_bank < 1:
             raise SimulationError("queue needs positive banks and depth")
@@ -36,8 +36,6 @@ class MultiBankTaskQueue:
             raise SimulationError(f"unknown pop policy {pop_policy!r}")
         self.task_set = task_set
         self.faults = faults
-        self.obs = obs  # Observability hooks (None = zero cost)
-        self.ledger = ledger  # TokenLedger grant counting (None = off)
         self.banks: list[deque] = [deque() for _ in range(banks)]
         self.depth_per_bank = depth_per_bank
         self.pop_policy = pop_policy
@@ -88,8 +86,6 @@ class MultiBankTaskQueue:
                 self._size += 1
                 if self._size > self.high_watermark:
                     self.high_watermark = self._size
-                if self.obs is not None:
-                    self.obs.queue_push(self.task_set, self._size)
                 return
         raise SimulationError(f"push into full task queue {self.task_set!r}")
 
@@ -116,10 +112,6 @@ class MultiBankTaskQueue:
             self.banks[best_slot].pop()
             self.pops += 1
             self._size -= 1
-            if self.obs is not None:
-                self.obs.queue_pop(self.task_set, self._size)
-            if self.ledger is not None:
-                self.ledger.queue_grant(self.task_set)
             return entry
         for offset in range(len(self.banks)):
             slot = (self._pop_wave + offset) % len(self.banks)
@@ -131,12 +123,7 @@ class MultiBankTaskQueue:
                 self._pop_wave = (slot + 1) % len(self.banks)
                 self.pops += 1
                 self._size -= 1
-                entry = bank.popleft()
-                if self.obs is not None:
-                    self.obs.queue_pop(self.task_set, self._size)
-                if self.ledger is not None:
-                    self.ledger.queue_grant(self.task_set)
-                return entry
+                return bank.popleft()
         return None
 
     def peek_min_index(self) -> TaskIndex | None:

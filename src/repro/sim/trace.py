@@ -3,6 +3,9 @@
 An optional tracer records which stages were active each cycle, producing
 the schedule diagrams of Figures 1(c) and 2(b) from actual simulations: a
 text timeline with one row per pipeline stage and one column per cycle.
+Attached through ``AcceleratorSim(tracer=...)`` it reads the simulator's
+probe (every stage firing kind), and like every probe consumer it is part
+of the checkpointed object graph, so a rollback restores it too.
 Used by ``examples/schedule_comparison.py`` and by tests that assert
 overlap (dataflow) versus phase separation (barriers).
 """
@@ -20,28 +23,15 @@ class ScheduleTracer:
         self.activity: dict[str, set[int]] = defaultdict(set)
         self.last_cycle = 0
 
-    def record(self, cycle: int, stage_name: str) -> None:
+    def record(self, cycle: int, stage_name: str, *_) -> None:
+        """One active (cycle, stage) pair; as the handler of every probe
+        firing kind it ignores the firing's other arguments."""
         if cycle >= self.max_cycles:
             return
         self.activity[stage_name].add(cycle)
         self.last_cycle = max(self.last_cycle, cycle)
 
-    @classmethod
-    def from_events(cls, events, max_cycles: int | None = None
-                    ) -> "ScheduleTracer":
-        """Build a tracer from a structured event stream.
-
-        Consumes :class:`~repro.obs.events.TraceEvent` records (any
-        iterable), keeping only stage-fire events — the schedule diagram
-        needs exactly the activity pairs ``record`` would have seen.
-        """
-        from repro.obs.events import TraceEventKind
-
-        tracer = cls() if max_cycles is None else cls(max_cycles=max_cycles)
-        for event in events:
-            if event.kind is TraceEventKind.STAGE_FIRE:
-                tracer.record(event.cycle, event.name)
-        return tracer
+    on_born = on_fire = on_alloc = on_fork = on_release = on_verdict = record
 
     # -- analysis ------------------------------------------------------------
 

@@ -122,6 +122,19 @@ class TestCli:
         assert "VERIFIED" in out
         assert "#" in out  # the timeline
 
+    def test_resilient_simulate_prints_the_same_timeline(self, capsys):
+        # The schedule tracer rides through run_resilient like obs does;
+        # the timeline is read from the finishing simulator.
+        flags = ["--trace", "--trace-cycles", "300", "--no-store"]
+        assert main(["simulate", "SPEC-CC", *flags]) == 0
+        plain = capsys.readouterr().out
+        assert main(["simulate", "SPEC-CC", "--resilient", *flags]) == 0
+        resilient = capsys.readouterr().out
+        timeline = plain[plain.index("\n\n"):]
+        assert "#" in timeline
+        assert "(no activity recorded)" not in resilient
+        assert resilient.endswith(timeline)
+
     def test_simulate_with_prefetch(self, capsys):
         assert main(["simulate", "SPEC-CC", "--prefetch",
                      "--no-store"]) == 0

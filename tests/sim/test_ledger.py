@@ -1,6 +1,6 @@
-"""Tests for the opt-in TokenLedger: zero-cost when absent, observation
-(never behaviour) when attached, and identical across engines and
-checkpoint/rollback."""
+"""Tests for the opt-in TokenLedger: its content, and that it is identical
+across engines and checkpoint/rollback (zero cost when absent is part of
+tests/sim/test_consumers.py)."""
 
 import pytest
 
@@ -17,6 +17,7 @@ from repro.sim.ledger import (
     RETIRE,
     TokenLedger,
 )
+from repro.sim.trace import ScheduleTracer
 from repro.substrates.graphs import random_graph
 
 GRAPH = random_graph(200, 600, seed=7)
@@ -33,20 +34,6 @@ def _run(app="SPEC-BFS", platform=HARP, *, engine="dense", ledger=False):
         config=SimConfig(engine=engine),
         ledger=TokenLedger() if ledger else None,
     ).run()
-
-
-class TestZeroCost:
-    @pytest.mark.parametrize("app", ["SPEC-BFS", "SPEC-SSSP"])
-    def test_recording_never_perturbs_the_simulation(self, app):
-        off = _run(app)
-        on = _run(app, ledger=True)
-        assert on.cycles == off.cycles
-        assert on.stats.commits == off.stats.commits
-        assert on.stats.squashes == off.stats.squashes
-
-    def test_result_carries_no_ledger_when_disabled(self):
-        assert _run().ledger is None
-        assert _run(ledger=True).ledger is not None
 
 
 class TestLedgerContent:
@@ -138,3 +125,27 @@ class TestCheckpointSafety:
         sim.run()
         assert len(sim.ledger.tokens) > before
         assert len(revive(frozen).ledger.tokens) == before
+
+    def test_schedule_tracer_rolls_back_with_the_simulator(self):
+        # The tracer is a probe consumer inside the checkpointed graph
+        # (no longer a shared root), so a revived clone owns a copy that
+        # finishes with exactly the uninterrupted run's schedule.
+        def tracer():
+            return ScheduleTracer(max_cycles=1 << 30)
+
+        reference = AcceleratorSim(_spec(), platform=HARP,
+                                   tracer=tracer()).run().tracer
+        sim = AcceleratorSim(_spec(), platform=HARP, tracer=tracer())
+        sim.host.start()
+        sim._started = True
+        for _ in range(500):
+            sim.step()
+        frozen = snapshot(sim)
+        before = {name: set(cycles)
+                  for name, cycles in sim.tracer.activity.items()}
+        assert dict(sim.run().tracer.activity) == dict(reference.activity)
+        revived = revive(frozen)
+        assert revived.tracer is not sim.tracer
+        assert dict(revived.tracer.activity) == before
+        assert dict(revived.run().tracer.activity) == \
+            dict(reference.activity)

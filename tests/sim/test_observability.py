@@ -11,7 +11,7 @@ import pytest
 from repro.apps.registry import build_app
 from repro.errors import SimulationError
 from repro.eval.platforms import HARP
-from repro.obs import Observability
+from repro.obs import Observability, TraceEventKind
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import COLUMNS, format_stall_report
 from repro.sim.accelerator import AcceleratorSim, SimConfig, run_resilient
@@ -180,32 +180,20 @@ class TestScheduleTracer:
     def test_timeline_empty_still_reports_no_activity(self):
         assert ScheduleTracer().timeline() == "(no activity recorded)"
 
-    def test_from_events_matches_direct_recording(self):
+    def test_tracer_sees_exactly_the_ring_stage_fires(self):
+        # Both read the same probe emissions: the schedule tracer's
+        # activity is the ring's STAGE_FIRE events, cycle for cycle.
         obs = Observability(trace_capacity=1 << 20)
-        legacy = ScheduleTracer(max_cycles=1 << 30)
-        sim = AcceleratorSim(_spec(), platform=HARP, tracer=legacy, obs=obs)
+        tracer = ScheduleTracer(max_cycles=1 << 30)
+        sim = AcceleratorSim(_spec(), platform=HARP, tracer=tracer, obs=obs)
         sim.run()
-        ported = ScheduleTracer.from_events(
-            obs.tracer.events(), max_cycles=1 << 30
-        )
-        assert dict(ported.activity) == dict(legacy.activity)
-        assert ported.last_cycle == legacy.last_cycle
-
-
-# -- zero cost when disabled --------------------------------------------------
-
-
-class TestZeroCost:
-    def test_observed_run_bit_identical_to_plain(self):
-        plain = AcceleratorSim(_spec(), platform=HARP).run()
-        obs = Observability()
-        observed = AcceleratorSim(_spec(), platform=HARP, obs=obs).run()
-        assert observed.cycles == plain.cycles
-        assert observed.stats.commits == plain.stats.commits
-        assert observed.stats.per_stage_active == plain.stats.per_stage_active
-        assert observed.stats.per_stage_stalls == plain.stats.per_stage_stalls
-        assert plain.obs is None and observed.obs is obs
-        assert plain.metrics is not None  # counters exist even unobserved
+        fires: dict[str, set[int]] = {}
+        for event in obs.tracer.events():
+            if event.kind is TraceEventKind.STAGE_FIRE:
+                fires.setdefault(event.name, set()).add(event.cycle)
+        assert obs.tracer.evicted == 0
+        assert dict(tracer.activity) == fires
+        assert tracer.last_cycle == max(max(c) for c in fires.values())
 
 
 # -- per-stage stats consistency ----------------------------------------------
