@@ -77,9 +77,13 @@ def lock_telemetry_delta(base: dict) -> dict:
     """Counters accumulated since ``base`` (an earlier snapshot)."""
     now = LOCK_TELEMETRY.snapshot()
     delta = {k: now[k] - base.get(k, 0) for k in now}
-    delta["wait_seconds"] = round(delta["wait_seconds"], 6)
     # max is not a counter; report the current high-water mark instead.
     delta["max_wait_seconds"] = now["max_wait_seconds"]
+    # No wait exceeds the max: the clamp drops the 1e-6 overshoot that
+    # subtracting two independently rounded totals can leave.
+    delta["wait_seconds"] = round(min(
+        delta["wait_seconds"], delta["acquires"] * now["max_wait_seconds"]
+    ), 6)
     return delta
 
 

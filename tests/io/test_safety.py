@@ -21,6 +21,7 @@ from repro.io import (
     replace_file,
     reset_lock_telemetry,
 )
+from repro.io.safety import LOCK_TELEMETRY
 
 
 class TestPidAlive:
@@ -160,6 +161,21 @@ class TestLockTelemetry:
         assert delta["contended"] == 1
         assert delta["wait_seconds"] > 0.05
         assert delta["max_wait_seconds"] >= delta["wait_seconds"]
+
+    def test_delta_never_exceeds_the_high_water_mark(self, monkeypatch):
+        # One 0.1476624 s wait on top of a 4e-7 s total: the rounded
+        # totals differ by 0.147663, one microsecond above the rounded
+        # max (0.147662).  The delta must still respect the max.
+        for name, value in (("acquires", 0), ("wait_seconds", 4e-7),
+                            ("max_wait_seconds", 0.0)):
+            monkeypatch.setattr(LOCK_TELEMETRY, name, value)
+        base = lock_telemetry_snapshot()
+        monkeypatch.setattr(LOCK_TELEMETRY, "acquires", 1)
+        monkeypatch.setattr(LOCK_TELEMETRY, "wait_seconds", 4e-7 + 0.1476624)
+        monkeypatch.setattr(LOCK_TELEMETRY, "max_wait_seconds", 0.1476624)
+        delta = lock_telemetry_delta(base)
+        assert delta["max_wait_seconds"] == 0.147662
+        assert delta["wait_seconds"] == 0.147662
 
     def test_timeout_counts_as_timeout_not_acquire(self, tmp_path):
         target = tmp_path / "data.jsonl"
