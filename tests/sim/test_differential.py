@@ -11,7 +11,7 @@ the total cycle count).
 
 The one deliberate divergence is per-cycle ``STAGE_STALL`` trace events:
 the event engine folds a skipped quiescent span into the profiler
-via ``credit_skipped_stalls`` instead of emitting one event per cycle,
+with one ``skip`` probe emission instead of one stall per cycle,
 so trace comparison filters stall events out and compares everything
 else (fires, queue traffic, rule-engine lifecycle, memory events,
 checkpoints, rollbacks) verbatim.
