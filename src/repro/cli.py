@@ -24,6 +24,7 @@ Commands
 ``dashboard``   write the self-contained HTML telemetry dashboard
 ``sweep-status``status of the running (or crashed) sweep in a store
 ``regress``     rule-based regression detection over the run store
+``rtl APP``     emit the application's SystemVerilog skeleton
 
 Sweep-running commands (``experiment``, ``dse``, ``fault-campaign``)
 accept ``--jobs N`` (parallel workers), ``--cache/--no-cache``,
@@ -54,7 +55,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.apps.registry import APP_BUILDERS, build_app
 from repro.core.runtime import AggressiveRuntime
@@ -65,6 +66,7 @@ from repro.obs import Observability
 from repro.obs.profile import format_stall_report
 from repro.obs.runstore import (
     DEFAULT_STORE_DIR,
+    RunRecord,
     RunStore,
     diff_records,
     format_diff,
@@ -147,12 +149,57 @@ def _build_fault_plan(spec, config: SimConfig, seed: int,
     )
 
 
+def _positive(kind: type) -> Callable[[str], float]:
+    """An argparse ``type`` that parses with ``kind`` and rejects <= 0.
+
+    A rejected value ends in argparse's usage error (exit 2), as a
+    non-numeric one already does.
+    """
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(
+                f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # keeps "invalid int value: 'x'"
+    return parse
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
+
+
 def _add_engine_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=("dense", "event"),
                         default=SimConfig.engine,
                         help="simulation engine: event (skip idle cycles, "
                              "the default) or dense (tick everything, the "
                              "oracle) — both cycle-exact")
+
+
+def _add_sim_options(parser: argparse.ArgumentParser,
+                     app_help: str | None = None, *,
+                     optional: bool = False) -> None:
+    """The simulated-run group: ``app``, ``--bandwidth``, ``--engine``."""
+    parser.add_argument("app", nargs="?" if optional else None,
+                        help=app_help)
+    parser.add_argument("--bandwidth", type=_positive_float, default=1.0,
+                        help="QPI bandwidth multiplier (Figure 10 knob)")
+    _add_engine_option(parser)
+
+
+def _add_export_options(
+    parser: argparse.ArgumentParser,
+    trace: str | None = "write the Chrome trace_event JSON "
+                        "(open in Perfetto)",
+    metrics: str | None = "write the metrics-registry snapshot JSON",
+) -> None:
+    """``--trace-out`` / ``--metrics-out FILE``; None leaves a flag out."""
+    if trace:
+        parser.add_argument("--trace-out", metavar="FILE", help=trace)
+    if metrics:
+        parser.add_argument("--metrics-out", metavar="FILE", help=metrics)
 
 
 def _store_from_args(args: argparse.Namespace) -> RunStore | None:
@@ -162,10 +209,15 @@ def _store_from_args(args: argparse.Namespace) -> RunStore | None:
     return RunStore(getattr(args, "store", DEFAULT_STORE_DIR))
 
 
-def _add_store_options(parser: argparse.ArgumentParser) -> None:
+def _add_store_dir(parser: argparse.ArgumentParser,
+                   holding: str = "the run store") -> None:
     parser.add_argument("--store", default=DEFAULT_STORE_DIR,
                         metavar="DIR",
-                        help="run-store directory (default .repro)")
+                        help=f"directory holding {holding} (default .repro)")
+
+
+def _add_store_options(parser: argparse.ArgumentParser) -> None:
+    _add_store_dir(parser)
     parser.add_argument("--no-store", action="store_true",
                         help="do not record this run in the run store")
 
@@ -273,6 +325,11 @@ def _store_sweep_record(args: argparse.Namespace, runner,
           file=sys.stderr)
 
 
+# Missing, empty or corrupt store files (and unreadable golden: files)
+# end in one ``error:`` line on stderr, never a traceback.
+_STORE_ERRORS = (KeyError, OSError, ValueError)
+
+
 def _resolve_run_ref(store: RunStore, ref: str):
     """A store run id, or ``golden:PATH`` for a golden fixture file."""
     if ref.startswith("golden:"):
@@ -281,10 +338,54 @@ def _resolve_run_ref(store: RunStore, ref: str):
     return store.get(ref)
 
 
+def _fail(exc: BaseException, hint: str = "") -> int:
+    """Report ``exc`` on one ``error:`` line (KeyError unquoted)."""
+    message = exc.args[0] if isinstance(exc, KeyError) and exc.args \
+        else exc
+    print(f"error: {message}{hint}", file=sys.stderr)
+    return 1
+
+
+class _Run(NamedTuple):
+    """One timed simulation of a CLI app on the scaled eval platform."""
+
+    spec: Any
+    platform: Any
+    config: SimConfig
+    result: Any
+    wall_seconds: float
+    stage_names: list[str] | None
+
+    def record(self, kind: str, **fields) -> RunRecord:
+        return record_from_result(
+            kind, self.spec, self.result, platform=self.platform,
+            config=self.config, stage_names=self.stage_names,
+            wall_seconds=self.wall_seconds, **fields,
+        )
+
+
+def _simulate(args: argparse.Namespace, *, spec=None,
+              config: SimConfig | None = None, **consumers) -> _Run:
+    """Simulate ``args.app`` at ``--bandwidth`` on ``--engine``.
+
+    ``consumers`` (``obs``, ``ledger``, ``tracer``, ``faults``,
+    ``check_interval``) go to :class:`AcceleratorSim`; only ``run()`` is
+    timed.
+    """
+    spec = _default_spec(args.app) if spec is None else spec
+    platform = EVAL_HARP.scaled(args.bandwidth)
+    config = SimConfig(engine=args.engine) if config is None else config
+    sim = AcceleratorSim(spec, platform=platform, config=config, **consumers)
+    wall_start = time.perf_counter()
+    result = sim.run()
+    return _Run(spec, platform, config, result,
+                time.perf_counter() - wall_start,
+                list(result.stats.per_stage_active))
+
+
 def _write_observability(args: argparse.Namespace, result) -> None:
     """Export the run's trace / metrics snapshot where requested."""
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
+    trace_out, metrics_out = args.trace_out, args.metrics_out
     if trace_out and result.obs is not None:
         result.obs.tracer.write_chrome_trace(trace_out)
         print(f"wrote {trace_out} "
@@ -327,10 +428,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             spec, config, args.inject, baseline.cycles, args.intensity,
         )
 
-    wall_start = time.perf_counter()
-    stage_names = None
     extra: dict = {}
     if args.resilient:
+        wall_start = time.perf_counter()
         res = run_resilient(
             spec, platform=platform, config=config,
             faults=faults,
@@ -339,6 +439,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             obs=obs, tracer=tracer,
         )
         result = res.result
+        run = _Run(spec, platform, config, result,
+                   time.perf_counter() - wall_start, None)
         extra = {"resilient": {"recovered": res.recovered,
                                "attempts": res.attempts,
                                "rollbacks": res.rollbacks,
@@ -348,17 +450,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               f"degradations={res.degradations} "
               f"faults={result.stats.faults_injected}")
     else:
-        sim = AcceleratorSim(
-            spec, platform=platform, config=config,
-            tracer=tracer, faults=faults, check_interval=check_interval,
-            obs=obs,
-        )
-        result = sim.run()
-        stage_names = [
-            stage.name for pipeline in sim.pipelines
-            for stage in pipeline.stages
-        ]
-    wall_seconds = time.perf_counter() - wall_start
+        run = _simulate(args, spec=spec, config=config, tracer=tracer,
+                        faults=faults, check_interval=check_interval,
+                        obs=obs)
+        result = run.result
     print(f"{spec.name}: {result.cycles} cycles "
           f"({result.seconds * 1e6:.1f} us at 200 MHz), "
           f"utilization {result.utilization * 100:.1f}%, "
@@ -383,11 +478,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"  {name:40s} stall={count:7d} active={active:7d}")
     _write_observability(args, result)
     if store is not None:
-        record = store.append(record_from_result(
-            "simulate", spec, result, platform=platform, config=config,
-            stage_names=stage_names, seed=args.inject,
-            wall_seconds=wall_seconds, extra=extra,
-        ))
+        record = store.append(run.record("simulate", seed=args.inject,
+                                         extra=extra))
         print(f"stored run {record.run_id} -> {store.path}")
     return 0
 
@@ -401,30 +493,20 @@ def cmd_profile(args: argparse.Namespace) -> int:
     the most-stalled stages.  ``--trace-out`` additionally exports the
     Chrome ``trace_event`` JSON for Perfetto.
     """
-    spec = _default_spec(args.app)
     store = _store_from_args(args)
-    obs = Observability(trace_capacity=args.trace_capacity)
-    platform = EVAL_HARP.scaled(args.bandwidth)
-    config = SimConfig(engine=args.engine)
-    sim = AcceleratorSim(spec, platform=platform, config=config, obs=obs)
-    wall_start = time.perf_counter()
-    result = sim.run()
-    wall_seconds = time.perf_counter() - wall_start
-    stage_names = [
-        stage.name for pipeline in sim.pipelines for stage in pipeline.stages
-    ]
-    accounting = obs.profiler.accounting(stage_names, result.cycles)
-    print(f"{spec.name}: {result.cycles} cycles, "
+    run = _simulate(args, obs=Observability(
+        trace_capacity=args.trace_capacity))
+    result = run.result
+    accounting = result.obs.profiler.accounting(run.stage_names,
+                                                result.cycles)
+    print(f"{run.spec.name}: {result.cycles} cycles, "
           f"utilization {result.utilization * 100:.1f}%, "
           f"squash {result.squash_fraction * 100:.1f}% — VERIFIED")
     print()
     print(format_stall_report(accounting, result.cycles, top=args.top))
     _write_observability(args, result)
     if store is not None:
-        record = store.append(record_from_result(
-            "profile", spec, result, platform=platform, config=config,
-            stage_names=stage_names, wall_seconds=wall_seconds,
-        ))
+        record = store.append(run.record("profile"))
         print(f"stored run {record.run_id} -> {store.path}")
     return 0
 
@@ -561,34 +643,26 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     kind = args.kind
     exported = {}
     sweep_pending = None
-    apps = tuple(args.apps) if args.apps else None
     engine = args.engine
+    sweeps = {
+        "figure9": (experiments.run_figure9, reporting.format_figure9),
+        "figure10": (experiments.run_figure10, reporting.format_figure10),
+    }
     if kind == "table1":
         result = experiments.run_table1(engine=engine)
         print(reporting.format_table1(result))
         exported["table1"] = result
-    elif kind == "figure9":
+    elif kind in sweeps:
+        run_sweep, format_result = sweeps[kind]
+        apps = tuple(args.apps or experiments.APP_NAMES)
         runner = _runner_from_args(args)
-        result = experiments.run_figure9(
-            scale=args.scale, runner=runner, engine=engine,
-            **({"apps": apps} if apps else {}),
-        )
-        print(reporting.format_figure9(result))
+        result = run_sweep(scale=args.scale, apps=apps, runner=runner,
+                           engine=engine)
+        print(format_result(result))
         print(runner.report.summary())
         _write_fleet_trace(args, runner)
-        sweep_pending = (runner, "experiment:figure9", sorted(result))
-        exported["figure9"] = result
-    elif kind == "figure10":
-        runner = _runner_from_args(args)
-        result = experiments.run_figure10(
-            scale=args.scale, runner=runner, engine=engine,
-            **({"apps": apps} if apps else {}),
-        )
-        print(reporting.format_figure10(result))
-        print(runner.report.summary())
-        _write_fleet_trace(args, runner)
-        sweep_pending = (runner, "experiment:figure10", sorted(result))
-        exported["figure10"] = result
+        sweep_pending = (runner, f"experiment:{kind}", apps)
+        exported[kind] = result
     elif kind == "resources":
         result = experiments.run_resources(scale=min(args.scale, 0.5))
         print(reporting.format_resources(result))
@@ -606,13 +680,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         runner, command, sweep_apps = sweep_pending
         _store_sweep_record(args, runner, command, apps=sweep_apps)
     return 0
-
-
-def _error_line(exc: BaseException) -> str:
-    """One printable line for a store/ref failure (no quoted KeyError)."""
-    if isinstance(exc, KeyError) and exc.args:
-        return str(exc.args[0])
-    return str(exc)
 
 
 def cmd_runs(args: argparse.Namespace) -> int:
@@ -644,11 +711,8 @@ def cmd_runs(args: argparse.Namespace) -> int:
             a = _resolve_run_ref(store, args.a)
             b = _resolve_run_ref(store, args.b)
             print(format_diff(diff_records(a, b)))
-    except (KeyError, OSError, ValueError) as exc:
-        # Missing, empty, or corrupt store files (and unreadable
-        # golden: files) end in one line on stderr, never a traceback.
-        print(f"error: {_error_line(exc)}", file=sys.stderr)
-        return 1
+    except _STORE_ERRORS as exc:
+        return _fail(exc)
     return 0
 
 
@@ -673,27 +737,26 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
     cache = ResultCache(args.store)
     try:
+        if args.cache_command in ("stats", "verify"):
+            report = getattr(cache, args.cache_command)()
+            if not report["exists"]:
+                raise KeyError(f"result cache {cache.path} does not exist")
         if args.cache_command == "stats":
-            stats = cache.stats()
-            if not stats["exists"]:
-                print(f"error: result cache {cache.path} does not exist",
-                      file=sys.stderr)
-                return 1
             lock = _cache_lock_info(cache)
             if getattr(args, "json", False):
-                payload = dict(stats)
-                payload["path"] = str(stats["path"])
+                payload = dict(report)
+                payload["path"] = str(report["path"])
                 payload["lock"] = lock
                 payload["lock_telemetry"] = lock_telemetry_snapshot()
                 print(json.dumps(payload, indent=2, sort_keys=True))
                 return 0
-            print(f"result cache {stats['path']}: "
-                  f"{stats['entries']} entries in {stats['lines']} lines "
-                  f"({stats['bytes']} bytes)")
-            print(f"  superseded: {stats['superseded']}  "
-                  f"stale-schema: {stats['stale_schema']}  "
-                  f"malformed: {stats['malformed']}  "
-                  f"corrupt: {stats['corrupt']}")
+            print(f"result cache {report['path']}: "
+                  f"{report['entries']} entries in {report['lines']} lines "
+                  f"({report['bytes']} bytes)")
+            print(f"  superseded: {report['superseded']}  "
+                  f"stale-schema: {report['stale_schema']}  "
+                  f"malformed: {report['malformed']}  "
+                  f"corrupt: {report['corrupt']}")
             if lock["holder_pid"] is not None:
                 state = "alive" if lock["alive"] else "dead"
                 age = (f", stamped {lock['age_seconds']:.1f}s ago"
@@ -702,11 +765,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
                       f"({state}{age})")
             return 0
         if args.cache_command == "verify":
-            report = cache.verify()
-            if not report["exists"]:
-                print(f"error: result cache {cache.path} does not exist",
-                      file=sys.stderr)
-                return 1
             status = "OK" if report["ok"] else "DAMAGED"
             print(f"verify {report['path']}: {status} — "
                   f"{report['entries']} entries, "
@@ -736,29 +794,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
                  if args.max_entries is not None else "")
               + ")")
         return 0
-    except (KeyError, OSError, ValueError) as exc:
-        print(f"error: {_error_line(exc)}", file=sys.stderr)
-        return 1
-
-
-def _observed_record(app: str, bandwidth: float,
-                     engine: str = SimConfig.engine):
-    """Run ``app`` once with full observability; return (spec, record)."""
-    spec = _default_spec(app)
-    obs = Observability()
-    platform = EVAL_HARP.scaled(bandwidth)
-    config = SimConfig(engine=engine)
-    sim = AcceleratorSim(spec, platform=platform, config=config, obs=obs)
-    wall_start = time.perf_counter()
-    result = sim.run()
-    wall_seconds = time.perf_counter() - wall_start
-    stage_names = [
-        stage.name for pipeline in sim.pipelines for stage in pipeline.stages
-    ]
-    return spec, record_from_result(
-        "diagnose", spec, result, platform=platform, config=config,
-        stage_names=stage_names, wall_seconds=wall_seconds,
-    )
+    except _STORE_ERRORS as exc:
+        return _fail(exc)
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
@@ -770,14 +807,12 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     )
 
     if args.run is not None:
-        store = RunStore(args.store)
         try:
-            record = _resolve_run_ref(store, args.run)
-        except (KeyError, OSError, ValueError) as exc:
-            print(f"error: {_error_line(exc)}", file=sys.stderr)
-            return 1
+            record = _resolve_run_ref(RunStore(args.store), args.run)
+        except _STORE_ERRORS as exc:
+            return _fail(exc)
     elif args.app is not None:
-        _, record = _observed_record(args.app, args.bandwidth, args.engine)
+        record = _simulate(args, obs=Observability()).record("diagnose")
         store = _store_from_args(args)
         if store is not None:
             record = store.append(record)
@@ -830,35 +865,19 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     from repro.obs.diagnose import cross_check, diagnose_record
     from repro.sim.ledger import TokenLedger
 
-    spec = _default_spec(args.app)
     store = _store_from_args(args)
     # Telemetry is always on here: the cross-check needs the stall
     # record, and this is an analysis command — nobody times it.
-    obs = Observability()
-    platform = EVAL_HARP.scaled(args.bandwidth)
-    config = SimConfig(engine=args.engine)
-    sim = AcceleratorSim(spec, platform=platform, config=config, obs=obs,
-                         ledger=TokenLedger())
-    wall_start = time.perf_counter()
-    result = sim.run()
-    wall_seconds = time.perf_counter() - wall_start
+    run = _simulate(args, obs=Observability(), ledger=TokenLedger())
+    spec, result = run.spec, run.result
     critpath = extract_critical_path(
         result.ledger, result.cycles,
-        rule_lanes=config.rule_lanes,
+        rule_lanes=run.config.rule_lanes,
         top_segments=args.top,
-        saturation=result_saturation(result, platform),
+        saturation=result_saturation(result, run.platform),
     )
     summary = summary_block(critpath)
-
-    stage_names = [
-        stage.name for pipeline in sim.pipelines
-        for stage in pipeline.stages
-    ]
-    record = record_from_result(
-        "critpath", spec, result, platform=platform, config=config,
-        stage_names=stage_names, wall_seconds=wall_seconds,
-        critical_path=summary,
-    )
+    record = run.record("critpath", critical_path=summary)
     check = cross_check(diagnose_record(record), summary)
 
     # Confirmations go to stderr in --json mode so stdout stays one
@@ -875,7 +894,7 @@ def cmd_critpath(args: argparse.Namespace) -> int:
             print()
             print(f"  diagnose cross-check: {check['note']}")
     if args.trace_out:
-        doc = obs.tracer.chrome_trace()
+        doc = result.obs.tracer.chrome_trace()
         doc["traceEvents"].extend(critpath_trace_events(critpath))
         with open(args.trace_out, "w", encoding="utf-8") as handle:
             json.dump(doc, handle, indent=None, separators=(",", ":"))
@@ -895,17 +914,15 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
     store = RunStore(args.store)
     history = store.records()
     if args.app is not None:
-        _, record = _observed_record(args.app, args.bandwidth, args.engine)
+        record = _simulate(args, obs=Observability()).record("diagnose")
         if not args.no_store:
             record = store.append(record)
             history.append(record)
     else:
         try:
             record = _resolve_run_ref(store, args.run)
-        except (KeyError, OSError, ValueError) as exc:
-            print(f"error: {_error_line(exc)} — or pass an APP to "
-                  "simulate one now", file=sys.stderr)
-            return 1
+        except _STORE_ERRORS as exc:
+            return _fail(exc, " — or pass an APP to simulate one now")
     write_dashboard(args.out, record, diagnose_record(record), history)
     print(f"wrote {args.out} (run {record.run_id or 'unsaved'}, "
           f"{len(history)} stored runs)")
@@ -953,8 +970,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
         )
         source = f"{len(records)} runs in {store.path}"
     except (OSError, ValueError) as exc:
-        print(f"error: {_error_line(exc)}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     fails = sum(1 for f in findings if f.severity == "fail")
     if args.json:
         print(json.dumps({
@@ -1024,23 +1040,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute on the software debug runtime")
     run.add_argument("app")
-    run.add_argument("--workers", type=int, default=8)
+    run.add_argument("--workers", type=_positive_int, default=8)
     run.add_argument("--threaded", action="store_true",
                      help="use the futures/promises OS-thread runtime")
     run.set_defaults(handler=cmd_run)
 
     simulate = sub.add_parser("simulate",
                               help="cycle-level accelerator simulation")
-    simulate.add_argument("app")
-    simulate.add_argument("--bandwidth", type=float, default=1.0,
-                          help="QPI bandwidth multiplier (Figure 10 knob)")
+    _add_sim_options(simulate)
     simulate.add_argument("--prefetch", action="store_true",
                           help="enable next-line prefetch (extension)")
-    _add_engine_option(simulate)
     simulate.add_argument("--trace", action="store_true",
                           help="print an ASCII schedule timeline")
-    simulate.add_argument("--trace-cycles", type=int, default=2000)
-    simulate.add_argument("--trace-width", type=int, default=72)
+    simulate.add_argument("--trace-cycles", type=_positive_int, default=2000)
+    simulate.add_argument("--trace-width", type=_positive_int, default=72)
     simulate.add_argument("--profile", action="store_true",
                           help="print the most-stalled stages")
     simulate.add_argument("--inject", type=int, metavar="SEED",
@@ -1053,11 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="cycles between sanitizer passes")
     simulate.add_argument("--resilient", action="store_true",
                           help="run under checkpoint/rollback recovery")
-    simulate.add_argument("--trace-out", metavar="FILE",
-                          help="write a Chrome trace_event JSON "
-                               "(load in Perfetto / chrome://tracing)")
-    simulate.add_argument("--metrics-out", metavar="FILE",
-                          help="write a metrics-registry snapshot JSON")
+    _add_export_options(simulate)
     _add_store_options(simulate)
     simulate.set_defaults(handler=cmd_simulate)
 
@@ -1065,18 +1074,12 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="stall-attribution profile of a simulated run",
     )
-    profile.add_argument("app")
-    profile.add_argument("--bandwidth", type=float, default=1.0,
-                         help="QPI bandwidth multiplier (Figure 10 knob)")
-    _add_engine_option(profile)
-    profile.add_argument("--top", type=int, default=16,
+    _add_sim_options(profile)
+    profile.add_argument("--top", type=_positive_int, default=16,
                          help="rows to print (most-stalled first)")
-    profile.add_argument("--trace-capacity", type=int, default=65536,
-                         help="event ring-buffer capacity")
-    profile.add_argument("--trace-out", metavar="FILE",
-                         help="also write the Chrome trace_event JSON")
-    profile.add_argument("--metrics-out", metavar="FILE",
-                         help="also write the metrics snapshot JSON")
+    profile.add_argument("--trace-capacity", type=_positive_int,
+                         default=65536, help="event ring-buffer capacity")
+    _add_export_options(profile)
     _add_store_options(profile)
     profile.set_defaults(handler=cmd_profile)
 
@@ -1091,11 +1094,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="fault plans per app (seed, seed+1, ...)")
     campaign.add_argument("--intensity", type=float, default=1.0)
     campaign.add_argument("--check-interval", type=int, default=2048)
-    campaign.add_argument("--checkpoint-interval", type=int, default=5000)
+    campaign.add_argument("--checkpoint-interval", type=_positive_int,
+                          default=5000)
     _add_sweep_options(campaign)
-    campaign.add_argument("--metrics-out", metavar="FILE",
-                          help="write per-run metric snapshots plus the "
-                               "merged aggregate as JSON")
+    _add_export_options(campaign, trace=None,
+                        metrics="write per-run metric snapshots plus the "
+                                "merged aggregate as JSON")
     _add_store_options(campaign)
     campaign.set_defaults(handler=cmd_fault_campaign)
 
@@ -1104,7 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "kind", choices=("table1", "figure9", "figure10", "resources")
     )
-    experiment.add_argument("--scale", type=float, default=1.0)
+    experiment.add_argument("--scale", type=_positive_float, default=1.0)
     experiment.add_argument("--apps", nargs="+", metavar="APP",
                             help="restrict figure9/figure10 to these "
                                  "benchmarks (default: all six)")
@@ -1116,7 +1120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     runs = sub.add_parser("runs", help="query the cross-run telemetry "
                                        "store (.repro/runs.jsonl)")
-    runs.add_argument("--store", default=DEFAULT_STORE_DIR, metavar="DIR")
+    _add_store_dir(runs)
     runs_sub = runs.add_subparsers(dest="runs_command", required=True)
     runs_list = runs_sub.add_parser("list", help="table of every stored "
                                                  "run")
@@ -1139,8 +1143,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache = sub.add_parser(
         "cache", help="inspect and maintain the sweep result cache "
                       "(.repro/simcache.jsonl)")
-    cache.add_argument("--store", default=DEFAULT_STORE_DIR, metavar="DIR",
-                       help="directory holding the cache (default .repro)")
+    _add_store_dir(cache, "the result cache")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     cache_stats = cache_sub.add_parser(
         "stats", help="entry/line/corruption accounting plus lock "
@@ -1155,7 +1158,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_prune = cache_sub.add_parser(
         "prune", help="compact plus drop stale-schema entries, "
                       "optionally capping the entry count")
-    cache_prune.add_argument("--max-entries", type=int, default=None,
+    cache_prune.add_argument("--max-entries", type=_positive_int,
+                             default=None,
                              metavar="N",
                              help="keep only the N most recent entries")
     cache.set_defaults(handler=cmd_cache)
@@ -1164,16 +1168,14 @@ def build_parser() -> argparse.ArgumentParser:
         "diagnose", help="rank the bottlenecks of a run "
                          "(memory / bandwidth / rule-lane / queue / "
                          "squash / host-launch)")
-    diagnose.add_argument("app", nargs="?",
-                          help="simulate this app with observability on")
+    _add_sim_options(diagnose, "simulate this app with observability on",
+                     optional=True)
     diagnose.add_argument("--run", metavar="REF",
                           help="diagnose a stored run instead")
-    diagnose.add_argument("--bandwidth", type=float, default=1.0)
     diagnose.add_argument("--json", action="store_true",
                           help="emit the ranked findings (and the "
                                "critical-path cross-check, when the "
                                "record has one) as JSON")
-    _add_engine_option(diagnose)
     _add_store_options(diagnose)
     diagnose.set_defaults(handler=cmd_diagnose)
 
@@ -1181,45 +1183,35 @@ def build_parser() -> argparse.ArgumentParser:
         "critpath", help="extract the measured critical path of a run "
                          "(per-token provenance walk; bucket "
                          "decomposition + what-if speedup bounds)")
-    critpath.add_argument("app",
-                          help="simulate this app with a TokenLedger "
+    _add_sim_options(critpath, "simulate this app with a TokenLedger "
                                "attached")
-    critpath.add_argument("--bandwidth", type=float, default=1.0,
-                          help="QPI bandwidth multiplier (Figure 10 "
-                               "knob)")
-    _add_engine_option(critpath)
-    critpath.add_argument("--top", type=int, default=12,
+    critpath.add_argument("--top", type=_positive_int, default=12,
                           help="longest segments to print (default 12)")
     critpath.add_argument("--json", action="store_true",
                           help="emit the summary block as JSON "
                                "(byte-identical across engines)")
-    critpath.add_argument("--trace-out", metavar="FILE",
-                          help="write the Chrome trace with the "
-                               "critical path as a flow-arrow track "
-                               "(open in Perfetto)")
+    _add_export_options(critpath, metrics=None,
+                        trace="write the Chrome trace with the critical "
+                              "path as a flow-arrow track (open in "
+                              "Perfetto)")
     _add_store_options(critpath)
     critpath.set_defaults(handler=cmd_critpath)
 
     dashboard = sub.add_parser(
         "dashboard", help="write the self-contained HTML dashboard")
-    dashboard.add_argument("app", nargs="?",
-                           help="simulate this app first (else use --run)")
+    _add_sim_options(dashboard, "simulate this app first (else use --run)",
+                     optional=True)
     dashboard.add_argument("--run", metavar="REF", default="latest",
                            help="stored run to feature (default latest)")
     dashboard.add_argument("--out", default="dashboard.html",
                            metavar="FILE")
-    dashboard.add_argument("--bandwidth", type=float, default=1.0)
-    _add_engine_option(dashboard)
     _add_store_options(dashboard)
     dashboard.set_defaults(handler=cmd_dashboard)
 
     status = sub.add_parser(
         "sweep-status", help="status of the running (or crashed) sweep "
                              "in a store directory")
-    status.add_argument("--store", default=DEFAULT_STORE_DIR,
-                        metavar="DIR",
-                        help="store directory holding sweep-status.json "
-                             "(default .repro)")
+    _add_store_dir(status, "sweep-status.json")
     status.add_argument("--json", action="store_true",
                         help="emit the raw status document")
     status.set_defaults(handler=cmd_sweep_status)
@@ -1227,9 +1219,7 @@ def build_parser() -> argparse.ArgumentParser:
     regress = sub.add_parser(
         "regress", help="rule-based regression detection over the run "
                         "store (exit 1 on any fail-severity finding)")
-    regress.add_argument("--store", default=DEFAULT_STORE_DIR,
-                         metavar="DIR",
-                         help="run store to analyze (default .repro)")
+    _add_store_dir(regress)
     regress.add_argument("--wall-band", type=float, default=0.5,
                          metavar="F",
                          help="wall-clock / throughput noise band "
@@ -1249,11 +1239,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     dse = sub.add_parser("dse", help="design-space exploration")
     dse.add_argument("app")
-    dse.add_argument("--replicas", type=int, nargs="+", default=[1, 2, 4])
-    dse.add_argument("--lanes", type=int, nargs="+", default=[16, 64])
-    dse.add_argument("--store", default=DEFAULT_STORE_DIR, metavar="DIR",
-                     help="directory holding the result cache "
-                          "(default .repro)")
+    dse.add_argument("--replicas", type=_positive_int, nargs="+",
+                     default=[1, 2, 4])
+    dse.add_argument("--lanes", type=_positive_int, nargs="+",
+                     default=[16, 64])
+    _add_store_dir(dse, "the result cache")
     _add_sweep_options(dse)
     dse.set_defaults(handler=cmd_dse)
 

@@ -159,6 +159,28 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "invalid choice: 'fast'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "SPEC-BFS", "--bandwidth", "0"],
+        ["simulate", "SPEC-BFS", "--bandwidth", "-1"],
+        ["simulate", "SPEC-BFS", "--trace", "--trace-width", "0"],
+        ["profile", "SPEC-BFS", "--trace-capacity", "0"],
+        ["profile", "SPEC-BFS", "--top", "-3"],
+        ["critpath", "SPEC-BFS", "--top", "-1"],
+        ["cache", "prune", "--max-entries", "-1"],
+        ["fault-campaign", "--checkpoint-interval", "0"],
+        ["run", "SPEC-BFS", "--workers", "0"],
+        ["dse", "SPEC-BFS", "--lanes", "16", "0"],
+        ["experiment", "figure10", "--scale", "-1"],
+    ], ids=" ".join)
+    def test_non_positive_numbers_are_usage_errors(self, capsys, argv):
+        # Rejected while parsing: nothing runs and no store is touched.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro ")
+        assert "must be positive" in err
+
     def test_retired_fast_alias_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "SPEC-BFS", "--fast", "--no-store"])
@@ -166,17 +188,26 @@ class TestCli:
         assert "unrecognized arguments: --fast" in capsys.readouterr().err
 
     def test_experiment_table1_with_json(self, capsys, tmp_path):
-        target = str(tmp_path / "t1.json")
-        store = tmp_path / "store"
-        assert main(["experiment", "table1", "--json", target,
-                     "--store", str(store)]) == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out
-        assert "stored 2 experiment records" in out
-        assert json.loads(open(target).read())["table1"]
-        lines = (store / "runs.jsonl").read_text().splitlines()
-        assert [json.loads(l)["app"] for l in lines] == \
-            ["SPEC-BFS", "COOR-BFS"]
+        # figure9 is the sweep branch's second table; it once crashed
+        # after printing, before writing --json or the store.
+        cases = [
+            ("table1", [], "Table 1", 2,
+             [("experiment", "SPEC-BFS"), ("experiment", "COOR-BFS")]),
+            ("figure9", ["--scale", "0.1", "--apps", "COOR-LU"], "Figure 9",
+             1, [("experiment", "COOR-LU"), ("sweep", "COOR-LU")]),
+        ]
+        for kind, flags, title, stored, records in cases:
+            target = str(tmp_path / f"{kind}.json")
+            store = tmp_path / f"store-{kind}"
+            assert main(["experiment", kind, *flags, "--json", target,
+                         "--store", str(store)]) == 0, kind
+            out = capsys.readouterr().out
+            assert title in out
+            assert f"stored {stored} experiment records" in out
+            assert json.loads(open(target).read())[kind]
+            lines = (store / "runs.jsonl").read_text().splitlines()
+            assert [(json.loads(l)["kind"], json.loads(l)["app"])
+                    for l in lines] == records
 
     def test_dse(self, capsys):
         code = main([
