@@ -133,7 +133,11 @@ def regress_store(
             sweeps.setdefault(skey, []).append(record)
 
     findings: list[Regression] = []
-    for key, runs in sorted(series.items()):
+    # An unseeded run's key holds seed None: order None before any value.
+    for key, runs in sorted(
+        series.items(),
+        key=lambda item: [(part is not None, part) for part in item[0]],
+    ):
         kind, app, seed, digest, bandwidth, mode = key[:6]
         where = (f"{kind}/{app} bw={bandwidth:g} mode={mode}"
                  + (f" seed={seed}" if seed is not None else ""))

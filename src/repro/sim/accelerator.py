@@ -32,7 +32,7 @@ from repro.sim.invariants import DEFAULT_CHECK_INTERVAL, InvariantChecker
 from repro.sim.ledger import TokenLedger
 from repro.sim.live import LiveIndexTracker
 from repro.sim.memory import MemorySystem
-from repro.sim.pipeline import PipelineInstance
+from repro.sim.pipeline import PipelineInstance, compile_stage_pass
 from repro.sim.rule_engine import RuleEngineSim
 from repro.sim.stats import SimCounters, SimStats
 from repro.sim.taskqueue import MultiBankTaskQueue
@@ -235,6 +235,17 @@ class AcceleratorSim:
         self.wakes = None
         self.engine = config.engine
         self.ff = EventScheduler(self) if self.engine == "event" else None
+        self.bind_stage_pass()
+
+    def bind_stage_pass(self) -> None:
+        """Compile the event engine's stage pass over this simulator's own
+        stages (again after a deep copy: the generated functions are
+        shared by a copy, not rebound).  Dense, and a pass-less copy,
+        tick through the interpreted lists: dense is the oracle."""
+        self._compiled_ticks = self._compiled_commits = None
+        if self.ff is not None:
+            self._compiled_ticks, self._compiled_commits = \
+                compile_stage_pass(self._stages)
 
     # -- services stages call ---------------------------------------------------
 
@@ -331,8 +342,11 @@ class AcceleratorSim:
         if self._event_heap:
             self._deliver_events()
         self.host.tick()
-        for tick in self._stage_ticks:
-            tick()
+        if self._compiled_ticks is None:
+            for tick in self._stage_ticks:
+                tick()
+        else:
+            self._compiled_ticks()
         if self.cycle % self.config.minimum_broadcast_interval == 0:
             if self.spec.otherwise_scope == "global":
                 minimum = self.tracker.minimum()
@@ -347,8 +361,11 @@ class AcceleratorSim:
                         engine.min_allocated_index()
                     ):
                         self.quiet = False
-        for commit in self._fifo_commits:
-            commit()
+        if self._compiled_commits is None:
+            for commit in self._fifo_commits:
+                commit()
+        else:
+            self._compiled_commits()
         self.counters.active_stage_cycles.value += \
             self.active_stages_this_cycle
         if self.active_stages_this_cycle or self.memory.pending(self.cycle):

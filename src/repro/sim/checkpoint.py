@@ -55,7 +55,11 @@ def _identity_memo(shared: list) -> dict:
 
 def snapshot(sim):
     """A frozen deep clone of ``sim`` (not runnable until revived)."""
-    return copy.deepcopy(sim, _identity_memo(_shared_roots(sim)))
+    clone = copy.deepcopy(sim, _identity_memo(_shared_roots(sim)))
+    # The copy shares ``sim``'s generated stage pass, which ticks
+    # ``sim``'s stages; drop it so the clone never holds them.
+    clone._compiled_ticks = clone._compiled_commits = None
+    return clone
 
 
 def revive(clone):
@@ -67,6 +71,9 @@ def revive(clone):
         engine.lanes = {
             id(lane.instance): lane for lane in engine.lanes.values()
         }
+    # Function objects are copied by reference: the copied pass would
+    # tick the clone's stages, so compile one over the revived ones.
+    sim.bind_stage_pass()
     if sim.checker is not None:
         # The checker is shared by the memo and still bound to the old
         # context; give the revived simulator its own.

@@ -37,10 +37,10 @@ class Fifo(Generic[T]):
         return len(self._items)
 
     def can_push(self) -> bool:
-        return len(self) < self.capacity
+        return len(self._items) + len(self._staged) < self.capacity
 
     def push(self, item: T) -> None:
-        if not self.can_push():
+        if len(self._items) + len(self._staged) >= self.capacity:
             raise SimulationError(f"push into full fifo {self.name!r}")
         self._staged.append(item)
 

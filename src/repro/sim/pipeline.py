@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import re
+from operator import attrgetter
+
 from repro.errors import SimulationError
-from repro.obs.events import StallReason
 from repro.sim.stages import (
+    BACKPRESSURE,
+    QUEUE,
+    RULE,
     RendezvousStage,
     Stage,
     SwitchStage,
@@ -12,6 +17,9 @@ from repro.sim.stages import (
 )
 from repro.sim.token import SimToken
 from repro.synthesis.datapath import StageProgram, StageSpec
+
+# A {dotted.path} operand of a stage's tick_guard.
+_GUARD_OPERAND = re.compile(r"\{([\w.]+)\}")
 
 
 class SourceStage(Stage):
@@ -24,24 +32,27 @@ class SourceStage(Stage):
         self.task_set = task_set
         self.queue = ctx.queues[task_set]
 
+    # The queue's kept size: tick() returns first while it is zero.
+    tick_guard = "{queue}._size"
+
     def tick(self) -> None:
         queue = self.queue
-        if not len(queue):
+        if not queue._size:
             # Every branch below is side-effect-free on an empty queue
             # (a refused pop leaves the wavefront where it was).
             return
         if not self.can_send():
-            self._stall(StallReason.BACKPRESSURE)
+            self._stall(BACKPRESSURE)
             return
         credits = self.ctx.admission_credits
         if credits is not None and credits[self.task_set] <= 0:
             # Admission credits are bounded by the rule-lane count.
-            self._stall(StallReason.RULE)
+            self._stall(RULE)
             return
         popped = queue.pop()
         if popped is None:
             # Work is queued but every bank refused the pop (faults).
-            self._stall(StallReason.QUEUE)
+            self._stall(QUEUE)
             return
         if credits is not None:
             credits[self.task_set] -= 1
@@ -62,6 +73,41 @@ class SourceStage(Stage):
 
     def busy(self) -> bool:
         return False  # the queue itself tracks pending work
+
+
+def compile_stage_pass(stages: list[Stage]):
+    """The per-cycle stage pass over ``stages`` as generated code.
+
+    Returns ``(stage_ticks, fifo_commits)``: straight-line functions that
+    tick every stage in list order behind its kind's ``tick_guard``, then
+    commit every stage's input FIFO in the same order.  Every object
+    they touch is bound here, once, so a cycle runs no list loop and no
+    attribute chasing.  They hold these very stages: a deep copy of the
+    simulator must compile its own pass.
+    """
+    bound: dict[str, object] = {}
+    ticks, commits = [], []
+    for n, stage in enumerate(stages):
+        guard = stage.tick_guard
+        paths = dict.fromkeys(_GUARD_OPERAND.findall(guard))
+        for k, path in enumerate(paths):
+            bound[f"a{n}_{k}"] = attrgetter(path)(stage)
+            guard = guard.replace("{" + path + "}", f"a{n}_{k}")
+        bound[f"t{n}"] = stage.tick
+        ticks.append(f"    if {guard}: t{n}()")
+        bound[f"v{n}"] = stage.input._items
+        bound[f"g{n}"] = stage.input._staged
+        commits.append(f"    if g{n}: v{n}.extend(g{n}); g{n}.clear()")
+    source = "\n".join([
+        "def stage_ticks():", *(ticks or ["    pass"]),
+        "def fifo_commits():", *(commits or ["    pass"]),
+    ])
+    # The bound objects are the functions' globals.  This module's
+    # __name__ among them lets the host-time layer sampler, which maps a
+    # frame by its globals' __name__, charge the pass to sim.stages.
+    namespace = {"__name__": __name__, **bound}
+    exec(compile(source, "<stage pass>", "exec"), namespace)
+    return namespace["stage_ticks"], namespace["fifo_commits"]
 
 
 class PipelineInstance:
@@ -111,14 +157,6 @@ class PipelineInstance:
             previous.output = None
             previous.on_retire = terminal_outcome
         return head
-
-    def tick(self) -> None:
-        for stage in self.stages:
-            stage.tick()
-
-    def commit_fifos(self) -> None:
-        for stage in self.stages:
-            stage.input.commit()
 
     def busy(self) -> bool:
         return any(stage.busy() for stage in self.stages)

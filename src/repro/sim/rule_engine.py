@@ -10,6 +10,7 @@ for lanes whose parent is the (tied-)minimum waiting task.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Mapping
 
 from repro.core.events import Event
@@ -157,7 +158,12 @@ class RuleEngineSim:
         engine always releases its earliest waiter (deadlock freedom).
         """
         indices = [lane.instance.parent_index for lane in self.lanes.values()]
-        return min(indices) if indices else None
+        # Keyed on the positions tuple, not TaskIndex's generated __lt__
+        # (a Python-level call per compare); equal positions are equal
+        # indices, so the result is the same.
+        if not indices:
+            return None
+        return min(indices, key=attrgetter("positions"))
 
     def broadcast_minimum(self, min_live: TaskIndex | None) -> int:
         """Fire otherwise for awaited lanes whose parent ties the minimum.

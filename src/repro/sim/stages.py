@@ -32,6 +32,15 @@ from repro.sim.events import NEVER
 from repro.sim.fifo import Fifo
 from repro.sim.token import SimToken
 
+# Enum members bound once: a member lookup on an Enum class costs a
+# descriptor call (about 150 ns on CPython 3.11), and a stall site runs
+# on most executed cycles.
+REACH = EventKind.REACH
+BACKPRESSURE = StallReason.BACKPRESSURE
+MEMORY = StallReason.MEMORY
+QUEUE = StallReason.QUEUE
+RULE = StallReason.RULE
+
 
 def _value(spec: Callable | int, env: dict[str, Any]) -> int:
     return spec(env) if callable(spec) else spec
@@ -66,16 +75,26 @@ class Stage:
         return self.on_retire
 
     def can_send(self) -> bool:
-        return self.output is None or self.output.can_push()
+        output = self.output
+        return output is None or \
+            len(output._items) + len(output._staged) < output.capacity
 
     # -- per-cycle -----------------------------------------------------------
 
+    # The event engine's generated stage pass (sim/pipeline.py) calls
+    # tick() only while this expression is true.  Each {path} names an
+    # attribute of the stage, bound once when the pass is built, so it
+    # must never be rebound.  The expression must be false only where
+    # tick() returns without effect: here, while no input is visible;
+    # kinds holding private work (stations) also tick while it is held.
+    tick_guard = "{input._items}"
+
     def tick(self) -> None:
         """Default in-order single-cycle behaviour."""
-        if self.input.visible == 0:
+        if not self.input._items:
             return
         if not self.can_send():
-            self._stall(StallReason.BACKPRESSURE)
+            self._stall(BACKPRESSURE)
             return
         token = self.input.pop()
         retired = self.process(token)
@@ -148,7 +167,7 @@ class LabelStage(Stage):
         )
         self.ctx.emit_at(
             self.ctx.cycle + 1,
-            Event(EventKind.REACH, token.task_set, op.label, token.index,
+            Event(REACH, token.task_set, op.label, token.index,
                   payload),
             token.task_uid,
         )
@@ -171,12 +190,14 @@ class LoadStage(Stage):
         # cycle no entry can be ready and the release scan is skipped.
         self.earliest = NEVER
 
+    tick_guard = "{station} or {input._items}"
+
     def tick(self) -> None:
         ctx = self.ctx
         station = self.station
         # 1) release one completed request (head-only when in-order).
         if station and not self.can_send():
-            self._stall(StallReason.BACKPRESSURE)
+            self._stall(BACKPRESSURE)
         elif station and ctx.cycle >= self.earliest:
             candidates = station[:1] if self.in_order else station
             for position, (token, req, done_at) in enumerate(candidates):
@@ -188,7 +209,7 @@ class LoadStage(Stage):
                     ctx.memory.retire(req)
                     del station[position]
                     self.earliest = min(
-                        (entry[2] for entry in station), default=NEVER
+                        [entry[2] for entry in station], default=NEVER
                     )
                     retired = self.send(token)
                     if ctx.probe is not None:
@@ -197,7 +218,7 @@ class LoadStage(Stage):
                     self.mark_active()
                     break
         # 2) issue one new request.
-        if self.input.visible and len(self.station) < self.depth:
+        if self.input._items and len(self.station) < self.depth:
             ctx.quiet = False  # silent mutation: station + cache state
             token = self.input.pop()
             op = self.op
@@ -209,8 +230,8 @@ class LoadStage(Stage):
             station.append((token, req, done_at))
             if done_at < self.earliest:
                 self.earliest = done_at
-        elif self.input.visible:
-            self._stall(StallReason.MEMORY)
+        elif self.input._items:
+            self._stall(MEMORY)
 
     def busy(self) -> bool:
         return bool(self.station) or len(self.input) > 0
@@ -241,7 +262,7 @@ class StoreStage(Stage):
             payload[name] = env[name]
         ctx.emit_at(
             ctx.cycle + 2,
-            Event(EventKind.REACH, token.task_set,
+            Event(REACH, token.task_set,
                   op.label or op.region, token.index, payload),
             token.task_uid,
         )
@@ -258,20 +279,20 @@ class SwitchStage(Stage):
         self.epilogue_entry: Fifo[SimToken] | None = None
 
     def tick(self) -> None:
-        if self.input.visible == 0:
+        if not self.input._items:
             return
         token = self.input.peek()
         op: Guard = self.op
         ctx = self.ctx
         if op.pred(token.env):
             if not self.can_send():
-                self._stall(StallReason.BACKPRESSURE)
+                self._stall(BACKPRESSURE)
                 return
             self.input.pop()
             retired = self.send(token)
         elif self.epilogue_entry is not None:
             if not self.epilogue_entry.can_push():
-                self._stall(StallReason.BACKPRESSURE)
+                self._stall(BACKPRESSURE)
                 return
             self.input.pop()
             ctx.counters.guard_drops.inc()
@@ -304,6 +325,8 @@ class ExpandStage(Stage):
         self._inflight: list[list] = []
         self.depth = ctx.config.station_depth
 
+    tick_guard = "{_inflight} or {input._items}"
+
     def tick(self) -> None:
         ctx = self.ctx
         op: Expand = self.op
@@ -331,9 +354,9 @@ class ExpandStage(Stage):
                                        retired, token.uid, last)
                     self.mark_active()
                 else:
-                    self._stall(StallReason.BACKPRESSURE)
+                    self._stall(BACKPRESSURE)
         # 2) accept one new expansion (issue its row fetch).
-        if self.input.visible and len(self._inflight) < self.depth:
+        if self.input._items and len(self._inflight) < self.depth:
             ctx.quiet = False  # silent mutation: expansion accepted
             token = self.input.pop()
             items = list(op.items(token.env, ctx.state))
@@ -354,8 +377,8 @@ class ExpandStage(Stage):
                 ctx.probe.issue(ctx.cycle, self.name, token.uid, stream_req,
                                 -1)
             self._inflight.append([token, items, 0, stream_req])
-        elif self.input.visible:
-            self._stall(StallReason.MEMORY)
+        elif self.input._items:
+            self._stall(MEMORY)
 
     def busy(self) -> bool:
         return bool(self._inflight) or len(self.input) > 0
@@ -367,10 +390,10 @@ class AllocRuleStage(Stage):
     __slots__ = ()
 
     def tick(self) -> None:
-        if self.input.visible == 0:
+        if not self.input._items:
             return
         if not self.can_send():
-            self._stall(StallReason.BACKPRESSURE)
+            self._stall(BACKPRESSURE)
             return
         token = self.input.peek()
         op: AllocRule = self.op
@@ -379,7 +402,7 @@ class AllocRuleStage(Stage):
             token.index, dict(op.args(token.env)), token.task_uid
         )
         if instance is None:
-            self._stall(StallReason.RULE)
+            self._stall(RULE)
             return
         self.input.pop()
         token.lanes.append((engine, instance))
@@ -391,7 +414,7 @@ class AllocRuleStage(Stage):
 
     def credit_skipped_stalls(self, reason: StallReason, count: int) -> None:
         self.stall_cycles += count
-        if reason is StallReason.RULE:
+        if reason is RULE:
             # Each skipped cycle repeats the probe's failed try_alloc;
             # the head token (stationary) names the engine it targeted.
             token = self.input.peek()
@@ -413,6 +436,8 @@ class RendezvousStage(Stage):
         self.depth = max(ctx.config.station_depth, ctx.config.rule_lanes)
         self.epilogue_entry: Fifo[SimToken] | None = None
         self.in_order = not ctx.config.out_of_order
+
+    tick_guard = "{station} or {input._items}"
 
     def tick(self) -> None:
         ctx = self.ctx
@@ -465,9 +490,9 @@ class RendezvousStage(Stage):
         if blocked and not released:
             # A decided token could not leave: downstream backpressure
             # (previously unaccounted — the cycle showed up as idle).
-            self._stall(StallReason.BACKPRESSURE)
+            self._stall(BACKPRESSURE)
         # 2) admit one waiting token into the station.
-        if self.input.visible and len(self.station) < self.depth:
+        if self.input._items and len(self.station) < self.depth:
             ctx.quiet = False  # silent mutation: admission arms otherwise
             token = self.input.pop()
             if not token.lanes:
@@ -485,8 +510,8 @@ class RendezvousStage(Stage):
                 instance.trigger_otherwise()
                 instance.decided_cycle = ctx.cycle
             self.station.append(token)
-        elif self.input.visible:
-            self._stall(StallReason.RULE)
+        elif self.input._items:
+            self._stall(RULE)
 
     def busy(self) -> bool:
         return bool(self.station) or len(self.input) > 0
@@ -498,17 +523,17 @@ class EnqueueStage(Stage):
     __slots__ = ()
 
     def tick(self) -> None:
-        if self.input.visible == 0:
+        if not self.input._items:
             return
         if not self.can_send():
-            self._stall(StallReason.BACKPRESSURE)
+            self._stall(BACKPRESSURE)
             return
         token = self.input.peek()
         op: Enqueue = self.op
         if op.when is None or op.when(token.env):
             queue = self.ctx.queues[op.task_set]
             if not queue.can_push():
-                self._stall(StallReason.QUEUE)
+                self._stall(QUEUE)
                 self.ctx.counters.queue_full_stalls.inc()
                 return
             self.input.pop()
@@ -525,7 +550,7 @@ class EnqueueStage(Stage):
 
     def credit_skipped_stalls(self, reason: StallReason, count: int) -> None:
         self.stall_cycles += count
-        if reason is StallReason.QUEUE:
+        if reason is QUEUE:
             self.ctx.counters.queue_full_stalls.inc(count)
 
 
@@ -542,39 +567,46 @@ class CallStage(Stage):
 
     def __init__(self, ctx, op, name: str) -> None:
         super().__init__(ctx, op, name)
-        self.in_flight: list[tuple[SimToken, int, int | None]] = []
+        # (token, latency expiry, operand stream) per issued token; the
+        # stream is (request id, completion cycle), fixed at issue.
+        self.in_flight: list[
+            tuple[SimToken, int, tuple[int, int] | None]
+        ] = []
         self.depth = ctx.config.station_depth
+
+    tick_guard = "{in_flight} or {input._items}"
 
     def tick(self) -> None:
         ctx = self.ctx
         op: Call = self.op
+        in_flight = self.in_flight
         # 1) complete one token.
-        if self.in_flight and not self.can_send():
-            self._stall(StallReason.BACKPRESSURE)
-        elif self.in_flight:
-            for position, (token, done_at, stream_req) in \
-                    enumerate(self.in_flight):
-                if done_at > ctx.cycle:
+        if in_flight and not self.can_send():
+            self._stall(BACKPRESSURE)
+        elif in_flight:
+            cycle = ctx.cycle
+            for position, (token, done_at, stream) in enumerate(in_flight):
+                if done_at > cycle:
                     continue
-                if stream_req is not None:
-                    if not ctx.memory.ready(ctx.cycle, stream_req):
+                if stream is not None:
+                    if stream[1] > cycle:
                         continue
-                    ctx.memory.retire(stream_req)
+                    ctx.memory.retire(stream[0])
                 if op.label:
                     ctx.emit_at(
                         ctx.cycle + 1,
-                        Event(EventKind.REACH, token.task_set, op.label,
+                        Event(REACH, token.task_set, op.label,
                               token.index, dict(token.env)),
                         token.task_uid,
                     )
-                del self.in_flight[position]
+                del in_flight[position]
                 retired = self.send(token)
                 if ctx.probe is not None:
                     ctx.probe.release(ctx.cycle, self.name, token.uid, retired)
                 self.mark_active()
                 break
         # 2) issue one token.
-        if self.input.visible and len(self.in_flight) < self.depth:
+        if self.input._items and len(in_flight) < self.depth:
             ctx.quiet = False  # silent mutation: issue applies op.fn
             token = self.input.pop()
             updates = op.fn(token.env, ctx.state)
@@ -597,9 +629,13 @@ class CallStage(Stage):
                 # Event engine: the latency timer is the one stage-private
                 # clock, so its expiry is armed at issue.
                 ctx.wakes.arm(done_at)
-            self.in_flight.append((token, done_at, stream_req))
-        elif self.input.visible:
-            self._stall(StallReason.MEMORY)
+            in_flight.append((
+                token, done_at,
+                None if stream_req is None
+                else (stream_req, ctx.memory.done_at(stream_req)),
+            ))
+        elif self.input._items:
+            self._stall(MEMORY)
 
     def busy(self) -> bool:
         return bool(self.in_flight) or len(self.input) > 0

@@ -59,6 +59,14 @@ class TestStoreRules:
         ])
         assert findings == []
 
+    def test_seeded_and_unseeded_runs_of_one_app(self):
+        # `repro simulate APP` stores seed None; `--inject N` stores N.
+        unseeded = rec(run_id="000001")
+        seeded = rec(run_id="000002")
+        seeded.seed = 3
+        assert regress_store([unseeded, seeded]) == []
+        assert regress_store([seeded, unseeded]) == []
+
     def test_sweep_throughput_warns(self):
         runs = [sweep_rec(10.0), sweep_rec(10.0), sweep_rec(10.0),
                 sweep_rec(2.0)]

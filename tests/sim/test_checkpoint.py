@@ -95,6 +95,29 @@ class TestSnapshotRevive:
         for _ in range(3):
             assert revive(frozen).run().cycles == reference
 
+    def test_revive_compiles_a_pass_over_its_own_stages(self):
+        # The event engine's generated stage pass holds the stages it was
+        # compiled for, and a deep copy shares function objects: a revived
+        # simulator running a copied pass ticks another simulator's stages
+        # (SPEC-BFS then deadlocks).
+        reference = AcceleratorSim(_spec("SPEC-BFS"), platform=HARP).run()
+
+        def state(sim):
+            return [(s.active_cycles, s.stall_cycles,
+                     [token.uid for token in s.drain_tokens()])
+                    for s in sim._stages]
+
+        sim = AcceleratorSim(_spec("SPEC-BFS"), platform=HARP)
+        _advance(sim, 800)
+        frozen = snapshot(sim)
+        live, cloned = state(sim), state(frozen)
+        resumed = revive(frozen)
+        assert resumed._compiled_ticks not in (None, sim._compiled_ticks)
+        assert resumed.run().cycles == reference.cycles
+        assert state(sim) == live
+        assert state(frozen) == cloned
+        assert revive(frozen).run().cycles == reference.cycles
+
     def test_host_feed_replay(self):
         reference = AcceleratorSim(_hosted_spec(), platform=HARP).run()
 

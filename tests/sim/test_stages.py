@@ -26,7 +26,11 @@ from repro.core.kernel import (
 from repro.core.spec import ApplicationSpec, make_task_sets
 from repro.core.state import MemorySpace
 from repro.eval.platforms import HARP
+from repro.obs.events import PROBE_KINDS
 from repro.sim.accelerator import AcceleratorSim, SimConfig
+from repro.sim.fifo import Fifo
+from repro.sim.pipeline import SourceStage
+from repro.sim.stages import _STAGE_CLASSES
 
 ALWAYS_TRUE = compile_rule("rule ok():\n  otherwise return true")
 ALWAYS_FALSE = compile_rule("rule nope():\n  otherwise return false")
@@ -301,3 +305,58 @@ class TestDeterminism:
             return result.cycles
 
         assert run_once() == run_once()
+
+
+class _ProbeLog:
+    """A probe consumer that logs every kind the sim core emits."""
+
+    def __init__(self):
+        self.emitted = []
+        for kind in PROBE_KINDS:
+            setattr(self, "on_" + kind,
+                    lambda *args, kind=kind: self.emitted.append((kind, args)))
+
+
+def _slots(cls):
+    return [slot for klass in cls.__mro__
+            for slot in getattr(klass, "__slots__", ())]
+
+
+class TestTickGuards:
+    """The event engine's generated pass ticks a stage only while its
+    ``tick_guard`` holds; skipping it otherwise must change nothing."""
+
+    @pytest.mark.parametrize(
+        "stage_cls", [SourceStage, *_STAGE_CLASSES.values()],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_an_empty_stage_ticks_without_effect(self, stage_cls):
+        log = _ProbeLog()
+        sim = AcceleratorSim(micro_spec([Const("c", 1)]), platform=HARP,
+                             config=SimConfig(engine="event"),
+                             replicas={"t": 1}, tracer=log)
+        if stage_cls is SourceStage:
+            stage = SourceStage(sim, "t", "probe")
+            assert not len(stage.queue)
+        else:
+            stage = stage_cls(sim, None, "probe")
+        # A full output: a stage that tested backpressure before its
+        # emptiness would record a stall here.
+        stage.output = Fifo(capacity=1, name="full")
+        stage.output.push(object())
+
+        # Every list a stage holds is private held work its guard names,
+        # so a kind with unguarded held work fails here.
+        held = [slot for slot in _slots(stage_cls)
+                if isinstance(getattr(stage, slot), list)]
+        assert all("{" + slot + "}" in stage_cls.tick_guard for slot in held)
+
+        sim.quiet = True
+        counters = sim.metrics.snapshot()
+        stage.tick()
+        assert (stage.active_cycles, stage.stall_cycles) == (0, 0)
+        assert sim.quiet
+        assert sim.active_stages_this_cycle == 0
+        assert sim.ff.cycle_stalls == []
+        assert sim.metrics.snapshot() == counters
+        assert log.emitted == []
