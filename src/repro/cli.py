@@ -811,6 +811,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             record = _resolve_run_ref(RunStore(args.store), args.run)
         except _STORE_ERRORS as exc:
             return _fail(exc)
+        if record.kind == "sweep":
+            return _fail(ValueError(
+                f"run {record.run_id} is a {record.kind} record: it times "
+                "a sweep's workers and holds no simulated run to diagnose"
+            ))
     elif args.app is not None:
         record = _simulate(args, obs=Observability()).record("diagnose")
         store = _store_from_args(args)

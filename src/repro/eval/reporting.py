@@ -19,11 +19,11 @@ def format_table1(result: Table1Result) -> str:
         "(seconds)",
         f"  graph: {result.graph} ({result.levels} BFS levels)",
         f"  {'Accelerator':12s} {'measured':>12s} {'paper':>10s}",
-        f"  {'OpenCL':12s} {result.opencl_seconds:12.3f} "
+        f"  {'OpenCL':12s} {result.opencl_seconds:12.3g} "
         f"{PAPER_TABLE1['OpenCL']:10.2f}",
-        f"  {'SPEC-BFS':12s} {result.spec_bfs_seconds:12.4f} "
+        f"  {'SPEC-BFS':12s} {result.spec_bfs_seconds:12.3g} "
         f"{PAPER_TABLE1['SPEC-BFS']:10.2f}",
-        f"  {'COOR-BFS':12s} {result.coor_bfs_seconds:12.4f} "
+        f"  {'COOR-BFS':12s} {result.coor_bfs_seconds:12.3g} "
         f"{PAPER_TABLE1['COOR-BFS']:10.2f}",
         f"  OpenCL / SPEC-BFS ratio: {result.opencl_vs_spec:8.1f}x "
         f"(paper: {PAPER_TABLE1['OpenCL'] / PAPER_TABLE1['SPEC-BFS']:.0f}x)",

@@ -227,11 +227,13 @@ class AcceleratorSim:
         self._stage_ticks = [s.tick for s in self._stages]
         self._fifo_commits = [f.commit for f in self._fifos]
         self._queue_list = list(self.queues.values())
-        # Idle skipping: `quiet` is cleared by every state-mutating action
-        # inside a cycle; a cycle that ends quiet is provably a repeat.
+        # Idle skipping: `quiet` is cleared by every state mutation that
+        # is not a stage firing (firings are counted in
+        # active_stages_this_cycle); a cycle that ends quiet with no
+        # firing is provably a repeat.
         self.quiet = True
-        # Event-engine wake queue; EventScheduler plants its WakeQueue
-        # here so the stages can arm wake-ups at issue time.
+        # Event-engine wake heap; EventScheduler plants it here so the
+        # stages can arm wake-ups at issue time.
         self.wakes = None
         self.engine = config.engine
         self.ff = EventScheduler(self) if self.engine == "event" else None

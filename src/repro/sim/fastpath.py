@@ -5,18 +5,19 @@ channel on every cycle, even when the whole accelerator is quiescent
 waiting on a 200 ns QPI miss — exactly the irregular-latency pattern the
 paper's memory subsystem (Figure 7, Choi et al. timing constants)
 produces.  The event engine (``SimConfig.engine="event"``) skips those
-idle cycles: components register their wake-ups in a
-:class:`~repro.sim.events.WakeQueue` at the moment they schedule future
-work, and when a whole cycle passes in which *nothing* made progress,
-the scheduler jumps the clock straight to the earliest pending wake-up.
+idle cycles: components push their wake-ups onto one heap of cycles
+(:mod:`repro.sim.events`) at the moment they schedule future work, and
+when a whole cycle passes in which *nothing* made progress, the
+scheduler jumps the clock straight to the earliest pending wake-up.
 
 Wake-up contract (who arms what):
 
-* The memory system arms ``("mem", req_id)`` at every tracked
-  transfer's completion cycle (pipeline loads, Expand/Call operand
-  streams, host batch DMA) and cancels it on retire.
-* :class:`~repro.sim.stages.CallStage` arms an anonymous wake-up at
-  issue time for its latency timer — the one stage-private clock.
+* The memory system arms every tracked transfer's completion cycle
+  (pipeline loads, Expand/Call operand streams, host batch DMA) at
+  issue.  Nothing is withdrawn on retire: a request retires only after
+  its completion, by which time its entry is spent.
+* :class:`~repro.sim.stages.CallStage` arms its latency timer's expiry
+  at issue time — the one stage-private clock.
 * Rule-engine deliveries need no separate arming: the simulator's
   ``_event_heap`` is already a ``(cycle, seq, event)`` priority queue,
   so the scheduler peeks its head.
@@ -33,28 +34,28 @@ Cycle-exactness argument (see docs/simulator.md for the full version):
   only on that unchanged state plus the clock.
 * The only clock-driven state changes are the wake-up sources above.
 * Therefore every skipped cycle would have been an exact repeat of the
-  probe cycle just executed — so its *accounting* effects (per-stage
-  stall cycles, queue-full counters, rule-engine allocation stalls, the
-  stall-attribution profiler's cells) are replayed in bulk, multiplied
+  probe cycle just executed — so the accounting that something reads
+  (per-stage stall cycles, the queue-full counter, the
+  stall-attribution profiler's cells) is replayed in bulk, multiplied
   by the number of skipped cycles, and per-stage accounting still sums
   exactly to the total cycle count.
 
-The scheduler and its queue live inside the simulator's checkpointed
-object graph, so rollback restores the pending heap and the jump
+The scheduler and its heap live inside the simulator's checkpointed
+object graph, so rollback restores the pending wake-ups and the jump
 bookkeeping along with the machine, and replayed cycles re-arm their own
 wake-ups without double-counting.
 """
 
 from __future__ import annotations
 
-from repro.sim.events import NEVER, WakeQueue
+from repro.sim.events import NEVER, next_after
 
 
 class EventScheduler:
     """Wake-up discovery plus skip crediting for one simulator.
 
     Attached by :class:`~repro.sim.accelerator.AcceleratorSim` when
-    ``SimConfig.engine == "event"``.  Attaching plants the wake queue on
+    ``SimConfig.engine == "event"``.  Attaching plants the wake heap on
     the simulator (``sim.wakes``) and the memory system
     (``memory.wakes``) so issue paths arm wake-ups from then on.
     ``cycle_stalls`` collects the ``(stage, reason)`` stall records of
@@ -71,22 +72,21 @@ class EventScheduler:
         self.cycle_stalls: list = []
         # Optional jump journal for tests: (from_cycle, to_cycle, wake).
         self.log: list[tuple[int, int, int]] | None = None
-        self.queue = WakeQueue()
-        sim.wakes = self.queue
-        sim.memory.wakes = self.queue
+        self.wakes: list[int] = []
+        sim.wakes = sim.memory.wakes = self.wakes
 
     # -- wake-up discovery -----------------------------------------------------
 
     def next_wakeup(self, now: int) -> int:
         """Earliest cycle > ``now`` at which any component could act.
 
-        The wake queue answers for memory completions and function-unit
+        The wake heap answers for memory completions and function-unit
         timers; pending event deliveries are a peek at the event heap
         (itself a priority queue); the remaining scalar clocks are read
         directly.
         """
         sim = self.sim
-        wake = self.queue.next_after(now)
+        wake = next_after(self.wakes, now)
         heap = sim._event_heap
         if heap and heap[0][0] < wake:
             wake = heap[0][0]
@@ -161,11 +161,11 @@ class EventScheduler:
         cycles.
 
         Every skipped cycle is an exact repeat of the probe cycle, so
-        its stall records are replayed ``skipped`` times: per-stage stall
-        counters and the stage-specific side counters (queue-full, rule
-        allocation stalls).  One ``skip`` probe emission hands the same
-        records to any consumer (the stall-attribution profiler keeps
-        per-stage rows summing exactly to the total cycle count).
+        its stall records are replayed ``skipped`` times into what is
+        read: per-stage stall counters and the queue-full counter.  One
+        ``skip`` probe emission hands the same records to any consumer
+        (the stall-attribution profiler keeps per-stage rows summing
+        exactly to the total cycle count).
         """
         sim = self.sim
         skipped = target - sim.cycle
@@ -175,8 +175,10 @@ class EventScheduler:
             sim.probe.skip(sim.cycle, skipped, self.cycle_stalls)
         # Dense mode refreshes the progress watermark on every cycle
         # with an outstanding memory completion still in the future.
-        latest = sim.memory.latest_completion()
-        watermark = min(target - 1, latest - 1)
+        # While the horizon lies ahead, the request that set it is still
+        # outstanding; once it has passed, horizon - 1 is at or below
+        # _last_progress_cycle already, and this is a no-op.
+        watermark = min(target - 1, sim.memory.horizon - 1)
         if watermark > sim._last_progress_cycle:
             sim._last_progress_cycle = watermark
         self.jumps += 1

@@ -249,8 +249,7 @@ class InvariantChecker:
                         f"the station's is {earliest}",
                     ))
         pending = any(
-            request.done_at > sim.cycle
-            for request in memory._outstanding.values()
+            done_at > sim.cycle for done_at in memory._outstanding.values()
         )
         if memory.pending(sim.cycle) != pending:
             violations.append(Violation(

@@ -11,10 +11,11 @@ channel, so everything competes for the bandwidth Figure 10 sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.eval.platforms import HarpPlatform
 from repro.errors import SimulationError
+from repro.sim.events import arm
 
 
 @dataclass
@@ -25,7 +26,6 @@ class MemoryStats:
     streams: int = 0
     prefetches: int = 0
     bytes_transferred: int = 0
-    channel_busy_cycles: int = 0
 
 
 class QpiChannel:
@@ -64,9 +64,6 @@ class QpiChannel:
         self.busy_cycles += duration
         return start + duration + latency
 
-    def idle_at(self, now: int) -> bool:
-        return self._free_at <= now
-
 
 class Cache:
     """Set-associative cache with LRU replacement (tags only).
@@ -103,12 +100,6 @@ class Cache:
         return False
 
 
-@dataclass(slots=True)
-class _Request:
-    done_at: int
-    nbytes: int
-
-
 class MemorySystem:
     """Front end the load/store units and DMA engines talk to.
 
@@ -131,27 +122,28 @@ class MemorySystem:
         self.channel = QpiChannel(platform, platform.miss_extra_cycles,
                                   faults=faults)
         self.stats = MemoryStats()
-        self._outstanding: dict[int, _Request] = {}
+        # Request id -> completion cycle, fixed at issue.
+        self._outstanding: dict[int, int] = {}
         self._next_id = 0
         # Latest completion ever tracked.  A request retires only once
         # its completion has passed, so while this lies in the future it
         # names a request still outstanding: ``pending`` is one compare.
         self.horizon = -1
-        # Event-engine wake queue (a sim.events.WakeQueue); when attached,
-        # every tracked transfer arms its completion cycle at issue time
-        # so the scheduler never has to scan ``_outstanding``.
+        # Event-engine wake heap (see sim.events); when attached, every
+        # tracked transfer arms its completion cycle at issue time so the
+        # scheduler never has to scan ``_outstanding``.
         self.wakes = None
 
     # -- issue ---------------------------------------------------------------
 
-    def _track(self, done_at: int, nbytes: int) -> int:
+    def _track(self, now: int, done_at: int) -> int:
         req_id = self._next_id
         self._next_id += 1
-        self._outstanding[req_id] = _Request(done_at, nbytes)
+        self._outstanding[req_id] = done_at
         if done_at > self.horizon:
             self.horizon = done_at
         if self.wakes is not None:
-            self.wakes.arm(done_at, ("mem", req_id))
+            arm(self.wakes, done_at, now)
         return req_id
 
     def issue_load(self, now: int, addr: int, nbytes: int = 8) -> int:
@@ -173,7 +165,7 @@ class MemorySystem:
                     self.channel.transfer(now, line)
                     self.stats.bytes_transferred += line
                     self.stats.prefetches += 1
-        req = self._track(done, nbytes)
+        req = self._track(now, done)
         if self.probe is not None:
             self.probe.load(now, addr, nbytes, hit, done, req)
         return req
@@ -197,7 +189,7 @@ class MemorySystem:
         else:
             done = self.channel.transfer(now, nbytes)
             self.stats.bytes_transferred += nbytes
-        req = self._track(done, nbytes)
+        req = self._track(now, done)
         if self.probe is not None:
             self.probe.stream(now, nbytes, done, req)
         return req
@@ -205,26 +197,21 @@ class MemorySystem:
     # -- completion ------------------------------------------------------------
 
     def ready(self, now: int, req_id: int) -> bool:
-        request = self._outstanding.get(req_id)
-        if request is None:
-            raise SimulationError(f"unknown memory request {req_id}")
-        return request.done_at <= now
+        return self.done_at(req_id) <= now
 
     def done_at(self, req_id: int) -> int:
-        request = self._outstanding.get(req_id)
-        if request is None:
+        done_at = self._outstanding.get(req_id)
+        if done_at is None:
             raise SimulationError(f"unknown memory request {req_id}")
-        return request.done_at
+        return done_at
 
     def retire(self, req_id: int) -> None:
         # Callers retire a request only once its completion has passed;
-        # ``horizon`` relies on it.
+        # ``horizon`` relies on it, and its wake-up is spent by then.
         if self._outstanding.pop(req_id, None) is None:
             raise SimulationError(
                 f"retire of unknown memory request {req_id}"
             )
-        if self.wakes is not None:
-            self.wakes.cancel(("mem", req_id))
         if self.probe is not None:
             self.probe.mem_done(self.probe.now)
 
@@ -238,18 +225,3 @@ class MemorySystem:
 
     def quiescent(self, now: int) -> bool:
         return self.horizon <= now
-
-    # -- idle-skip crediting ---------------------------------------------------
-
-    def latest_completion(self) -> int:
-        """Latest completion over outstanding requests (-1 when none).
-
-        The dense loop refreshes its progress watermark on every cycle
-        with a completion still in the future; a skip replays that by
-        advancing the watermark to this value minus one.
-        """
-        latest = -1
-        for request in self._outstanding.values():
-            if request.done_at > latest:
-                latest = request.done_at
-        return latest

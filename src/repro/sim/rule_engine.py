@@ -9,26 +9,19 @@ for lanes whose parent is the (tied-)minimum waiting task.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Mapping
 
 from repro.core.events import Event
 from repro.core.indexing import TaskIndex
-from repro.core.rule import RuleInstance, RuleType, RuleVerdict
+from repro.core.rule import RuleInstance, RuleType
 
 
 @dataclass
 class RuleEngineStats:
-    allocations: int = 0
-    alloc_stalls: int = 0
-    otherwise_fired: int = 0
-    clause_fired: int = 0
-    requires_fired: int = 0
-    peak_occupancy: int = 0
     events_dropped: int = 0      # injected fault: delivery lost
     events_duplicated: int = 0   # injected fault: delivery repeated
-    fault_alloc_stalls: int = 0  # stalls charged to failed lanes
 
 
 @dataclass(slots=True)
@@ -73,20 +66,11 @@ class RuleEngineSim:
         """Allocate a lane; None when the engine is full (pipeline stalls)."""
         available = self.max_lanes
         if self.faults is not None:
-            failed = self.faults.lanes_failed(self.name)
-            if failed:
-                available = max(0, available - failed)
-                if len(self.lanes) >= available:
-                    self.stats.fault_alloc_stalls += 1
+            available = max(0, available - self.faults.lanes_failed(self.name))
         if len(self.lanes) >= available:
-            self.stats.alloc_stalls += 1
             return None
         instance = self.rule_type.instantiate(parent_index, args)
         self.lanes[id(instance)] = _Lane(instance, owner_uid)
-        self.stats.allocations += 1
-        self.stats.peak_occupancy = max(
-            self.stats.peak_occupancy, len(self.lanes)
-        )
         return instance
 
     def mark_awaited(self, instance: RuleInstance) -> None:
@@ -97,15 +81,8 @@ class RuleEngineSim:
 
     def release(self, instance: RuleInstance) -> None:
         """The rendezvous consumed the verdict; free the lane."""
-        lane = self.lanes.pop(id(instance), None)
-        if lane is None:
+        if self.lanes.pop(id(instance), None) is None:
             return
-        if instance.verdict is RuleVerdict.OTHERWISE:
-            self.stats.otherwise_fired += 1
-        elif instance.verdict is RuleVerdict.REQUIRES:
-            self.stats.requires_fired += 1
-        elif instance.verdict is RuleVerdict.CLAUSE:
-            self.stats.clause_fired += 1
         if self.probe is not None:
             self.probe.lane_free(self.probe.now, self.name, instance.verdict,
                                  len(self.lanes))
@@ -200,21 +177,6 @@ class RuleEngineSim:
             if min_live is None or not min_live.earlier_than(parent):
                 return True
         return False
-
-    # -- idle-skip crediting ---------------------------------------------------
-
-    def credit_alloc_stalls(self, count: int) -> None:
-        """Replay ``count`` skipped repeats of one failed allocation.
-
-        Re-evaluates the same occupancy test :meth:`try_alloc` applied in
-        the probe cycle — lane and fault state are frozen across a skip,
-        so the branch outcome is identical.
-        """
-        self.stats.alloc_stalls += count
-        if self.faults is not None:
-            failed = self.faults.lanes_failed(self.name)
-            if failed and len(self.lanes) >= max(0, self.max_lanes - failed):
-                self.stats.fault_alloc_stalls += count
 
     @property
     def occupancy(self) -> int:

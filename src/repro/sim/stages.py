@@ -28,7 +28,7 @@ from repro.core.kernel import (
 )
 from repro.errors import SimulationError
 from repro.obs.events import StallReason
-from repro.sim.events import NEVER
+from repro.sim.events import NEVER, arm
 from repro.sim.fifo import Fifo
 from repro.sim.token import SimToken
 
@@ -109,9 +109,7 @@ class Stage:
     def mark_active(self) -> None:
         """Account one firing; the firing site emits its probe kind."""
         self.active_cycles += 1
-        ctx = self.ctx
-        ctx.active_stages_this_cycle += 1
-        ctx.quiet = False
+        self.ctx.active_stages_this_cycle += 1
 
     def _stall(self, reason: StallReason) -> None:
         """One stalled cycle, attributed to the blocking resource."""
@@ -412,15 +410,6 @@ class AllocRuleStage(Stage):
                                  retired, engine.name, engine.occupancy)
         self.mark_active()
 
-    def credit_skipped_stalls(self, reason: StallReason, count: int) -> None:
-        self.stall_cycles += count
-        if reason is RULE:
-            # Each skipped cycle repeats the probe's failed try_alloc;
-            # the head token (stationary) names the engine it targeted.
-            token = self.input.peek()
-            engine = self.ctx.engines[self.op.resolve(token.env)]
-            engine.credit_alloc_stalls(count)
-
 
 class RendezvousStage(Stage):
     """Out-of-order rendezvous: tokens wait for verdicts in a station."""
@@ -625,15 +614,15 @@ class CallStage(Stage):
             if ctx.probe is not None:
                 ctx.probe.issue(ctx.cycle, self.name, token.uid, stream_req,
                                 done_at)
-            if ctx.wakes is not None:
-                # Event engine: the latency timer is the one stage-private
-                # clock, so its expiry is armed at issue.
-                ctx.wakes.arm(done_at)
             in_flight.append((
                 token, done_at,
                 None if stream_req is None
                 else (stream_req, ctx.memory.done_at(stream_req)),
             ))
+            if ctx.wakes is not None:
+                # Event engine: the latency timer is the one stage-private
+                # clock, so its expiry is armed at issue.
+                arm(ctx.wakes, done_at, ctx.cycle)
         elif self.input._items:
             self._stall(MEMORY)
 

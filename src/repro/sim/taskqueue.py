@@ -48,7 +48,6 @@ class MultiBankTaskQueue:
         self._size = 0
         self.pushes = 0
         self.pops = 0
-        self.high_watermark = 0
 
     # -- capacity ---------------------------------------------------------
 
@@ -84,8 +83,6 @@ class MultiBankTaskQueue:
                 self._push_wave = (slot + 1) % len(self.banks)
                 self.pushes += 1
                 self._size += 1
-                if self._size > self.high_watermark:
-                    self.high_watermark = self._size
                 return
         raise SimulationError(f"push into full task queue {self.task_set!r}")
 
@@ -125,15 +122,6 @@ class MultiBankTaskQueue:
                 self._size -= 1
                 return bank.popleft()
         return None
-
-    def peek_min_index(self) -> TaskIndex | None:
-        """Smallest index currently queued (None when empty or FIFO)."""
-        if self.pop_policy != "priority":
-            return None
-        heads = [heap[0] for heap in self._heaps if heap]
-        if not heads:
-            return None
-        return min(heads)[2][0]
 
     def entries(self):
         """Yield every queued ``(index, fields, live_handle)`` entry.

@@ -65,6 +65,15 @@ class TestExperimentsTiny:
         assert result.opencl_seconds > result.spec_bfs_seconds
         text = format_table1(result)
         assert "OpenCL" in text and "SPEC-BFS" in text
+        # The measured column keeps three significant digits, however
+        # small the accelerator times are.
+        cells = {line.split()[0]: float(line.split()[1])
+                 for line in text.splitlines()[3:6]}
+        for name, seconds in (("OpenCL", result.opencl_seconds),
+                              ("SPEC-BFS", result.spec_bfs_seconds),
+                              ("COOR-BFS", result.coor_bfs_seconds)):
+            assert seconds > 0
+            assert cells[name] == float(f"{seconds:.3g}")
 
     def test_figure9_single_app(self, tiny_workloads):
         result = run_figure9(apps=("SPEC-MST",), workloads=tiny_workloads)

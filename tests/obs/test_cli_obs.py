@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.obs.runstore import RunRecord, RunStore
 
 GOLDEN_BFS = Path(__file__).parent.parent / "golden" / "bfs.json"
 
@@ -100,6 +101,22 @@ class TestDiagnoseCli:
         assert main(["diagnose", "--run", "latest",
                      "--store", str(tmp_path / "none")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_diagnose_sweep_record_fails(self, tmp_path, capsys):
+        # `experiment` and `dse` store a sweep-level record last; it has
+        # no cycles, and its utilization is the workers' busy fraction.
+        store = tmp_path / "store"
+        RunStore(store).append(RunRecord(
+            kind="sweep", app="SPEC-BFS", cycles=0, seconds=0.0,
+            utilization=0.5, squash_fraction=0.0, verified=True,
+            sim_mode="sweep",
+        ))
+        assert main(["diagnose", "--run", "latest",
+                     "--store", str(store)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error:") and "sweep record" in line
 
 
 class TestDashboardCli:

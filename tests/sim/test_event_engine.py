@@ -1,25 +1,5 @@
 """Property-based tests for the event engine.
 
-The determinism argument in ``sim/events.py`` rests on the
-:class:`~repro.sim.events.WakeQueue` behaving as a *stable* priority
-queue under arbitrary interleavings of arm / cancel / re-arm; the first
-group of tests checks that mechanically over randomized operation
-scripts:
-
-* **monotone delivery** — wake-ups drain in non-decreasing cycle order;
-* **FIFO tie-break** — same-cycle wake-ups fire in registration order,
-  so the engine's probe order is a pure function of the arm sequence;
-* **cancel / re-arm never loses a wake-up** — after any script, the
-  live set is exactly the model's: every key sits at its last armed
-  cycle (unless cancelled) and every anonymous one-shot survives;
-* **checkpoint round-trip** — ``copy.deepcopy`` (the checkpoint
-  manager's capture primitive) preserves the pending heap exactly,
-  and the copy drains identically to the original.
-
-A model-based sweep drives the real queue and a brute-force dict/list
-model through the same scripts and requires identical delivery
-schedules — the queue's lazy deletion must be unobservable.
-
 The legality argument in ``sim/fastpath.py`` rests on two scheduler
 invariants, checked over randomized workloads, platforms, and machine
 states through the scheduler's optional jump journal (``sim.ff.log``,
@@ -31,6 +11,17 @@ one ``(from_cycle, to_cycle, wake)`` entry per committed jump):
 * **never backwards** — within an execution the clock is monotone, and
   after a rollback restores an earlier cycle, jumps resume from the
   restored clock without ever re-crossing it backwards.
+
+The wake heap (``sim/events.py``) withdraws nothing, so three more
+checks hold it to its contents, its size and its checkpointing:
+
+* **no lost wake-up** — dropping spent entries on arm or probe never
+  drops a live one: ``next_after`` is the brute-force minimum;
+* **bounded** — every arm leaves the heap no larger than the memory
+  requests outstanding plus the call timers in flight;
+* **checkpoint round-trip** — ``copy.deepcopy`` (the checkpoint
+  manager's capture primitive) copies a mid-run heap, still shared by
+  the scheduler and the memory system, and the copy drains identically.
 
 A last check pins what the engine is for: on a bandwidth-starved run it
 skips at least nine cycles in ten.
@@ -44,12 +35,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.memory
+import repro.sim.stages
 from repro.apps.registry import build_app
 from repro.errors import ReproError
 from repro.eval.platforms import EVAL_HARP
 from repro.sim.accelerator import AcceleratorSim, SimConfig
 from repro.sim.checkpoint import CheckpointManager
-from repro.sim.events import NEVER, WakeQueue
+from repro.sim.events import NEVER, arm, next_after
 from repro.sim.faults import FaultEvent, FaultKind, FaultPlan
 from repro.sim.stages import CallStage
 from repro.substrates.graphs import random_graph
@@ -57,143 +50,30 @@ from repro.substrates.graphs import random_graph
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 SIM_SETTINGS = settings(derandomize=True, deadline=None, max_examples=10)
 
-# One queue operation: ("arm", cycle, key) | ("cancel", key).
-# Small key and cycle spaces force collisions — re-arms of a live key,
-# cancels of spent entries, many same-cycle ties.
-_KEYS = st.one_of(st.none(), st.tuples(st.sampled_from(["mem", "fu"]),
-                                       st.integers(0, 5)))
-_ARM = st.tuples(st.just("arm"), st.integers(0, 30), _KEYS)
-_CANCEL = st.tuples(st.just("cancel"), st.just(0),
-                    _KEYS.filter(lambda k: k is not None))
-SCRIPTS = st.lists(st.one_of(_ARM, _CANCEL), max_size=60)
+# One arm: (clock advance, wake-up distance).  Real arms always name a
+# cycle after the clock; small spaces force ties and spent entries.
+ARMS = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 12)),
+                max_size=60)
 
 
-class _ModelQueue:
-    """The obvious O(n) reference: a list of live entries."""
-
-    def __init__(self) -> None:
-        self.entries: list[tuple[int, int, object]] = []
-        self.seq = 0
-
-    def arm(self, cycle: int, key=None) -> None:
-        if key is not None:
-            self.entries = [e for e in self.entries if e[2] != key]
-        self.entries.append((cycle, self.seq, key))
-        self.seq += 1
-
-    def cancel(self, key) -> None:
-        self.entries = [e for e in self.entries if e[2] != key]
-
-    def pending(self) -> list[tuple[int, int, object]]:
-        return sorted(self.entries)
-
-    def pop_due(self, now: int) -> list[tuple[int, object]]:
-        due = sorted(e for e in self.entries if e[0] <= now)
-        self.entries = [e for e in self.entries if e[0] > now]
-        return [(cycle, key) for cycle, _seq, key in due]
-
-    def next_after(self, now: int) -> int:
-        live = [e[0] for e in self.entries if e[0] > now]
-        self.entries = [e for e in self.entries if e[0] > now]
-        return min(live) if live else NEVER
-
-
-def _apply(queue, script) -> None:
-    for op, cycle, key in script:
-        if op == "arm":
-            queue.arm(cycle, key)
-        else:
-            queue.cancel(key)
-
-
-@given(script=SCRIPTS)
+@given(arms=ARMS, probe=st.integers(0, 40))
 @SETTINGS
-def test_delivery_is_monotone_and_fifo(script) -> None:
-    """Draining the queue cycle by cycle yields non-decreasing cycles,
-    with same-cycle entries in registration order."""
-    queue = WakeQueue()
-    _apply(queue, script)
-    expected = [(cycle, key) for cycle, _seq, key in queue.pending()]
-    fired: list[tuple[int, object]] = []
-    for now in range(32):
-        fired.extend(queue.pop_due(now))
-    # Monotone non-decreasing delivery order...
-    assert [c for c, _ in fired] == sorted(c for c, _ in fired)
-    # ...and exactly the live set, in (cycle, registration) order.
-    assert fired == expected
-    assert len(queue) == 0
-    assert queue.next_after(-1) == NEVER
-
-
-@given(script=SCRIPTS)
-@SETTINGS
-def test_cancel_rearm_matches_brute_force_model(script) -> None:
-    """The lazy-deletion queue is observationally identical to the
-    brute-force model: no wake-up is ever lost or resurrected."""
-    queue, model = WakeQueue(), _ModelQueue()
-    _apply(queue, script)
-    _apply(model, script)
-    assert queue.pending() == model.pending()
-    assert len(queue) == len(model.pending())
-    # The dead-entry count that triggers compaction stays exact.
-    assert queue._dead == len(queue._heap) - len(queue)
-    # Interleave probes and drains the way the scheduler does.
-    for now in (5, 12, 25):
-        assert queue.pop_due(now) == model.pop_due(now)
-        assert queue.next_after(now) == model.next_after(now)
-        assert queue._dead == len(queue._heap) - len(queue)
-    assert queue.pending() == model.pending()
-
-
-def test_cancelled_entries_do_not_accumulate() -> None:
-    """A run with no idle probe retires thousands of memory requests
-    between two ``next_after`` calls; their dead entries must not pile
-    up in the heap."""
-    queue = WakeQueue()
-    queue.arm(10**6, ("fu", 0))
-    for req in range(10_000):
-        queue.arm(req + 200, ("mem", req))
-        queue.cancel(("mem", req))
-        assert len(queue._heap) <= 3
-    assert queue.pending() == [(10**6, 0, ("fu", 0))]
-    assert queue.next_after(0) == 10**6
-
-
-@given(script=SCRIPTS, now=st.integers(-1, 31))
-@SETTINGS
-def test_next_after_is_earliest_live_wakeup(script, now: int) -> None:
-    """``next_after`` returns the earliest live cycle strictly after
-    ``now`` (NEVER when none), never a cancelled or superseded entry."""
-    queue = WakeQueue()
-    _apply(queue, script)
-    live = [cycle for cycle, _seq, _key in queue.pending() if cycle > now]
-    assert queue.next_after(now) == (min(live) if live else NEVER)
-
-
-@given(script=SCRIPTS, split=st.integers(0, 30))
-@SETTINGS
-def test_checkpoint_roundtrip_preserves_pending_heap(script,
-                                                     split: int) -> None:
-    """``copy.deepcopy`` — how CheckpointManager captures the machine —
-    must preserve the pending heap exactly, and the restored queue must
-    drain identically even as both sides keep mutating."""
-    queue = WakeQueue()
-    _apply(queue, script)
-    snapshot = copy.deepcopy(queue)
-    assert snapshot.pending() == queue.pending()
-    assert len(snapshot) == len(queue)
-
-    # Drain both sides identically; the copy must shadow the original.
-    assert snapshot.pop_due(split) == queue.pop_due(split)
-    assert snapshot.pending() == queue.pending()
-
-    # Divergence after the snapshot stays private to each side: spending
-    # the original's entries must not disturb the copy (no shared heap).
-    rollback = copy.deepcopy(queue)
-    before = rollback.pending()
-    queue.pop_due(64)
-    queue.arm(7, ("mem", 0))
-    assert rollback.pending() == before
+def test_next_after_is_earliest_live_wakeup(arms, probe: int) -> None:
+    """Dropping spent entries on arm never loses a live wake-up:
+    ``next_after`` returns the earliest armed cycle strictly after the
+    probe (NEVER when none), and leaves only later entries behind."""
+    wakes: list[int] = []
+    armed: list[int] = []
+    now = 0
+    for advance, distance in arms:
+        now += advance
+        arm(wakes, now + distance, now)
+        armed.append(now + distance)
+        assert min(wakes) > now
+    probe += now
+    live = [cycle for cycle in armed if cycle > probe]
+    assert next_after(wakes, probe) == (min(live) if live else NEVER)
+    assert sorted(wakes) == sorted(live)
 
 
 # -- scheduler properties over whole simulations -----------------------------
@@ -264,8 +144,8 @@ def test_next_wakeup_contract_at_arbitrary_states(app, graph_seed, steps,
     if sim._event_heap:
         candidates.append(sim._event_heap[0][0])
     candidates.extend(
-        request.done_at for request in sim.memory._outstanding.values()
-        if request.done_at > now
+        done_at for done_at in sim.memory._outstanding.values()
+        if done_at > now
     )
     candidates.extend(
         done_at
@@ -315,6 +195,59 @@ def test_jump_journal_monotone_across_rollback():
     result = revived.run()
     assert result.cycles > restored_cycle
     _assert_journal_sound(revived.ff.log, floor=restored_cycle)
+
+
+def _call_timers(sim) -> int:
+    return sum(len(stage.in_flight) for stage in sim._stages
+               if isinstance(stage, CallStage))
+
+
+@pytest.mark.parametrize("scale", [8.0, 0.05])
+def test_every_arm_leaves_the_heap_bounded(scale, monkeypatch):
+    """Spent entries are dropped on every arm, and nothing else is ever
+    in the heap: each live entry is a completion still in the future,
+    so the heap never outgrows the work that will complete."""
+    sim = _sim("SPEC-SSSP", 3, scale)
+    wakes = sim.ff.wakes
+    peak = 0
+
+    def bounded_arm(heap, cycle, now):
+        nonlocal peak
+        arm(heap, cycle, now)
+        assert heap is wakes
+        assert len(heap) <= len(sim.memory._outstanding) + _call_timers(sim)
+        peak = max(peak, len(heap))
+
+    monkeypatch.setattr(repro.sim.memory, "arm", bounded_arm)
+    monkeypatch.setattr(repro.sim.stages, "arm", bounded_arm)
+    sim.run()
+    assert peak > 1
+
+
+def test_checkpoint_roundtrip_preserves_pending_heap():
+    """A deep copy of a mid-run simulator carries its pending wake-ups,
+    still one heap shared by the scheduler and the memory system, and
+    private to the copy."""
+    sim = _sim("SPEC-SSSP", 3, 0.25)
+    sim.host.start()
+    sim._started = True
+    while len(sim.ff.wakes) < 4:
+        sim.step()
+    clone = copy.deepcopy(sim)
+    assert clone.ff.wakes == sim.ff.wakes
+    assert clone.memory.wakes is clone.ff.wakes is clone.wakes
+    assert clone.ff.wakes is not sim.ff.wakes
+
+    def drain(heap):
+        order, now = [], sim.cycle - 1
+        while (now := next_after(heap, now)) != NEVER:
+            order.append(now)
+        return order
+
+    pending = sorted({w for w in sim.ff.wakes if w >= sim.cycle})
+    assert drain(clone.ff.wakes) == pending
+    assert clone.ff.wakes == []
+    assert drain(sim.ff.wakes) == pending
 
 
 @pytest.mark.parametrize("app", ["SPEC-BFS", "SPEC-SSSP"])

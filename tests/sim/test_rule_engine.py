@@ -3,6 +3,7 @@
 from repro.core.eca import compile_rule
 from repro.core.events import Event, EventKind
 from repro.core.indexing import TaskIndex
+from repro.core.rule import RuleVerdict
 from repro.sim.rule_engine import RuleEngineSim
 
 RULE = compile_rule("""
@@ -28,7 +29,7 @@ class TestAllocation:
         assert engine.try_alloc(TaskIndex((0,)), {"addr": 1}, 10) is not None
         assert engine.try_alloc(TaskIndex((1,)), {"addr": 2}, 11) is not None
         assert engine.try_alloc(TaskIndex((2,)), {"addr": 3}, 12) is None
-        assert engine.stats.alloc_stalls == 1
+        assert engine.occupancy == 2
 
     def test_release_frees_lane(self):
         engine = _engine(lanes=1)
@@ -39,9 +40,11 @@ class TestAllocation:
 
     def test_peak_occupancy_tracked(self):
         engine = _engine(lanes=4)
-        for i in range(3):
-            engine.try_alloc(TaskIndex((i,)), {"addr": i}, i)
-        assert engine.stats.peak_occupancy == 3
+        lanes = [engine.try_alloc(TaskIndex((i,)), {"addr": i}, i)
+                 for i in range(3)]
+        assert engine.occupancy == 3
+        engine.release(lanes[0])
+        assert engine.occupancy == 2
 
 
 class TestEventDelivery:
@@ -111,11 +114,12 @@ class TestOtherwise:
         engine.mark_awaited(inst)
         engine.broadcast_minimum(None)
         engine.release(inst)
-        assert engine.stats.otherwise_fired == 1
+        assert inst.verdict is RuleVerdict.OTHERWISE
         clause = engine.try_alloc(TaskIndex((9,)), {"addr": 64}, 11)
         engine.deliver(_commit_event(64, (0,)), source_uid=55)
         engine.release(clause)
-        assert engine.stats.clause_fired == 1
+        assert clause.verdict is RuleVerdict.CLAUSE
+        assert engine.occupancy == 0
 
     def test_min_allocated_index_empty(self):
         assert _engine().min_allocated_index() is None

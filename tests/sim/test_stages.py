@@ -27,10 +27,11 @@ from repro.core.spec import ApplicationSpec, make_task_sets
 from repro.core.state import MemorySpace
 from repro.eval.platforms import HARP
 from repro.obs.events import PROBE_KINDS
+from repro.obs.profile import StallProfiler
 from repro.sim.accelerator import AcceleratorSim, SimConfig
 from repro.sim.fifo import Fifo
 from repro.sim.pipeline import SourceStage
-from repro.sim.stages import _STAGE_CLASSES
+from repro.sim.stages import _STAGE_CLASSES, AllocRuleStage
 
 ALWAYS_TRUE = compile_rule("rule ok():\n  otherwise return true")
 ALWAYS_FALSE = compile_rule("rule nope():\n  otherwise return false")
@@ -240,10 +241,28 @@ class TestRuleStages:
             ],
             initial=[("t", {"x": i}) for i in range(6)],
         )
-        sim, _ = run_micro(spec, config=SimConfig(rule_lanes=1))
-        engine = sim.engines["ok"]
-        assert engine.stats.alloc_stalls > 0
-        assert engine.stats.peak_occupancy == 1
+        profiler = _AllocProfiler()
+        sim = AcceleratorSim(spec, platform=HARP,
+                             config=SimConfig(rule_lanes=1),
+                             replicas={"t": 1}, tracer=profiler)
+        result = sim.run()
+        [alloc_stage] = [stage.name for stage in sim._stages
+                         if isinstance(stage, AllocRuleStage)]
+        rows = profiler.accounting([alloc_stage], result.cycles)
+        assert rows[alloc_stage]["rule"] > 0
+        assert profiler.occupancies and max(profiler.occupancies) == 1
+
+
+class _AllocProfiler(StallProfiler):
+    """The stall profiler, also logging engine occupancy per allocation."""
+
+    def __init__(self):
+        super().__init__()
+        self.occupancies = []
+
+    def on_alloc(self, cycle, stage, uid, retired, engine, occupancy):
+        super().on_alloc(cycle, stage, uid, retired)
+        self.occupancies.append(occupancy)
 
 
 class TestEnqueueAndCall:

@@ -52,15 +52,6 @@ class TestFifoQueue:
         _push(queue, 3)
         assert sorted(queue.bank_occupancy()) == [2, 2]
 
-    def test_high_watermark(self):
-        queue = MultiBankTaskQueue("t", banks=2, depth_per_bank=8)
-        for v in range(6):
-            _push(queue, v)
-        for _ in range(6):
-            queue.pop()
-        assert queue.high_watermark == 6
-        assert len(queue) == 0
-
     def test_invalid_geometry(self):
         with pytest.raises(SimulationError):
             MultiBankTaskQueue("t", banks=0, depth_per_bank=4)
@@ -78,22 +69,6 @@ class TestPriorityQueue:
             _push(queue, v)
         popped = [queue.pop()[0].positions[0] for _ in range(4)]
         assert popped == [1, 3, 5, 9]
-
-    def test_peek_min_index(self):
-        queue = MultiBankTaskQueue("t", banks=4, depth_per_bank=8,
-                                   pop_policy="priority")
-        for v in (7, 2, 4):
-            _push(queue, v)
-        assert queue.peek_min_index() == TaskIndex((2,))
-
-    def test_peek_empty(self):
-        queue = MultiBankTaskQueue("t", pop_policy="priority")
-        assert queue.peek_min_index() is None
-
-    def test_fifo_peek_is_none(self):
-        queue = MultiBankTaskQueue("t", pop_policy="fifo")
-        _push(queue, 1)
-        assert queue.peek_min_index() is None
 
     def test_ties_pop_in_insertion_order(self):
         queue = MultiBankTaskQueue("t", banks=1, depth_per_bank=8,
