@@ -90,7 +90,7 @@ class RuleType:
                 f"rule {self.name!r} instantiated with wrong arguments: "
                 f"missing={sorted(missing)} extra={sorted(extra)}"
             )
-        return RuleInstance(self, parent_index, dict(arguments))
+        return RuleInstance(self, parent_index, arguments)
 
     def event_subscriptions(self) -> set[EventPattern]:
         """All event patterns any clause listens to (sizes the event bus)."""

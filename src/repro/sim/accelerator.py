@@ -25,6 +25,7 @@ from repro.errors import (
 )
 from repro.eval.platforms import HARP, HarpPlatform
 from repro.obs import MetricsRegistry, Observability, Probe
+from repro.obs.metrics import Counter
 from repro.sim.fastpath import EventScheduler
 from repro.sim.faults import FaultPlan
 from repro.sim.host import HostAdapter
@@ -198,9 +199,14 @@ class AcceleratorSim:
             {name: config.rule_lanes for name in spec.task_sets}
             if spec.ordered_admission else None
         )
+        # Verdicts set so far, by any engine or rendezvous admission: a
+        # rendezvous station skips its walk while this stands still.  Not
+        # a registry metric, so the metrics snapshot is unchanged.
+        self.decisions = Counter("decisions")
         self.engines: dict[str, RuleEngineSim] = {
             name: RuleEngineSim(name, rule_type, config.rule_lanes,
-                                faults=faults, probe=self.probe)
+                                faults=faults, probe=self.probe,
+                                decisions=self.decisions)
             for name, rule_type in spec.rules.items()
         }
         self.pipelines: list[PipelineInstance] = []

@@ -68,6 +68,8 @@ def revive(clone):
     for engine in sim.engines.values():
         # Lane tables are keyed by instance identity, which the copy
         # changed; tokens reference the copied instances, so re-key.
+        # (The kept lane orders sort on parent positions and allocation
+        # sequence, which a copy preserves.)
         engine.lanes = {
             id(lane.instance): lane for lane in engine.lanes.values()
         }

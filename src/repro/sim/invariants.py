@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import InvariantViolation
 from repro.sim.events import NEVER
@@ -221,9 +222,10 @@ class InvariantChecker:
     def _check_kept_counters(self, violations: list[Violation]) -> None:
         """Hot-path bookkeeping agrees with the state it summarizes.
 
-        Queue sizes, load-station earliest completions and the memory
-        horizon are updated where the state changes so the per-cycle
-        code never scans; here each is recomputed by the scan it saves.
+        Queue sizes, load-station earliest completions, the memory
+        horizon, the rule engines' lane orders and the rendezvous walk
+        marks are updated where the state changes so the per-cycle code
+        never scans; here each is recomputed by the scan it saves.
         """
         sim = self.sim
         for queue in sim.queues.values():
@@ -248,6 +250,12 @@ class InvariantChecker:
                         f"kept earliest completion {stage.earliest} but "
                         f"the station's is {earliest}",
                     ))
+        for name, engine in sim.engines.items():
+            self._check_lane_order(name, engine, violations)
+        for stage in sim._stages:
+            if isinstance(stage, RendezvousStage):
+                self._check_rendezvous_walk(stage, sim.decisions.value,
+                                            violations)
         pending = any(
             done_at > sim.cycle for done_at in memory._outstanding.values()
         )
@@ -258,6 +266,66 @@ class InvariantChecker:
                 f"{not pending} at cycle {sim.cycle}, outstanding "
                 f"requests say {pending}",
             ))
+
+    @staticmethod
+    def _check_rendezvous_walk(
+        stage: RendezvousStage, decisions: int, violations: list[Violation],
+    ) -> None:
+        """A station that skips its walk at this decision count holds
+        decided tokens only at the exits its last walk found closed."""
+        if stage.walked_at != decisions:
+            return
+        walked = stage.station[:1] if stage.in_order else stage.station
+        found = {token.lanes[0][1].value for token in walked} - {None}
+        held = {value for value, flag in (
+            (True, stage.held_pass), (False, stage.held_squash),
+        ) if flag}
+        if found != held:
+            violations.append(Violation(
+                "rendezvous-walk", stage.name,
+                f"marked walked at decision count {decisions} holding "
+                f"verdicts {sorted(held)}, but its decided tokens hold "
+                f"{sorted(found)}",
+            ))
+
+    @staticmethod
+    def _check_lane_order(
+        name: str, engine, violations: list[Violation],
+    ) -> None:
+        """A rule engine's kept orders hold exactly the lanes they stand
+        for, sorted by key: every allocated lane, and the awaited lanes
+        whose promise is still open."""
+        lanes = list(engine.lanes.values())
+        scanned = min(
+            (lane.instance.parent_index.positions for lane in lanes),
+            default=None,
+        )
+        kept = engine.min_allocated_index()
+        kept = kept.positions if kept is not None else None
+        if kept != scanned:
+            violations.append(Violation(
+                "lane-order", f"engine {name!r}",
+                f"kept minimum {kept} but the lanes' is {scanned}",
+            ))
+        waiting = [
+            lane for lane in lanes
+            if lane.awaited and lane.instance.value is None
+        ]
+        for label, entries, members in (
+            ("allocated", engine._order, lanes),
+            ("waiting", engine._waiting, waiting),
+        ):
+            held = [(*entry[:2], id(entry[2])) for entry in entries]
+            expected = [
+                (*lane.key, id(lane))
+                for lane in sorted(members, key=attrgetter("key"))
+            ]
+            if held != expected:
+                violations.append(Violation(
+                    "lane-order", f"engine {name!r}",
+                    f"kept {label} order holds {len(entries)} entries, "
+                    f"not the {len(members)} {label} lanes in key order",
+                ))
 
     def _check_minimum_monotone(self, violations: list[Violation]) -> None:
         """The global live minimum never moves backwards in the well-order.

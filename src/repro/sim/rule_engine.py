@@ -5,17 +5,26 @@ when no lane is free), lanes executing the compiled ECA clauses against
 events broadcast on the event bus, a return buffer the rendezvous stages
 poll, and the minimum-live-index broadcast that triggers otherwise clauses
 for lanes whose parent is the (tied-)minimum waiting task.
+
+The broadcast reads kept state instead of scanning the lanes: the
+allocated lanes and the awaited, still-undecided lanes, each a list sorted
+by parent index and updated where a lane changes (allocation, arrival at
+the rendezvous, a decision, release).  Neither ever holds more entries
+than there are allocated lanes.
 """
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from operator import attrgetter
+from math import inf
 from typing import Any, Mapping
 
 from repro.core.events import Event
 from repro.core.indexing import TaskIndex
 from repro.core.rule import RuleInstance, RuleType
+from repro.obs.metrics import Counter
 
 
 @dataclass
@@ -28,6 +37,10 @@ class RuleEngineStats:
 class _Lane:
     instance: RuleInstance
     owner_uid: int
+    # Sort key in the kept orders: the parent's positions, then the
+    # allocation sequence number (unique, and unlike id() it survives the
+    # deep copy a checkpoint makes).  An entry is ``(*key, lane)``.
+    key: tuple[tuple[int, ...], int]
     awaited: bool = False
 
 
@@ -37,16 +50,29 @@ class RuleEngineSim:
     ``faults`` (a :class:`~repro.sim.faults.FaultPlan`, or None) models
     transient lane failures and event-bus glitches; every hook is a
     single identity test when fault injection is disabled.
+
+    ``decisions`` counts the verdicts this engine sets.  A simulator
+    shares one counter between its engines and rendezvous stations, so a
+    station can skip its walk while the count stands still.
     """
 
     def __init__(self, name: str, rule_type: RuleType, lanes: int,
-                 faults=None, probe=None) -> None:
+                 faults=None, probe=None,
+                 decisions: Counter | None = None) -> None:
         self.name = name
         self.rule_type = rule_type
         self.max_lanes = lanes
         self.faults = faults
         self.probe = probe  # the simulator's Probe (None = unobserved)
         self.lanes: dict[int, _Lane] = {}  # keyed by id(instance)
+        # The allocated lanes, and the awaited lanes whose promise is
+        # still open, as ``(*lane.key, lane)`` entries in key order.
+        self._order: list[tuple] = []
+        self._waiting: list[tuple] = []
+        self._seq = itertools.count()
+        self.decisions = (
+            decisions if decisions is not None else Counter("decisions")
+        )
         self.stats = RuleEngineStats()
         # Event-independent broadcast state, hoisted out of deliver():
         # the clause list (patterns are static per rule type, so the
@@ -70,19 +96,30 @@ class RuleEngineSim:
         if len(self.lanes) >= available:
             return None
         instance = self.rule_type.instantiate(parent_index, args)
-        self.lanes[id(instance)] = _Lane(instance, owner_uid)
+        lane = _Lane(instance, owner_uid,
+                     (parent_index.positions, next(self._seq)))
+        self.lanes[id(instance)] = lane
+        insort(self._order, (*lane.key, lane))
         return instance
 
     def mark_awaited(self, instance: RuleInstance) -> None:
         """The parent token reached its rendezvous (otherwise now armed)."""
         lane = self.lanes.get(id(instance))
-        if lane is not None:
+        if lane is not None and not lane.awaited:
             lane.awaited = True
+            if instance.value is None:
+                insort(self._waiting, (*lane.key, lane))
 
     def release(self, instance: RuleInstance) -> None:
         """The rendezvous consumed the verdict; free the lane."""
-        if self.lanes.pop(id(instance), None) is None:
+        lane = self.lanes.pop(id(instance), None)
+        if lane is None:
             return
+        order = self._order
+        del order[bisect_left(order, lane.key)]
+        if lane.awaited and instance.value is None:
+            waiting = self._waiting
+            del waiting[bisect_left(waiting, lane.key)]
         if self.probe is not None:
             self.probe.lane_free(self.probe.now, self.name, instance.verdict,
                                  len(self.lanes))
@@ -112,20 +149,25 @@ class RuleEngineSim:
             return
         requires = self._requires
         probe = self.probe
+        waiting = self._waiting
+        decided = 0
         for _ in range(rounds):
             for lane in self.lanes.values():
                 if lane.owner_uid == source_uid:
                     continue
                 instance = lane.instance
-                if instance.value is None:
-                    if (
-                        instance.observe_triggered(event, triggered, requires)
-                        is not None and probe is not None
-                    ):
+                if instance.value is None and instance.observe_triggered(
+                    event, triggered, requires
+                ) is not None:
+                    decided += 1
+                    if lane.awaited:
+                        del waiting[bisect_left(waiting, lane.key)]
+                    if probe is not None:
                         # The promise just resolved: remember when and
                         # which token's event decided it.
                         instance.decided_cycle = probe.now
                         instance.decided_by = source_uid
+        self.decisions.value += decided
 
     def min_allocated_index(self) -> TaskIndex | None:
         """Minimum parent index over this engine's allocated lanes.
@@ -133,34 +175,35 @@ class RuleEngineSim:
         This is the "minimum task index at this rendezvous across all
         pipelines" broadcast of Figure 8(c)(4): lane-scoped, so a full
         engine always releases its earliest waiter (deadlock freedom).
+        It is the head of the kept allocation order, not a scan.
         """
-        indices = [lane.instance.parent_index for lane in self.lanes.values()]
-        # Keyed on the positions tuple, not TaskIndex's generated __lt__
-        # (a Python-level call per compare); equal positions are equal
-        # indices, so the result is the same.
-        if not indices:
-            return None
-        return min(indices, key=attrgetter("positions"))
+        order = self._order
+        return order[0][2].instance.parent_index if order else None
 
     def broadcast_minimum(self, min_live: TaskIndex | None) -> int:
         """Fire otherwise for awaited lanes whose parent ties the minimum.
 
-        Returns the number of lanes triggered (a trigger resolves the
-        promise — progress the event engine must not skip over).
+        Those are the head of the waiting order, up to the last entry
+        whose parent is not later than ``min_live`` (all of it when there
+        is no minimum).  Returns the number of lanes triggered (a trigger
+        resolves the promise — progress the event engine must not skip
+        over).
         """
-        fired = 0
+        waiting = self._waiting
+        fired = len(waiting) if min_live is None else \
+            bisect_right(waiting, (min_live.positions, inf))
+        if not fired:
+            return 0
         probe = self.probe
-        for lane in self.lanes.values():
-            if not lane.awaited or lane.instance.returned:
-                continue
-            parent = lane.instance.parent_index
-            if min_live is None or not min_live.earlier_than(parent):
-                lane.instance.trigger_otherwise()
-                if probe is not None:
-                    # Otherwise is a liveness escape, not a causal answer:
-                    # no deciding token, only the broadcast cycle.
-                    lane.instance.decided_cycle = probe.now
-                fired += 1
+        for _positions, _seq, lane in waiting[:fired]:
+            instance = lane.instance
+            instance.trigger_otherwise()
+            if probe is not None:
+                # Otherwise is a liveness escape, not a causal answer:
+                # no deciding token, only the broadcast cycle.
+                instance.decided_cycle = probe.now
+        del waiting[:fired]
+        self.decisions.value += fired
         return fired
 
     def would_fire_otherwise(self, min_live: TaskIndex | None) -> bool:
@@ -170,13 +213,10 @@ class RuleEngineSim:
         minimum-broadcast boundary only counts as a wake-up when crossing
         it would actually change something.
         """
-        for lane in self.lanes.values():
-            if not lane.awaited or lane.instance.returned:
-                continue
-            parent = lane.instance.parent_index
-            if min_live is None or not min_live.earlier_than(parent):
-                return True
-        return False
+        waiting = self._waiting
+        return bool(waiting) and (
+            min_live is None or waiting[0][0] <= min_live.positions
+        )
 
     @property
     def occupancy(self) -> int:

@@ -397,7 +397,7 @@ class AllocRuleStage(Stage):
         op: AllocRule = self.op
         engine = self.ctx.engines[op.resolve(token.env)]
         instance = engine.try_alloc(
-            token.index, dict(op.args(token.env)), token.task_uid
+            token.index, op.args(token.env), token.task_uid
         )
         if instance is None:
             self._stall(RULE)
@@ -414,7 +414,8 @@ class AllocRuleStage(Stage):
 class RendezvousStage(Stage):
     """Out-of-order rendezvous: tokens wait for verdicts in a station."""
 
-    __slots__ = ("station", "depth", "epilogue_entry", "in_order")
+    __slots__ = ("station", "depth", "epilogue_entry", "in_order",
+                 "decisions", "walked_at", "held_pass", "held_squash")
 
     def __init__(self, ctx, op, name: str) -> None:
         super().__init__(ctx, op, name)
@@ -425,6 +426,12 @@ class RendezvousStage(Stage):
         self.depth = max(ctx.config.station_depth, ctx.config.rule_lanes)
         self.epilogue_entry: Fifo[SimToken] | None = None
         self.in_order = not ctx.config.out_of_order
+        # The simulator's decision count, its value when a walk last
+        # released nothing (-1: walk on the next tick), and whether that
+        # walk found decided tokens held at the pass or squash exit.
+        self.decisions = ctx.decisions
+        self.walked_at = -1
+        self.held_pass = self.held_squash = False
 
     tick_guard = "{station} or {input._items}"
 
@@ -433,11 +440,23 @@ class RendezvousStage(Stage):
         station = self.station
         # 1) release one decided token.  Nothing downstream changes
         # before the first release, so each exit's readiness is read at
-        # most once per tick.
+        # most once per walk.
         released = False
-        blocked = False
+        held_pass = held_squash = False
         pass_ok = squash_ok = None
-        candidates = station[:1] if self.in_order else station
+        if self.walked_at == self.decisions.value and not (
+            self.held_pass and self.can_send()
+            or self.held_squash and self.epilogue_entry.can_push()
+        ):
+            # No verdict set and no decided token admitted since the last
+            # walk released nothing, and the exits it found closed still
+            # are: a walk would find the same tokens held the same way.
+            candidates = ()
+            held_pass, held_squash = self.held_pass, self.held_squash
+        elif self.in_order:
+            candidates = station[:1]
+        else:
+            candidates = station
         for position, token in enumerate(candidates):
             engine, instance = token.lanes[0]
             value = instance.value
@@ -447,14 +466,14 @@ class RendezvousStage(Stage):
                 if pass_ok is None:
                     pass_ok = self.can_send()
                 if not pass_ok:
-                    blocked = True
+                    held_pass = True
                     continue
             else:
                 if squash_ok is None:
                     squash_ok = self.epilogue_entry is None or \
                         self.epilogue_entry.can_push()
                 if not squash_ok:
-                    blocked = True
+                    held_squash = True
                     continue
             del station[position]
             token.lanes.pop(0)
@@ -475,13 +494,18 @@ class RendezvousStage(Stage):
                                   engine.name, instance, outcome)
             self.mark_active()
             released = True
+            self.walked_at = -1  # other decided tokens may be held
             break
-        if blocked and not released:
-            # A decided token could not leave: downstream backpressure
-            # (previously unaccounted — the cycle showed up as idle).
-            self._stall(BACKPRESSURE)
+        if not released:
+            if held_pass or held_squash:
+                # A decided token could not leave: downstream
+                # backpressure (previously unaccounted — the cycle
+                # showed up as idle).
+                self._stall(BACKPRESSURE)
+            self.walked_at = self.decisions.value
+            self.held_pass, self.held_squash = held_pass, held_squash
         # 2) admit one waiting token into the station.
-        if self.input._items and len(self.station) < self.depth:
+        if self.input._items and len(station) < self.depth:
             ctx.quiet = False  # silent mutation: admission arms otherwise
             token = self.input.pop()
             if not token.lanes:
@@ -492,13 +516,18 @@ class RendezvousStage(Stage):
             if ctx.probe is not None:
                 ctx.probe.awaited(ctx.cycle, self.name, token.uid,
                                   engine.name)
-            engine.mark_awaited(instance)
-            if instance.rule_type.immediate and not instance.returned:
+            if instance.rule_type.immediate and instance.value is None:
                 # Optimistic speculation: the promise resolves on arrival
                 # with whatever the inspection has accumulated so far.
                 instance.trigger_otherwise()
                 instance.decided_cycle = ctx.cycle
-            self.station.append(token)
+                self.decisions.value += 1
+            engine.mark_awaited(instance)
+            if instance.value is not None:
+                # Decided before its parent arrived (or just now): the
+                # count may not have moved since the last walk.
+                self.walked_at = -1
+            station.append(token)
         elif self.input._items:
             self._stall(RULE)
 

@@ -9,7 +9,7 @@ from repro.sim.accelerator import AcceleratorSim, SimConfig
 from repro.sim.events import NEVER
 from repro.sim.faults import FaultEvent, FaultKind, FaultPlan
 from repro.sim.invariants import InvariantChecker
-from repro.sim.stages import LoadStage
+from repro.sim.stages import LoadStage, RendezvousStage
 from repro.substrates.graphs import random_graph
 
 GRAPH = random_graph(40, 90, seed=111)
@@ -109,6 +109,11 @@ def _load_stages(sim):
             if isinstance(stage, LoadStage)]
 
 
+def _rendezvous(sim):
+    return [stage for stage in sim._stages
+            if isinstance(stage, RendezvousStage)]
+
+
 class TestKeptCounters:
     """Each hot-path counter is checked against the scan it replaces."""
 
@@ -143,6 +148,30 @@ class TestKeptCounters:
         with pytest.raises(InvariantViolation) as excinfo:
             sim.checker.check()
         assert excinfo.value.invariant == "memory-horizon"
+
+    def test_lane_order_drift_caught(self):
+        sim = _sim(check_interval=INTERVAL)
+        _step_until(sim, lambda s: any(e.lanes for e in s._engine_list))
+        engine = next(e for e in sim._engine_list if e.lanes)
+        engine._order.pop()
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.checker.check()
+        assert excinfo.value.invariant == "lane-order"
+
+    def test_rendezvous_walk_drift_caught(self):
+        def decided(stage):
+            return any(token.lanes[0][1].value is not None
+                       for token in stage.station)
+
+        sim = _sim(check_interval=INTERVAL)
+        _step_until(sim, lambda s: any(map(decided, _rendezvous(s))))
+        stage = next(st for st in _rendezvous(sim) if decided(st))
+        stage.walked_at = sim.decisions.value
+        stage.held_pass = stage.held_squash = False
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.checker.check()
+        assert excinfo.value.invariant == "rendezvous-walk"
+        assert excinfo.value.component == stage.name
 
 
 class TestLiveness:

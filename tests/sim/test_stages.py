@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core.eca import compile_rule
+from repro.core.events import Event, EventKind
+from repro.core.indexing import TaskIndex
 from repro.core.kernel import (
     AllocRule,
     Alu,
@@ -31,11 +33,15 @@ from repro.obs.profile import StallProfiler
 from repro.sim.accelerator import AcceleratorSim, SimConfig
 from repro.sim.fifo import Fifo
 from repro.sim.pipeline import SourceStage
-from repro.sim.stages import _STAGE_CLASSES, AllocRuleStage
+from repro.sim.stages import _STAGE_CLASSES, AllocRuleStage, RendezvousStage
+from repro.sim.token import SimToken
 
 ALWAYS_TRUE = compile_rule("rule ok():\n  otherwise return true")
 ALWAYS_FALSE = compile_rule("rule nope():\n  otherwise return false")
 IMMEDIATE = compile_rule("rule now():\n  otherwise immediately return true")
+GATE = compile_rule(
+    "rule gate():\n  on reach t.go do return true\n  otherwise return false"
+)
 
 
 def micro_spec(ops, initial=None, rules=None, fields=("x",), verify=None,
@@ -231,6 +237,36 @@ class TestRuleStages:
             immediate, config=SimConfig(minimum_broadcast_interval=16)
         )
         assert immediate_result.cycles < gated_result.cycles
+
+    def test_rule_decided_before_its_parent_arrives(self):
+        """A token whose rule already returned leaves on the tick after
+        its admission, though no verdict is set in between: admission
+        must re-arm a station that skips its walk until the decision
+        count moves."""
+        sim = AcceleratorSim(
+            micro_spec([AllocRule("gate", lambda env: {}), Rendezvous("rv")],
+                       rules={"gate": GATE}),
+            platform=HARP, replicas={"t": 1},
+        )
+        [rv] = [s for s in sim._stages if isinstance(s, RendezvousStage)]
+        engine = sim.engines["gate"]
+        token = SimToken(env={"x": 1}, index=TaskIndex((0,)), task_set="t")
+        instance = engine.try_alloc(token.index, {}, token.uid)
+        token.lanes.append((engine, instance))
+        engine.deliver(Event(EventKind.REACH, "t", "go", TaskIndex((1,)), {}),
+                       source_uid=-1)
+        assert instance.value is True
+        rv.tick()  # the station's walk finds nothing at this count
+        decisions = sim.decisions.value
+        rv.input.push(token)
+        rv.input.commit()
+        rv.tick()  # admission
+        assert rv.station == [token]
+        assert sim.decisions.value == decisions
+        rv.tick()
+        assert rv.station == []
+        assert engine.occupancy == 0
+        assert sim.counters.commits.value == 1
 
     def test_lane_stall_counted(self):
         spec = micro_spec(
