@@ -17,16 +17,20 @@ def register(name: str) -> Callable:
     return decorator
 
 
-def build_app(name: str, *args: Any, **kwargs: Any) -> ApplicationSpec:
-    """Instantiate a registered benchmark by its paper name."""
+def app_builder(name: str) -> Callable[..., ApplicationSpec]:
+    """The builder of a registered benchmark (InputError if unknown)."""
     _ensure_registered()
     try:
-        builder = APP_BUILDERS[name]
+        return APP_BUILDERS[name]
     except KeyError:
         raise InputError(
             f"unknown benchmark {name!r}; known: {sorted(APP_BUILDERS)}"
         ) from None
-    return builder(*args, **kwargs)
+
+
+def build_app(name: str, *args: Any, **kwargs: Any) -> ApplicationSpec:
+    """Instantiate a registered benchmark by its paper name."""
+    return app_builder(name)(*args, **kwargs)
 
 
 def _ensure_registered() -> None:

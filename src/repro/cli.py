@@ -57,10 +57,11 @@ import sys
 import time
 from typing import Any, Callable, NamedTuple
 
-from repro.apps.registry import APP_BUILDERS, build_app
+from repro.apps.registry import APP_BUILDERS, app_builder, build_app
 from repro.core.runtime import AggressiveRuntime
 from repro.core.eca import parse_rule
 from repro.core.eca_format import format_rule
+from repro.errors import InputError
 from repro.eval.platforms import EVAL_HARP
 from repro.obs import Observability
 from repro.obs.profile import format_stall_report
@@ -219,7 +220,10 @@ def _add_store_dir(parser: argparse.ArgumentParser,
 def _add_store_options(parser: argparse.ArgumentParser) -> None:
     _add_store_dir(parser)
     parser.add_argument("--no-store", action="store_true",
-                        help="do not record this run in the run store")
+                        help="do not record this run in the run store "
+                             "(recording attaches the full observability "
+                             "bundle, so a stored simulate is an observed "
+                             "run)")
 
 
 def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
@@ -1028,6 +1032,8 @@ def cmd_rtl(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.eval.workloads import APP_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Aggressive pipelining of irregular applications "
@@ -1115,6 +1121,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument("--scale", type=_positive_float, default=1.0)
     experiment.add_argument("--apps", nargs="+", metavar="APP",
+                            choices=APP_NAMES,
                             help="restrict figure9/figure10 to these "
                                  "benchmarks (default: all six)")
     _add_engine_option(experiment)
@@ -1257,6 +1264,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "app", None) is not None:
+        # An unknown APP is a user error: one line naming the known apps.
+        try:
+            app_builder(args.app)
+        except InputError as exc:
+            return _fail(exc)
     return args.handler(args)
 
 

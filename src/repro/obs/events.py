@@ -1,19 +1,18 @@
 """The sim core's probe and the trace-event taxonomy (docs/observability.md).
 
 Every instrumented site in the simulator emits once, to its
-:class:`Probe`, one of :data:`PROBE_KINDS`; the ring turns those into
-:class:`TraceEventKind` records.  Stage stalls carry a :class:`StallReason`
-so the profiler can attribute every stalled cycle to the resource the
-stage was blocked on.  Trace events are plain timestamped records, never
-mutated after they are emitted.
+:class:`Probe`, one of :data:`PROBE_KINDS`; the tracer turns those into
+:class:`TraceEventKind` records.  Stage stalls carry a
+:class:`StallReason` so the profiler can attribute every stalled cycle
+to the resource the stage was blocked on.  Trace events are plain
+timestamped records, never mutated after they are emitted.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
-from typing import Any
+from typing import Any, Callable
 
 
 class TraceEventKind(enum.Enum):
@@ -60,6 +59,13 @@ class StallReason(enum.Enum):
     BACKPRESSURE = "backpressure"
 
 
+# Each reason's column in a profiler row (0 is "active"), kept as a plain
+# member attribute: hot handlers read it instead of looking the member up
+# in a dict, which runs the Python-level ``Enum.__hash__``.
+for _column, _reason in enumerate(StallReason, 1):
+    _reason.column = _column
+
+
 @dataclass
 class TraceEvent:
     """One timestamped observation.
@@ -77,46 +83,59 @@ class TraceEvent:
     reason: StallReason | None
     data: dict[str, Any] | None
 
-    def __deepcopy__(self, memo):
-        # Events are immutable once emitted; sharing them keeps checkpoint
-        # snapshots of a large trace ring cheap.
-        return self
 
-
-# Every kind the sim core emits, with its arguments.  ``cycle`` comes
-# first (``probe.now`` where a component has no clock); ``stage`` is a
-# stage name, ``uid`` a token uid, ``retired`` the outcome when the token
-# left the datapath in this firing (None otherwise).
-PROBE_KINDS = (
+# Every kind the sim core emits, mapped to its arguments (a generated
+# fan-out takes them under these names).  ``cycle`` comes first
+# (``probe.now`` where a component has no clock); ``stage`` is a stage
+# name, ``uid`` a token uid, ``retired`` the outcome when the token left
+# the datapath in this firing (None otherwise).
+PROBE_KINDS = {
     # Stage firings: the stage advanced a token this cycle.
-    "born",     # (cycle, stage, uid, handle, task_set, occupancy)  popped
-    "fire",     # (cycle, stage, uid, retired)  an in-order stage
-    "alloc",    # (cycle, stage, uid, retired, engine, lanes)  rule lane
-    "fork",     # (cycle, stage, uid, retired, parent_uid, last)  expand
-    "release",  # (cycle, stage, uid, retired)  a load/call station
-    "verdict",  # (cycle, stage, uid, retired, engine, instance, outcome)
+    "born": "cycle, stage, uid, handle, task_set, occupancy",  # popped
+    "fire": "cycle, stage, uid, retired",  # an in-order stage
+    "alloc": "cycle, stage, uid, retired, engine, lanes",  # rule lane
+    "fork": "cycle, stage, uid, retired, parent_uid, last",  # expand
+    "release": "cycle, stage, uid, retired",  # a load/call station
+    "verdict": "cycle, stage, uid, retired, engine, instance, outcome",
     # Other stage activity.
-    "issue",    # (cycle, stage, uid, req, fu_done)  load/expand/call
-    "awaited",  # (cycle, stage, uid, engine)  a rendezvous admitted
-    "stall",    # (cycle, stage, reason)
-    "skip",     # (cycle, count, stalls)  the event engine skipped cycles
+    "issue": "cycle, stage, uid, req, fu_done",  # load/expand/call
+    "awaited": "cycle, stage, uid, engine",  # a rendezvous admitted
+    "stall": "cycle, stage, reason",
+    "skip": "cycle, count, stalls",  # the event engine skipped cycles
     # Tasks, memory, rule lanes, host feed and recovery.
-    "activate",     # (cycle, handle, cause, cause_uid, task_set, occupancy)
-    "load",         # (cycle, addr, nbytes, hit, done_at, req)
-    "store",        # (cycle, nbytes)
-    "stream",       # (cycle, nbytes, done_at, req)
-    "mem_done",     # (cycle,)  a tracked request retired
-    "lane_free",    # (cycle, engine, verdict, lanes)
-    "host_issue",   # (cycle, req, nbytes)  a host batch DMA was issued
-    "host_inject",  # (cycle, batch)  a host batch entered the queues
-    "checkpoint",   # (cycle, count)
-    "rollback",     # (cycle,)
-)
+    "activate": "cycle, handle, cause, cause_uid, task_set, occupancy",
+    "load": "cycle, addr, nbytes, hit, done_at, req",
+    "store": "cycle, nbytes",
+    "stream": "cycle, nbytes, done_at, req",
+    "mem_done": "cycle",  # a tracked request retired
+    "lane_free": "cycle, engine, verdict, lanes",
+    "host_issue": "cycle, req, nbytes",  # a host batch DMA was issued
+    "host_inject": "cycle, batch",  # a host batch entered the queues
+    "checkpoint": "cycle, count",
+    "rollback": "cycle",
+}
+
+# (kind, reader count) -> a factory taking that many handlers and
+# returning the kind's fan-out over them, compiled once per shape.
+_FAN_OUTS: dict[tuple[str, int], Callable] = {}
 
 
-def _fan_out(handlers: tuple, *args) -> None:
-    for handler in handlers:
-        handler(*args)
+def _fan_out(kind: str, handlers: tuple):
+    """A function with ``kind``'s arguments calling each handler in turn."""
+    make = _FAN_OUTS.get((kind, len(handlers)))
+    if make is None:
+        args = PROBE_KINDS[kind]
+        names = [f"h{i}" for i in range(len(handlers))]
+        calls = "".join(f"        {name}({args})\n" for name in names)
+        source = (f"def make({', '.join(names)}):\n"
+                  f"    def {kind}({args}):\n{calls}"
+                  f"    return {kind}\n")
+        # This module's __name__ lets the host-time layer sampler, which
+        # maps a frame by its globals' __name__, charge fan-outs to obs.
+        namespace = {"__name__": __name__}
+        exec(compile(source, "<probe fan-out>", "exec"), namespace)
+        make = _FAN_OUTS[kind, len(handlers)] = namespace["make"]
+    return make(*handlers)
 
 
 def _ignore(*args) -> None:
@@ -128,16 +147,27 @@ class Probe:
 
     Every instrumented site makes one call, ``probe.<kind>(...)``; a
     consumer reads a kind by defining ``on_<kind>``.  Each kind is bound
-    once, at attach time, to its one reader's method, a fan-out over
-    several readers, or a no-op.  A simulator holds ``probe = None``
-    when nothing observes, so an unobserved site costs one identity test.
+    once, at attach time, to its one reader's method, a generated
+    fan-out calling each reader's method directly, or a no-op.  A
+    simulator holds ``probe = None`` when nothing observes, so an
+    unobserved site costs one identity test.
+
+    A fan-out holds its readers' methods in a closure, and a deep copy
+    shares function objects rather than copying them, so a copied probe
+    would feed the original consumers.  Copying (a checkpoint snapshot,
+    a revive, a pickle) therefore rebuilds the probe from its copied
+    consumers instead.
     """
 
     def __init__(self, consumers: list) -> None:
+        self.consumers = consumers
         self.now = 0  # the cycle being executed, refreshed every step
         for kind in PROBE_KINDS:
             handlers = tuple(getattr(c, "on_" + kind) for c in consumers
                              if hasattr(c, "on_" + kind))
-            setattr(self, kind, partial(_fan_out, handlers)
+            setattr(self, kind, _fan_out(kind, handlers)
                     if len(handlers) > 1 else
                     handlers[0] if handlers else _ignore)
+
+    def __reduce__(self):
+        return Probe, (self.consumers,), {"now": self.now}

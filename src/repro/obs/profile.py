@@ -24,51 +24,47 @@ COLUMNS = (
     StallReason.RULE.value,
     StallReason.BACKPRESSURE.value,
 )
-_REASON_INDEX = {
-    StallReason.QUEUE: 1,
-    StallReason.MEMORY: 2,
-    StallReason.RULE: 3,
-    StallReason.BACKPRESSURE: 4,
-}
+# The row slots after the columns: the cycle still being observed and
+# the column it holds so far.
+_CYCLE = len(COLUMNS)
+_HELD = _CYCLE + 1
 
 
 class StallProfiler:
     """Per-stage cycle accounting, folded online from the probe stream."""
 
     def __init__(self) -> None:
-        # stage -> [active, queue, memory, rule, backpressure]
-        self._committed: dict[str, list[int]] = {}
-        # stage -> (cycle, column) for the cycle still being observed.
-        self._open: dict[str, tuple[int, int]] = {}
+        # stage -> [active, queue, memory, rule, backpressure, cycle,
+        # held]: committed cycles per column, then the open cell, so a
+        # handler reads and updates a stage with one lookup.
+        self._rows: dict[str, list[int]] = {}
 
     # -- probe consumer ---------------------------------------------------------
 
     def on_fire(self, cycle: int, stage: str, *_) -> None:
-        self._observe(cycle, stage, 0)
+        row = self._rows.get(stage)
+        if row is None:
+            self._rows[stage] = [0, 0, 0, 0, 0, cycle, 0]
+        elif row[_CYCLE] == cycle:
+            # Same cycle observed twice: a fire beats any stall.
+            row[_HELD] = 0
+        else:
+            row[row[_HELD]] += 1
+            row[_CYCLE] = cycle
+            row[_HELD] = 0
 
     on_born = on_alloc = on_fork = on_release = on_verdict = on_fire
 
     def on_stall(self, cycle: int, stage: str, reason: StallReason) -> None:
-        self._observe(cycle, stage, _REASON_INDEX[reason])
-
-    def _observe(self, cycle: int, stage: str, column: int) -> None:
-        open_cell = self._open.get(stage)
-        if open_cell is not None:
-            held_cycle, held = open_cell
-            if held_cycle == cycle:
-                # Same cycle observed twice: a fire beats any stall; among
-                # stalls, the first recorded reason wins.
-                if column == 0 and held != 0:
-                    self._open[stage] = (cycle, 0)
-                return
-            self._commit(stage, held)
-        self._open[stage] = (cycle, column)
-
-    def _commit(self, stage: str, column: int) -> None:
-        row = self._committed.get(stage)
+        row = self._rows.get(stage)
         if row is None:
-            row = self._committed[stage] = [0] * len(COLUMNS)
-        row[column] += 1
+            self._rows[stage] = [0, 0, 0, 0, 0, cycle, reason.column]
+        elif row[_CYCLE] != cycle:
+            # (A repeat of the open cycle changes nothing: a fire beats a
+            # stall, and among stalls the first recorded reason wins.)
+            row[row[_HELD]] += 1
+            row[_CYCLE] = cycle
+            row[_HELD] = reason.column
 
     # -- idle-skip crediting ---------------------------------------------------
 
@@ -76,21 +72,18 @@ class StallProfiler:
         """Account ``count`` skipped repeats of a stationary cycle whose
         ``(stage, reason)`` stall records are ``stalls``: as ``count``
         dense repeats would, each stage's committed row grows by
-        ``count`` in its open (first-recorded) reason, and the open cell
-        slides forward by ``count`` cycles."""
+        ``count`` in its first-recorded reason, and the open cell
+        slides forward by ``count`` cycles.  (Every record was emitted
+        as a ``stall`` first, so each stage has a row.)"""
         credited: set[str] = set()
         for stage, reason in stalls:
             name = stage.name
             if name in credited:
                 continue
             credited.add(name)
-            row = self._committed.get(name)
-            if row is None:
-                row = self._committed[name] = [0] * len(COLUMNS)
-            row[_REASON_INDEX[reason]] += count
-            open_cell = self._open.get(name)
-            if open_cell is not None:
-                self._open[name] = (open_cell[0] + count, open_cell[1])
+            row = self._rows[name]
+            row[reason.column] += count
+            row[_CYCLE] += count
 
     # -- reporting ------------------------------------------------------------
 
@@ -105,10 +98,10 @@ class StallProfiler:
         """
         report: dict[str, dict[str, int]] = {}
         for stage in stage_names:
-            row = list(self._committed.get(stage, [0] * len(COLUMNS)))
-            open_cell = self._open.get(stage)
-            if open_cell is not None and open_cell[0] < total_cycles:
-                row[open_cell[1]] += 1
+            held = self._rows.get(stage)
+            row = held[:_CYCLE] if held else [0] * _CYCLE
+            if held and held[_CYCLE] < total_cycles:
+                row[held[_HELD]] += 1
             cells = dict(zip(COLUMNS, row))
             cells["idle"] = total_cycles - sum(row)
             cells["total"] = total_cycles

@@ -36,18 +36,70 @@ _PROCESS_NAMES = {
     _PID_RECOVERY: "checkpoint/rollback",
 }
 
+# A ring entry is a plain tuple ``(cycle, kind, name, reason, data)``:
+# ``kind`` indexes _KINDS, ``reason`` is a StallReason column (0: none,
+# see _REASONS) and ``data`` is None or a dict of ints and strings.  All
+# parts are atomic, so the cyclic collector stops tracking an entry once
+# it has survived a collection; TraceEvent records are built only by
+# ``events()``.
+_KINDS = (Kind.TOKEN_ENQ, Kind.TOKEN_DEQ, Kind.STAGE_FIRE, Kind.STAGE_STALL,
+          Kind.RULE_PROMISE, Kind.RULE_RENDEZVOUS, Kind.RULE_RETURN,
+          Kind.RULE_SQUASH, Kind.MEM_ISSUE, Kind.MEM_HIT, Kind.MEM_MISS,
+          Kind.MEM_COMPLETE, Kind.CHECKPOINT, Kind.ROLLBACK)
+(_ENQ, _DEQ, _FIRE, _STALL, _PROMISE, _RENDEZVOUS, _RETURN, _SQUASH,
+ _MEM_ISSUE, _HIT, _MISS, _COMPLETE, _CHECKPOINT, _ROLLBACK) = range(
+    len(_KINDS))
+_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+_REASONS = (None, *StallReason)
+_STALL_SLICES = (None, *(f"stall:{reason.value}" for reason in StallReason))
+_KIND_NAMES = tuple(kind.value for kind in _KINDS)
+
+
+class _Ring(deque):
+    """The trace ring.  Entries are never mutated once appended, so a
+    copy (a checkpoint snapshot) shares them instead of copying each."""
+
+    def __deepcopy__(self, memo):
+        return _Ring(self, self.maxlen)
+
+
+class _Instruments(dict):
+    """key -> the instrument named ``pattern.format(key)``, registered
+    with ``register`` the first time a handler reads it (a snapshot
+    lists only the instruments a run touched)."""
+
+    def __init__(self, register, pattern: str = "{}") -> None:
+        super().__init__()
+        self.register = register
+        self.pattern = pattern
+
+    def __missing__(self, key: str):
+        instrument = self[key] = self.register(self.pattern.format(key))
+        return instrument
+
 
 class EventTracer:
-    """Bounded ring of :class:`TraceEvent`; its probe handlers also record
-    occupancy, latency and issue/recovery metrics into ``registry``."""
+    """Bounded ring of trace entries; its probe handlers also record
+    occupancy, latency and issue/recovery metrics into ``registry``.
+
+    The handlers append to the ring directly and read their instruments
+    from maps keyed by engine, task set or name, so an emission costs no
+    helper call, no name formatting and no registry lookup.
+    """
 
     def __init__(self, capacity: int = 65536) -> None:
         if capacity < 1:
             raise ValueError("trace capacity must be >= 1")
         self.capacity = capacity
-        self.ring: deque[TraceEvent] = deque(maxlen=capacity)
+        self.ring = _Ring(maxlen=capacity)
         self.emitted = 0
-        self.registry = MetricsRegistry()
+        self.registry = registry = MetricsRegistry()
+        self._counters = _Instruments(registry.counter)
+        self._histograms = _Instruments(registry.histogram)
+        self._lane_occupancy = _Instruments(registry.histogram,
+                                            "rules.{}.lane_occupancy")
+        self._queue_occupancy = _Instruments(registry.histogram,
+                                             "queue.{}.occupancy")
 
     # -- emission -------------------------------------------------------------
 
@@ -59,75 +111,101 @@ class EventTracer:
         reason: StallReason | None = None,
         data: dict | None = None,
     ) -> None:
-        self.ring.append(TraceEvent(cycle, kind, name, reason, data))
+        """Append one event given as its parts (the handlers below store
+        their entries without this call)."""
+        self.ring.append((cycle, _CODES[kind], name,
+                          reason.column if reason is not None else 0, data))
         self.emitted += 1
 
     # -- probe consumer ---------------------------------------------------------
 
     def on_fire(self, cycle: int, stage: str, *_) -> None:
-        self.emit(cycle, Kind.STAGE_FIRE, stage)
+        self.ring.append((cycle, _FIRE, stage, 0, None))
+        self.emitted += 1
 
     on_fork = on_release = on_fire
 
     def on_born(self, cycle, stage, uid, handle, task_set, occupancy):
-        self.emit(cycle, Kind.TOKEN_DEQ, task_set,
-                  data={"occupancy": occupancy})
-        self.emit(cycle, Kind.STAGE_FIRE, stage)
+        append = self.ring.append
+        append((cycle, _DEQ, task_set, 0, {"occupancy": occupancy}))
+        append((cycle, _FIRE, stage, 0, None))
+        self.emitted += 2
 
     def on_alloc(self, cycle, stage, uid, retired, engine, lanes):
-        self.registry.histogram(f"rules.{engine}.lane_occupancy").record(lanes)
-        self.emit(cycle, Kind.RULE_PROMISE, engine, data={"occupancy": lanes})
-        self.emit(cycle, Kind.STAGE_FIRE, stage)
+        self._lane_occupancy[engine].record(lanes)
+        append = self.ring.append
+        append((cycle, _PROMISE, engine, 0, {"occupancy": lanes}))
+        append((cycle, _FIRE, stage, 0, None))
+        self.emitted += 2
 
     def on_verdict(self, cycle, stage, uid, retired, engine, instance,
                    outcome):
+        append = self.ring.append
         if outcome != "pass":
-            self.emit(cycle, Kind.RULE_SQUASH, engine)
-        self.emit(cycle, Kind.STAGE_FIRE, stage)
+            append((cycle, _SQUASH, engine, 0, None))
+            self.emitted += 1
+        append((cycle, _FIRE, stage, 0, None))
+        self.emitted += 1
 
     def on_awaited(self, cycle, stage, uid, engine):
-        self.emit(cycle, Kind.RULE_RENDEZVOUS, engine)
+        self.ring.append((cycle, _RENDEZVOUS, engine, 0, None))
+        self.emitted += 1
 
     def on_stall(self, cycle, stage, reason):
-        self.emit(cycle, Kind.STAGE_STALL, stage, reason=reason)
+        self.ring.append((cycle, _STALL, stage, reason.column, None))
+        self.emitted += 1
 
     def on_activate(self, cycle, handle, cause, cause_uid, task_set,
                     occupancy):
-        self.registry.histogram(f"queue.{task_set}.occupancy").record(
-            occupancy)
-        self.emit(cycle, Kind.TOKEN_ENQ, task_set,
-                  data={"occupancy": occupancy})
+        self._queue_occupancy[task_set].record(occupancy)
+        self.ring.append((cycle, _ENQ, task_set, 0,
+                          {"occupancy": occupancy}))
+        self.emitted += 1
 
     def on_lane_free(self, cycle, engine, verdict, lanes):
-        self.emit(cycle, Kind.RULE_RETURN, engine,
-                  data={"verdict": verdict.name.lower(), "occupancy": lanes})
+        # A RuleVerdict's value is its lower-case name; ``_value_`` reads
+        # it without the enum's ``name`` descriptor.
+        self.ring.append((cycle, _RETURN, engine, 0,
+                          {"verdict": verdict._value_, "occupancy": lanes}))
+        self.emitted += 1
 
     def on_load(self, cycle, addr, nbytes, hit, done_at, req):
-        self.registry.counter("mem.loads_issued").inc()
-        self.registry.histogram("mem.load_latency").record(done_at - cycle)
-        self.emit(cycle, Kind.MEM_ISSUE, "load", data={"bytes": nbytes})
-        self.emit(cycle, Kind.MEM_HIT if hit else Kind.MEM_MISS, "load",
-                  data={"addr": addr, "latency": done_at - cycle})
+        latency = done_at - cycle
+        self._counters["mem.loads_issued"].value += 1
+        self._histograms["mem.load_latency"].record(latency)
+        append = self.ring.append
+        append((cycle, _MEM_ISSUE, "load", 0, {"bytes": nbytes}))
+        append((cycle, _HIT if hit else _MISS, "load", 0,
+                {"addr": addr, "latency": latency}))
+        self.emitted += 2
 
     def on_store(self, cycle, nbytes):
-        self.registry.counter("mem.stores_issued").inc()
-        self.emit(cycle, Kind.MEM_ISSUE, "store", data={"bytes": nbytes})
+        self._counters["mem.stores_issued"].value += 1
+        self.ring.append((cycle, _MEM_ISSUE, "store", 0, {"bytes": nbytes}))
+        self.emitted += 1
 
     def on_stream(self, cycle, nbytes, done_at, req):
-        self.registry.counter("mem.streams_issued").inc()
-        self.emit(cycle, Kind.MEM_ISSUE, "stream", data={"bytes": nbytes})
+        self._counters["mem.streams_issued"].value += 1
+        self.ring.append((cycle, _MEM_ISSUE, "stream", 0,
+                          {"bytes": nbytes}))
+        self.emitted += 1
 
     def on_mem_done(self, cycle):
         # Every retirement is named "load", whatever the request was.
-        self.emit(cycle, Kind.MEM_COMPLETE, "load")
+        self.ring.append((cycle, _COMPLETE, "load", 0, None))
+        self.emitted += 1
 
     def on_checkpoint(self, cycle, count):
-        self.registry.counter("recovery.checkpoints").inc()
-        self.emit(cycle, Kind.CHECKPOINT, "checkpoint", data={"count": count})
+        self._counters["recovery.checkpoints"].value += 1
+        self.ring.append((cycle, _CHECKPOINT, "checkpoint", 0,
+                          {"count": count}))
+        self.emitted += 1
 
     def on_rollback(self, cycle):
-        self.registry.counter("recovery.rollbacks").inc()
-        self.emit(cycle, Kind.ROLLBACK, "rollback", data={"to_cycle": cycle})
+        self._counters["recovery.rollbacks"].value += 1
+        self.ring.append((cycle, _ROLLBACK, "rollback", 0,
+                          {"to_cycle": cycle}))
+        self.emitted += 1
 
     @property
     def evicted(self) -> int:
@@ -135,7 +213,9 @@ class EventTracer:
         return self.emitted - len(self.ring)
 
     def events(self) -> list[TraceEvent]:
-        return list(self.ring)
+        """The ring's entries as :class:`TraceEvent` records, oldest first."""
+        return [TraceEvent(cycle, _KINDS[kind], name, _REASONS[reason], data)
+                for cycle, kind, name, reason, data in self.ring]
 
     # -- Chrome trace_event export ---------------------------------------------
 
@@ -171,62 +251,62 @@ class EventTracer:
                 "args": {"name": pname},
             })
 
-        for ev in self.ring:
-            kind = ev.kind
-            if kind is Kind.STAGE_FIRE:
+        for cycle, kind, name, reason, data in self.ring:
+            if kind == _FIRE:
                 out.append({
-                    "name": "active", "ph": "X", "ts": ev.cycle, "dur": 1,
-                    "pid": _PID_PIPELINES, "tid": tid(_PID_PIPELINES, ev.name),
+                    "name": "active", "ph": "X", "ts": cycle, "dur": 1,
+                    "pid": _PID_PIPELINES, "tid": tid(_PID_PIPELINES, name),
                 })
-            elif kind is Kind.STAGE_STALL:
+            elif kind == _STALL:
                 out.append({
-                    "name": f"stall:{ev.reason.value}", "ph": "X",
-                    "ts": ev.cycle, "dur": 1,
-                    "pid": _PID_PIPELINES, "tid": tid(_PID_PIPELINES, ev.name),
+                    "name": _STALL_SLICES[reason], "ph": "X",
+                    "ts": cycle, "dur": 1,
+                    "pid": _PID_PIPELINES, "tid": tid(_PID_PIPELINES, name),
                 })
-            elif kind in (Kind.TOKEN_ENQ, Kind.TOKEN_DEQ):
+            elif kind in (_ENQ, _DEQ):
                 out.append({
-                    "name": f"queue:{ev.name}", "ph": "C", "ts": ev.cycle,
+                    "name": f"queue:{name}", "ph": "C", "ts": cycle,
                     "pid": _PID_QUEUES,
-                    "args": {"occupancy": (ev.data or {}).get("occupancy", 0)},
+                    "args": {"occupancy": (data or {}).get("occupancy", 0)},
                 })
-            elif kind in (Kind.RULE_PROMISE, Kind.RULE_RENDEZVOUS,
-                          Kind.RULE_RETURN, Kind.RULE_SQUASH):
+            elif kind in (_PROMISE, _RENDEZVOUS, _RETURN, _SQUASH):
                 out.append({
-                    "name": kind.value, "ph": "i", "s": "t", "ts": ev.cycle,
-                    "pid": _PID_RULES, "tid": tid(_PID_RULES, ev.name),
-                    "args": dict(ev.data) if ev.data else {},
+                    "name": _KIND_NAMES[kind], "ph": "i", "s": "t",
+                    "ts": cycle,
+                    "pid": _PID_RULES, "tid": tid(_PID_RULES, name),
+                    "args": dict(data) if data else {},
                 })
-                if kind in (Kind.RULE_PROMISE, Kind.RULE_RETURN):
+                if kind in (_PROMISE, _RETURN):
                     out.append({
-                        "name": f"lanes:{ev.name}", "ph": "C",
-                        "ts": ev.cycle, "pid": _PID_RULES,
+                        "name": f"lanes:{name}", "ph": "C",
+                        "ts": cycle, "pid": _PID_RULES,
                         "args": {
-                            "lanes": (ev.data or {}).get("occupancy", 0),
+                            "lanes": (data or {}).get("occupancy", 0),
                         },
                     })
-            elif kind in (Kind.MEM_ISSUE, Kind.MEM_HIT, Kind.MEM_MISS,
-                          Kind.MEM_COMPLETE):
+            elif kind in (_MEM_ISSUE, _HIT, _MISS, _COMPLETE):
                 out.append({
-                    "name": kind.value, "ph": "i", "s": "t", "ts": ev.cycle,
+                    "name": _KIND_NAMES[kind], "ph": "i", "s": "t",
+                    "ts": cycle,
                     "pid": _PID_MEMORY, "tid": tid(_PID_MEMORY, "channel"),
-                    "args": dict(ev.data) if ev.data else {},
+                    "args": dict(data) if data else {},
                 })
-                if kind is Kind.MEM_ISSUE:
+                if kind == _MEM_ISSUE:
                     qpi_outstanding += 1
-                elif kind is Kind.MEM_COMPLETE:
+                elif kind == _COMPLETE:
                     qpi_outstanding = max(0, qpi_outstanding - 1)
-                if kind in (Kind.MEM_ISSUE, Kind.MEM_COMPLETE):
+                if kind in (_MEM_ISSUE, _COMPLETE):
                     out.append({
                         "name": "qpi:outstanding", "ph": "C",
-                        "ts": ev.cycle, "pid": _PID_MEMORY,
+                        "ts": cycle, "pid": _PID_MEMORY,
                         "args": {"outstanding": qpi_outstanding},
                     })
             else:  # CHECKPOINT / ROLLBACK
                 out.append({
-                    "name": kind.value, "ph": "i", "s": "g", "ts": ev.cycle,
+                    "name": _KIND_NAMES[kind], "ph": "i", "s": "g",
+                    "ts": cycle,
                     "pid": _PID_RECOVERY, "tid": tid(_PID_RECOVERY, "recovery"),
-                    "args": dict(ev.data) if ev.data else {},
+                    "args": dict(data) if data else {},
                 })
         return {
             "traceEvents": out,

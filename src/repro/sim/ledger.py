@@ -124,8 +124,16 @@ class TokenLedger:
         )
         self._append(uid, (BORN, cycle, act_cycle, cause, cause_uid, stage))
 
+    # on_fire/on_alloc, on_release and on_issue run on most emissions of
+    # an observed run, so they inline _append and its monotone clamp.
+
     def on_fire(self, cycle, stage, uid, retired, *_) -> None:
-        self._append(uid, (FIRE, cycle, stage))
+        events = self.tokens.get(uid)
+        if events is None:
+            self.tokens[uid] = [(FIRE, cycle, stage)]
+        else:
+            last = events[-1][1]
+            events.append((FIRE, cycle if cycle >= last else last, stage))
         if retired is not None:
             self._retire(uid, cycle, retired)
 
@@ -144,20 +152,34 @@ class TokenLedger:
         # A station's wait ends at the later of its function unit
         # (fu_done, -1 for none) and its memory request (req, None for
         # none); both are fixed at issue, so readiness is recorded now.
-        self._append(uid, (ISSUE, cycle, stage))
+        events = self.tokens.get(uid)
+        if events is None:
+            issued = cycle
+            events = self.tokens[uid] = [(ISSUE, cycle, stage)]
+        else:
+            last = events[-1][1]
+            issued = cycle if cycle >= last else last
+            events.append((ISSUE, issued, stage))
         ready, kind = fu_done, "fu"
         if req is not None:
             done, mem_kind = self._mem_reqs.pop(req, (cycle, "mem_stream"))
             if done > ready:
                 ready, kind = done, mem_kind
         if ready >= 0:
-            self._append(uid, (READY, ready, stage, -1, kind))
+            events.append((READY, ready if ready >= issued else issued,
+                           stage, -1, kind))
 
     def on_awaited(self, cycle, stage, uid, engine) -> None:
         self._append(uid, (ISSUE, cycle, stage))
 
     def on_release(self, cycle, stage, uid, retired) -> None:
-        self._append(uid, (RELEASE, cycle, stage, "pass"))
+        events = self.tokens.get(uid)
+        if events is None:
+            self.tokens[uid] = [(RELEASE, cycle, stage, "pass")]
+        else:
+            last = events[-1][1]
+            events.append((RELEASE, cycle if cycle >= last else last, stage,
+                           "pass"))
         if retired is not None:
             self._retire(uid, cycle, retired)
 
@@ -167,7 +189,7 @@ class TokenLedger:
         if decided < 0:
             decided = cycle
         self._append(uid, (READY, decided, stage, instance.decided_by,
-                           instance.verdict.name.lower()))
+                           instance.verdict._value_))
         self._append(uid, (RELEASE, cycle, stage, outcome))
         if retired is not None:
             self._retire(uid, cycle, retired)

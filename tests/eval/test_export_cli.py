@@ -181,6 +181,35 @@ class TestCli:
         assert err.startswith("usage: repro ")
         assert "must be positive" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["rules", "NOPE"],
+        ["run", "NOPE"],
+        ["simulate", "NOPE"],
+        ["profile", "NOPE"],
+        ["diagnose", "NOPE"],
+        ["critpath", "NOPE"],
+        ["dashboard", "NOPE"],
+        ["rtl", "NOPE"],
+        ["dse", "NOPE"],
+    ], ids=" ".join)
+    def test_unknown_app_is_one_error_line(self, capsys, tmp_path, argv):
+        store = ["--store", str(tmp_path / "store")] \
+            if argv[0] in ("simulate", "profile", "diagnose", "critpath",
+                           "dashboard", "dse") else []
+        assert main([*argv, *store]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: unknown benchmark 'NOPE'; known: [")
+        assert "SPEC-BFS" in line
+        assert not (tmp_path / "store").exists()
+
+    def test_unknown_experiment_app_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "figure9", "--apps", "NOPE", "--no-store"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'NOPE'" in capsys.readouterr().err
+
     def test_retired_fast_alias_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "SPEC-BFS", "--fast", "--no-store"])

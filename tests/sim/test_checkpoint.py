@@ -1,5 +1,7 @@
 """Tests for checkpoint snapshots, rollback, and resilient execution."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from repro.core.spec import ApplicationSpec, HostFeed, make_task_sets
 from repro.core.state import MemorySpace
 from repro.errors import RecoveryExhaustedError
 from repro.eval.platforms import HARP
+from repro.obs import Observability
+from repro.obs.events import PROBE_KINDS
 from repro.sim.accelerator import (
     AcceleratorSim,
     SimConfig,
@@ -18,6 +22,7 @@ from repro.sim.accelerator import (
 )
 from repro.sim.checkpoint import CheckpointManager, revive, snapshot
 from repro.sim.faults import FaultEvent, FaultKind, FaultPlan
+from repro.sim.ledger import TokenLedger
 from repro.substrates.graphs import random_graph
 
 # Big enough that every snapshot/rollback point below lands mid-run
@@ -117,6 +122,44 @@ class TestSnapshotRevive:
         assert state(sim) == live
         assert state(frozen) == cloned
         assert revive(frozen).run().cycles == reference.cycles
+
+    def test_revived_probe_feeds_the_revived_consumers(self):
+        # A kind with several readers is bound to a generated fan-out that
+        # holds the readers' methods, and a deep copy shares function
+        # objects: a probe copied as is would feed the original consumers.
+        def consumers(sim):
+            return [sim.ledger, sim.obs.tracer, sim.obs.profiler,
+                    sim.obs.timeline]
+
+        def outputs(sim, result):
+            names = list(result.stats.per_stage_active)
+            obs = sim.obs
+            return (obs.profiler.accounting(names, result.cycles),
+                    obs.timeline.to_dict(len(names)),
+                    sim.ledger.to_dict(),
+                    json.dumps(obs.tracer.chrome_trace()))
+
+        sim = AcceleratorSim(_spec("SPEC-BFS"), platform=HARP,
+                             obs=Observability(), ledger=TokenLedger())
+        _advance(sim, 800)
+        frozen = snapshot(sim)
+        result = sim.run()
+        original = outputs(sim, result)
+
+        resumed = revive(frozen)
+        revived, old = consumers(resumed), consumers(sim)
+        multi = [kind for kind in PROBE_KINDS
+                 if sum(hasattr(c, "on_" + kind) for c in revived) > 1]
+        assert {"fire", "stall", "born", "verdict", "load"} <= set(multi)
+        for kind in multi:
+            readers = [cell.cell_contents.__self__ for cell in
+                       getattr(resumed.probe, kind).__closure__]
+            assert [id(r) for r in readers] == [
+                id(c) for c in revived if hasattr(c, "on_" + kind)], kind
+            assert not {id(r) for r in readers} & {id(c) for c in old}, kind
+        assert outputs(resumed, resumed.run()) == original
+        # The revived run left the original run's consumers as they were.
+        assert outputs(sim, result) == original
 
     def test_host_feed_replay(self):
         reference = AcceleratorSim(_hosted_spec(), platform=HARP).run()

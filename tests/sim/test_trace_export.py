@@ -1,13 +1,21 @@
 """Tests for the Chrome trace export and the observability CLI surface."""
 
+import gc
 import json
 
 import pytest
 
 from repro.apps.registry import build_app
 from repro.cli import main
-from repro.eval.platforms import HARP
-from repro.obs import EventTracer, Observability, StallReason, TraceEventKind
+from repro.eval.platforms import EVAL_HARP, HARP
+from repro.eval.workloads import default_workloads
+from repro.obs import (
+    EventTracer,
+    Observability,
+    StallReason,
+    TraceEvent,
+    TraceEventKind,
+)
 from repro.sim.accelerator import AcceleratorSim
 from repro.substrates.graphs import random_graph
 
@@ -121,6 +129,50 @@ class TestCounterTracks:
         for event in events:
             if event["ph"] == "C":
                 assert min(event["args"].values()) >= 0
+
+
+class TestRingStorage:
+    def test_slice_entries_are_untracked_and_events_match_the_trace(self):
+        # SPEC-BFS at 8x bandwidth as `repro profile` runs it: its stage
+        # slices wrap the default 65,536-entry ring.
+        spec = default_workloads(scale=0.5)["SPEC-BFS"].build_spec()
+        obs = Observability()
+        AcceleratorSim(spec, platform=EVAL_HARP.scaled(8.0), obs=obs).run()
+        tracer = obs.tracer
+        assert tracer.evicted > 0
+        gc.collect()
+        events = tracer.events()
+        assert len(events) == len(tracer.ring) == tracer.capacity
+        slice_kinds = (TraceEventKind.STAGE_FIRE, TraceEventKind.STAGE_STALL)
+        slices = [(entry, event) for entry, event in zip(tracer.ring, events)
+                  if event.kind in slice_kinds]
+        assert slices
+        # The collector traverses none of them.
+        assert not any(gc.is_tracked(entry) for entry, _ in slices)
+
+        assert all(type(event) is TraceEvent for event in events)
+        assert all((event.reason is not None)
+                   == (event.kind is TraceEventKind.STAGE_STALL)
+                   for event in events)
+        doc = tracer.chrome_trace()["traceEvents"]
+        threads = {(e["pid"], e["tid"]): e["args"]["name"] for e in doc
+                   if e["ph"] == "M" and e["name"] == "thread_name"}
+        assert [(e["ts"], e["name"], threads[e["pid"], e["tid"]])
+                for e in doc if e["ph"] == "X"] == [
+            (event.cycle, "active" if event.reason is None
+             else f"stall:{event.reason.value}", event.name)
+            for _, event in slices]
+        assert [(e["ts"], e["name"], e["args"]) for e in doc
+                if e["ph"] == "i"] == [
+            (event.cycle, event.kind.value, event.data or {})
+            for event in events if event.kind not in slice_kinds
+            and event.kind not in (TraceEventKind.TOKEN_ENQ,
+                                   TraceEventKind.TOKEN_DEQ)]
+        assert [(e["ts"], e["name"], e["args"]["occupancy"]) for e in doc
+                if e["name"].startswith("queue:")] == [
+            (event.cycle, f"queue:{event.name}", event.data["occupancy"])
+            for event in events if event.kind in (TraceEventKind.TOKEN_ENQ,
+                                                  TraceEventKind.TOKEN_DEQ)]
 
 
 class TestDeterminism:
