@@ -5,8 +5,8 @@ application — fixed input seed, fixed platform, default
 :class:`SimConfig` — reduced to a canonical JSON-ready dict: the final
 cycle count, the full :func:`~repro.sim.stats.stats_digest`, the trace
 profile (event counts per :class:`~repro.obs.events.TraceEventKind`,
-excluding the per-cycle ``STAGE_STALL`` events the event engine
-deliberately elides), the stall profiler's rows and the ledger's sha256,
+excluding ``STAGE_STALL``, of which dense emits one per stalled cycle
+and the event engine one per stall run), the stall profiler's rows and the ledger's sha256,
 so one fixture pins the dense *and* event-engine executions alike.
 :data:`CHROME_SCENARIO` also pins its Chrome trace, one digest per engine.
 

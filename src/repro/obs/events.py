@@ -100,8 +100,10 @@ PROBE_KINDS = {
     # Other stage activity.
     "issue": "cycle, stage, uid, req, fu_done",  # load/expand/call
     "awaited": "cycle, stage, uid, engine",  # a rendezvous admitted
-    "stall": "cycle, stage, reason",
-    "skip": "cycle, count, stalls",  # the event engine skipped cycles
+    # ``count`` cycles from ``cycle`` on, each stalled for ``reason``:
+    # dense emits one cycle at a time, the event engine a sleeping
+    # stage's whole run when it ends.
+    "stall": "cycle, stage, reason, count",
     # Tasks, memory, rule lanes, host feed and recovery.
     "activate": "cycle, handle, cause, cause_uid, task_set, occupancy",
     "load": "cycle, addr, nbytes, hit, done_at, req",

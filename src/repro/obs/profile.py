@@ -13,6 +13,8 @@ the rest of the machine, so replayed cycles are never double-counted.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from repro.obs.events import StallReason
 
 # Column order of one accounting row; "active" must sort before every
@@ -24,66 +26,91 @@ COLUMNS = (
     StallReason.RULE.value,
     StallReason.BACKPRESSURE.value,
 )
-# The row slots after the columns: the cycle still being observed and
-# the column it holds so far.
+# The row slots after the columns: the cycle still being observed, the
+# column it holds so far, and a scratch slot a new row "holds" so that
+# its first event commits nothing.
 _CYCLE = len(COLUMNS)
 _HELD = _CYCLE + 1
+_SCRATCH = _HELD + 1
+
+
+def _new_row() -> list[int]:
+    return [0] * _CYCLE + [-1, _SCRATCH, 0]
 
 
 class StallProfiler:
-    """Per-stage cycle accounting, folded online from the probe stream."""
+    """Per-stage cycle accounting, folded online from the probe stream.
+
+    Each firing kind has its own handler taking exactly that kind's
+    arguments, so an emission is a plain exact-arity call.
+    """
 
     def __init__(self) -> None:
         # stage -> [active, queue, memory, rule, backpressure, cycle,
-        # held]: committed cycles per column, then the open cell, so a
-        # handler reads and updates a stage with one lookup.
-        self._rows: dict[str, list[int]] = {}
+        # held, scratch]: committed cycles per column, then the open
+        # cell, so a handler reads and updates a stage with one lookup.
+        self._rows: defaultdict[str, list[int]] = defaultdict(_new_row)
 
     # -- probe consumer ---------------------------------------------------------
 
-    def on_fire(self, cycle: int, stage: str, *_) -> None:
-        row = self._rows.get(stage)
-        if row is None:
-            self._rows[stage] = [0, 0, 0, 0, 0, cycle, 0]
-        elif row[_CYCLE] == cycle:
-            # Same cycle observed twice: a fire beats any stall.
-            row[_HELD] = 0
-        else:
+    # A firing: a fire beats any stall recorded in the same cycle.
+
+    def on_born(self, cycle, stage, uid, handle, task_set, occupancy):
+        row = self._rows[stage]
+        if row[_CYCLE] != cycle:
             row[row[_HELD]] += 1
             row[_CYCLE] = cycle
-            row[_HELD] = 0
+        row[_HELD] = 0
 
-    on_born = on_alloc = on_fork = on_release = on_verdict = on_fire
-
-    def on_stall(self, cycle: int, stage: str, reason: StallReason) -> None:
-        row = self._rows.get(stage)
-        if row is None:
-            self._rows[stage] = [0, 0, 0, 0, 0, cycle, reason.column]
-        elif row[_CYCLE] != cycle:
-            # (A repeat of the open cycle changes nothing: a fire beats a
-            # stall, and among stalls the first recorded reason wins.)
+    def on_fire(self, cycle, stage, uid, retired):
+        row = self._rows[stage]
+        if row[_CYCLE] != cycle:
             row[row[_HELD]] += 1
             row[_CYCLE] = cycle
-            row[_HELD] = reason.column
+        row[_HELD] = 0
 
-    # -- idle-skip crediting ---------------------------------------------------
+    def on_alloc(self, cycle, stage, uid, retired, engine, lanes):
+        row = self._rows[stage]
+        if row[_CYCLE] != cycle:
+            row[row[_HELD]] += 1
+            row[_CYCLE] = cycle
+        row[_HELD] = 0
 
-    def on_skip(self, cycle: int, count: int, stalls) -> None:
-        """Account ``count`` skipped repeats of a stationary cycle whose
-        ``(stage, reason)`` stall records are ``stalls``: as ``count``
-        dense repeats would, each stage's committed row grows by
-        ``count`` in its first-recorded reason, and the open cell
-        slides forward by ``count`` cycles.  (Every record was emitted
-        as a ``stall`` first, so each stage has a row.)"""
-        credited: set[str] = set()
-        for stage, reason in stalls:
-            name = stage.name
-            if name in credited:
-                continue
-            credited.add(name)
-            row = self._rows[name]
-            row[reason.column] += count
-            row[_CYCLE] += count
+    def on_fork(self, cycle, stage, uid, retired, parent_uid, last):
+        row = self._rows[stage]
+        if row[_CYCLE] != cycle:
+            row[row[_HELD]] += 1
+            row[_CYCLE] = cycle
+        row[_HELD] = 0
+
+    def on_release(self, cycle, stage, uid, retired):
+        row = self._rows[stage]
+        if row[_CYCLE] != cycle:
+            row[row[_HELD]] += 1
+            row[_CYCLE] = cycle
+        row[_HELD] = 0
+
+    def on_verdict(self, cycle, stage, uid, retired, engine, instance,
+                   outcome):
+        row = self._rows[stage]
+        if row[_CYCLE] != cycle:
+            row[row[_HELD]] += 1
+            row[_CYCLE] = cycle
+        row[_HELD] = 0
+
+    def on_stall(self, cycle, stage, reason, count):
+        """``count`` cycles from ``cycle`` on stalled for ``reason``.  A
+        stage's emissions arrive in cycle order, so a run starting at or
+        before the open cycle is a second reason for cycles already
+        held, and changes nothing: a fire beats a stall, and among
+        stalls the first recorded reason wins."""
+        row = self._rows[stage]
+        if row[_CYCLE] < cycle:
+            column = reason.column
+            row[row[_HELD]] += 1
+            row[column] += count - 1
+            row[_CYCLE] = cycle + count - 1
+            row[_HELD] = column
 
     # -- reporting ------------------------------------------------------------
 
@@ -128,7 +155,55 @@ class UtilizationTimeline:
         self.bucket_cycles = 1
         self.counts: list[int] = []
 
-    def on_fire(self, cycle: int, *_) -> None:
+    # Each firing kind has its own exact-arity handler; a firing past
+    # the last bucket takes the slow path.
+
+    def on_born(self, cycle, stage, uid, handle, task_set, occupancy):
+        index = cycle // self.bucket_cycles
+        if index < len(self.counts):
+            self.counts[index] += 1
+        else:
+            self._extend(cycle)
+
+    def on_fire(self, cycle, stage, uid, retired):
+        index = cycle // self.bucket_cycles
+        if index < len(self.counts):
+            self.counts[index] += 1
+        else:
+            self._extend(cycle)
+
+    def on_alloc(self, cycle, stage, uid, retired, engine, lanes):
+        index = cycle // self.bucket_cycles
+        if index < len(self.counts):
+            self.counts[index] += 1
+        else:
+            self._extend(cycle)
+
+    def on_fork(self, cycle, stage, uid, retired, parent_uid, last):
+        index = cycle // self.bucket_cycles
+        if index < len(self.counts):
+            self.counts[index] += 1
+        else:
+            self._extend(cycle)
+
+    def on_release(self, cycle, stage, uid, retired):
+        index = cycle // self.bucket_cycles
+        if index < len(self.counts):
+            self.counts[index] += 1
+        else:
+            self._extend(cycle)
+
+    def on_verdict(self, cycle, stage, uid, retired, engine, instance,
+                   outcome):
+        index = cycle // self.bucket_cycles
+        if index < len(self.counts):
+            self.counts[index] += 1
+        else:
+            self._extend(cycle)
+
+    def _extend(self, cycle: int) -> None:
+        """Count a firing past the last bucket, halving the resolution
+        while the run outgrows ``max_buckets``."""
         index = cycle // self.bucket_cycles
         while index >= self.max_buckets:
             counts = self.counts
@@ -142,8 +217,6 @@ class UtilizationTimeline:
         if index >= len(counts):
             counts.extend([0] * (index + 1 - len(counts)))
         counts[index] += 1
-
-    on_born = on_alloc = on_fork = on_release = on_verdict = on_fire
 
     def series(self, total_stages: int) -> list[float]:
         """Per-bucket utilization: active stage-cycles over capacity."""

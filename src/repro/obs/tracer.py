@@ -38,9 +38,10 @@ _PROCESS_NAMES = {
 
 # A ring entry is a plain tuple ``(cycle, kind, name, reason, data)``:
 # ``kind`` indexes _KINDS, ``reason`` is a StallReason column (0: none,
-# see _REASONS) and ``data`` is None or a dict of ints and strings.  All
-# parts are atomic, so the cyclic collector stops tracking an entry once
-# it has survived a collection; TraceEvent records are built only by
+# see _REASONS) and ``data`` is None or a dict of ints and strings (a
+# stall run's is its cycle count, an int).  A stage slice's parts are
+# atomic, so the cyclic collector stops tracking its entry once it has
+# survived a collection; TraceEvent records are built only by
 # ``events()``.
 _KINDS = (Kind.TOKEN_ENQ, Kind.TOKEN_DEQ, Kind.STAGE_FIRE, Kind.STAGE_STALL,
           Kind.RULE_PROMISE, Kind.RULE_RENDEZVOUS, Kind.RULE_RETURN,
@@ -119,11 +120,17 @@ class EventTracer:
 
     # -- probe consumer ---------------------------------------------------------
 
-    def on_fire(self, cycle: int, stage: str, *_) -> None:
+    def on_fire(self, cycle, stage, uid, retired):
         self.ring.append((cycle, _FIRE, stage, 0, None))
         self.emitted += 1
 
-    on_fork = on_release = on_fire
+    def on_fork(self, cycle, stage, uid, retired, parent_uid, last):
+        self.ring.append((cycle, _FIRE, stage, 0, None))
+        self.emitted += 1
+
+    def on_release(self, cycle, stage, uid, retired):
+        self.ring.append((cycle, _FIRE, stage, 0, None))
+        self.emitted += 1
 
     def on_born(self, cycle, stage, uid, handle, task_set, occupancy):
         append = self.ring.append
@@ -151,8 +158,10 @@ class EventTracer:
         self.ring.append((cycle, _RENDEZVOUS, engine, 0, None))
         self.emitted += 1
 
-    def on_stall(self, cycle, stage, reason):
-        self.ring.append((cycle, _STALL, stage, reason.column, None))
+    def on_stall(self, cycle, stage, reason, count):
+        # A run of stalled cycles is one entry whose data is its length.
+        self.ring.append((cycle, _STALL, stage, reason.column,
+                          None if count == 1 else count))
         self.emitted += 1
 
     def on_activate(self, cycle, handle, cause, cause_uid, task_set,
@@ -214,7 +223,9 @@ class EventTracer:
 
     def events(self) -> list[TraceEvent]:
         """The ring's entries as :class:`TraceEvent` records, oldest first."""
-        return [TraceEvent(cycle, _KINDS[kind], name, _REASONS[reason], data)
+        return [TraceEvent(cycle, _KINDS[kind], name, _REASONS[reason],
+                           {"cycles": data} if kind == _STALL and data
+                           else data)
                 for cycle, kind, name, reason, data in self.ring]
 
     # -- Chrome trace_event export ---------------------------------------------
@@ -222,7 +233,8 @@ class EventTracer:
     def chrome_trace(self) -> dict:
         """The ring as a Chrome ``trace_event`` JSON document (a dict).
 
-        Besides the stage slices and instants, three families of counter
+        A stall run is one slice lasting its cycles.  Besides the stage
+        slices and instants, three families of counter
         tracks ("C" events) render Perfetto load curves: per-queue
         occupancy, per-engine live rule lanes, and the outstanding QPI
         request count (reconstructed from issue/complete instants, so it
@@ -260,7 +272,7 @@ class EventTracer:
             elif kind == _STALL:
                 out.append({
                     "name": _STALL_SLICES[reason], "ph": "X",
-                    "ts": cycle, "dur": 1,
+                    "ts": cycle, "dur": data or 1,
                     "pid": _PID_PIPELINES, "tid": tid(_PID_PIPELINES, name),
                 })
             elif kind in (_ENQ, _DEQ):

@@ -25,8 +25,8 @@ from repro.errors import (
 )
 from repro.eval.platforms import HARP, HarpPlatform
 from repro.obs import MetricsRegistry, Observability, Probe
-from repro.obs.metrics import Counter
 from repro.sim.fastpath import EventScheduler
+from repro.sim.events import wake_all
 from repro.sim.faults import FaultPlan
 from repro.sim.host import HostAdapter
 from repro.sim.invariants import DEFAULT_CHECK_INTERVAL, InvariantChecker
@@ -199,14 +199,21 @@ class AcceleratorSim:
             {name: config.rule_lanes for name in spec.task_sets}
             if spec.ordered_admission else None
         )
-        # Verdicts set so far, by any engine or rendezvous admission: a
-        # rendezvous station skips its walk while this stands still.  Not
-        # a registry metric, so the metrics snapshot is unchanged.
-        self.decisions = Counter("decisions")
+        # Event engine: stages asleep until a verdict is set (rendezvous
+        # stations) or an admission credit returns (source ports), and
+        # the alarms of stages asleep until a cycle, as (cycle, order).
+        self.verdict_sleepers: list = []
+        self.credit_sleepers: dict[str, list] = {
+            name: [] for name in spec.task_sets
+        }
+        self.alarms: list[tuple[int, int]] = []
+        # Tokens in the pipelines: a source pop or Expand fork adds one,
+        # a retirement or an Expand parent's last child takes one away.
+        self.live_tokens = 0
         self.engines: dict[str, RuleEngineSim] = {
             name: RuleEngineSim(name, rule_type, config.rule_lanes,
                                 faults=faults, probe=self.probe,
-                                decisions=self.decisions)
+                                verdict_sleepers=self.verdict_sleepers)
             for name, rule_type in spec.rules.items()
         }
         self.pipelines: list[PipelineInstance] = []
@@ -225,6 +232,8 @@ class AcceleratorSim:
         # Precomputed topology: the cycle loop walks these flat lists
         # instead of chasing pipeline/dict indirections every cycle.
         self._stages = [s for p in self.pipelines for s in p.stages]
+        for order, stage in enumerate(self._stages):
+            stage.order = order
         self._fifos = [s.input for s in self._stages]
         self._engine_list = list(self.engines.values())
         # Bound methods, resolved once: the per-cycle loop is pure
@@ -286,6 +295,7 @@ class AcceleratorSim:
         (The retiring stage reports it in its firing's probe emission.)"""
         if outcome == "commit":
             self.counters.commits.inc()
+        self.live_tokens -= 1
         for engine, instance in token.lanes:
             engine.release(instance)
         token.lanes.clear()
@@ -296,6 +306,9 @@ class AcceleratorSim:
             # Only the root token of a task returns the admission credit
             # (Expand siblings share their parent's).
             self.admission_credits[token.task_set] += 1
+            sleepers = self.credit_sleepers[token.task_set]
+            if sleepers:
+                wake_all(sleepers)
 
     def emit_at(self, when: int, event: Event, source_uid: int) -> None:
         heapq.heappush(
@@ -320,11 +333,10 @@ class AcceleratorSim:
 
     def _work_remaining(self) -> bool:
         for queue in self._queue_list:
-            if len(queue):
+            if queue._size:
                 return True
-        for pipeline in self.pipelines:
-            if pipeline.busy():
-                return True
+        if self.live_tokens:
+            return True
         if self.host.busy() or not self.host.exhausted:
             return True
         if self._event_heap:
@@ -337,16 +349,20 @@ class AcceleratorSim:
             # Components without a cycle argument (rule engines, request
             # retirement) timestamp their emissions off this.
             self.probe.now = self.cycle
-        if self.faults is not None:
-            self.faults.advance(self.cycle)
+        if self.faults is not None and self.faults.advance(self.cycle):
+            # A fault window opened or closed: lane and bank verdicts may
+            # change, so every sleeping stage ticks again.
+            for stage in self._stages:
+                stage.wake()
+        alarms = self.alarms
+        while alarms and alarms[0][0] <= self.cycle:
+            self._stages[heapq.heappop(alarms)[1]].wake()
         if self.checkpoints is not None:
             self.checkpoints.maybe_capture()
         if self.checker is not None:
             self.checker.maybe_check()
         self.active_stages_this_cycle = 0
         self.quiet = True
-        if self.ff is not None:
-            self.ff.cycle_stalls.clear()
         if self._event_heap:
             self._deliver_events()
         self.host.tick()
@@ -381,6 +397,38 @@ class AcceleratorSim:
         self.cycle += 1
         self.stats.cycles = self.cycle
 
+    def credit_runs(self) -> None:
+        """Credit every sleeping stage's stalls up to the current cycle
+        (its run goes on), so per-stage accounting can be read."""
+        cycle = self.cycle
+        for stage in self._stages:
+            if stage.wait:
+                stage.credit_run(cycle)
+
+    def _release(self) -> None:
+        """Drop the references from components back to this finished
+        simulator, its stage pass and the stages' sleep registrations,
+        so it and its components are freed as soon as its last outside
+        reference goes instead of waiting for the cyclic collector.
+        What a caller reads after a run stays: the state, stats,
+        components and stage names and counters."""
+        for pipeline in self.pipelines:
+            pipeline.ctx = None
+        for stage in self._stages:
+            stage.ctx = None
+        for fifo in self._fifos:
+            fifo.sleeper = None
+        for queue in self._queue_list:
+            queue.ports.clear()
+            queue.sleepers.clear()
+        self.host.ctx = None
+        if self.ff is not None:
+            self.ff.sim = None
+        if self.checker is not None:
+            self.checker.sim = None
+        self._compiled_ticks = self._compiled_commits = None
+        self._stage_ticks, self._fifo_commits = [], []
+
     def _check_limits(self) -> None:
         """Runaway and deadlock guards, shared by both run loops.
 
@@ -402,13 +450,14 @@ class AcceleratorSim:
             raise DeadlockError(self.cycle, "; ".join(report[:8]))
 
     def _run_fast(self) -> None:
-        """The event-engine loop: dense probe cycles, idle spans skipped.
+        """The event-engine loop: sleeping stages skipped, idle spans too.
 
-        Every executed cycle is a full dense :meth:`step`; when one ends
-        quiet (no stage fired, no silent mutation, no event delivered, no
-        otherwise triggered), the machine is stationary and the clock
-        jumps to the scheduler's earliest wake-up, crediting the skipped
-        repeats of the probe cycle's stalls along the way.
+        Every executed cycle is a :meth:`step` whose pass skips sleeping
+        stages; when one ends quiet (no stage fired, no silent mutation,
+        no event delivered, no otherwise triggered), the machine is
+        stationary and the clock jumps to the scheduler's earliest
+        wake-up.  The stages that stalled sleep, so their stall runs
+        span the jump.
         """
         ff = self.ff
         while self._work_remaining():
@@ -425,12 +474,15 @@ class AcceleratorSim:
         if not self._started:
             self.host.start()
             self._started = True
-        if self.ff is not None:
-            self._run_fast()
-        else:
-            while self._work_remaining():
-                self.step()
-                self._check_limits()
+        try:
+            if self.ff is not None:
+                self._run_fast()
+            else:
+                while self._work_remaining():
+                    self.step()
+                    self._check_limits()
+        finally:
+            self.credit_runs()
         self.stats.sync_from(self.metrics)
         for pipeline in self.pipelines:
             for stage in pipeline.stages:
@@ -450,6 +502,7 @@ class AcceleratorSim:
             )
         if verify:
             self.spec.verify(self.state)
+        self._release()
         mem = self.memory.stats
         hit_rate = mem.load_hits / mem.loads if mem.loads else 0.0
         return SimResult(

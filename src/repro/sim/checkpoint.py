@@ -157,8 +157,12 @@ class CheckpointManager:
         self._next_capture = checkpoint.cycle + self.interval
         if sim.faults is not None:
             # Force the plan's cached view to recompute at the rolled-back
-            # cycle (the clock just moved backwards).
+            # cycle (the clock just moved backwards).  Fired faults were
+            # disarmed since the snapshot, so no sleeping stage may keep
+            # the lane and bank verdicts it slept on.
             sim.faults.advance(max(0, checkpoint.cycle))
+            for stage in sim._stages:
+                stage.wake()
         if sim.probe is not None:
             # The probe and its consumers are not shared roots: they were
             # restored with the simulator, so replay cannot double-count.

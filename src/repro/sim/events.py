@@ -4,7 +4,8 @@ Components push the completion cycle of every future event they
 schedule onto one min-heap of ints at the moment they schedule it, so
 finding the next cycle at which anything can happen is a heap peek, not
 a scan of the machine.  The scheduler that reads the heap and skips idle
-cycles lives in :mod:`repro.sim.fastpath`.
+cycles lives in :mod:`repro.sim.fastpath`; :func:`wake_all` wakes the
+stages asleep on one of the lists components keep for them.
 
 An entry is one-shot and never withdrawn: a completion cycle is fixed
 when it is scheduled, and nothing retires before its completion has
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-__all__ = ["NEVER", "arm", "next_after"]
+__all__ = ["NEVER", "arm", "next_after", "wake_all"]
 
 # Sentinel for "no wake-up scheduled" — far beyond any max_cycles.
 NEVER = 1 << 62
@@ -43,3 +44,11 @@ def next_after(wakes: list[int], now: int) -> int:
     while wakes and wakes[0] <= now:
         heappop(wakes)
     return wakes[0] if wakes else NEVER
+
+
+def wake_all(sleepers: list) -> None:
+    """Wake every stage asleep on ``sleepers`` (a list of stages some
+    component keeps), and empty it."""
+    for stage in sleepers:
+        stage.wake()
+    sleepers.clear()

@@ -34,11 +34,9 @@ Cycle-exactness argument (see docs/simulator.md for the full version):
   only on that unchanged state plus the clock.
 * The only clock-driven state changes are the wake-up sources above.
 * Therefore every skipped cycle would have been an exact repeat of the
-  probe cycle just executed — so the accounting that something reads
-  (per-stage stall cycles, the queue-full counter, the
-  stall-attribution profiler's cells) is replayed in bulk, multiplied
-  by the number of skipped cycles, and per-stage accounting still sums
-  exactly to the total cycle count.
+  probe cycle just executed.  Every stage that stalled in that cycle
+  changed nothing else, so it went to sleep and its stall run simply
+  spans the skipped cycles: nothing is credited at the jump.
 
 The scheduler and its heap live inside the simulator's checkpointed
 object graph, so rollback restores the pending wake-ups and the jump
@@ -57,19 +55,14 @@ class EventScheduler:
     Attached by :class:`~repro.sim.accelerator.AcceleratorSim` when
     ``SimConfig.engine == "event"``.  Attaching plants the wake heap on
     the simulator (``sim.wakes``) and the memory system
-    (``memory.wakes``) so issue paths arm wake-ups from then on.
-    ``cycle_stalls`` collects the ``(stage, reason)`` stall records of
-    the cycle being executed; when that cycle turns out to be quiescent,
-    those records describe exactly what every skipped cycle would have
-    recorded.
+    (``memory.wakes``) so issue paths arm wake-ups from then on; a stage
+    that sees ``sim.wakes`` set sleeps through its stalls.
     """
 
     def __init__(self, sim) -> None:
         self.sim = sim
         self.jumps = 0
         self.cycles_skipped = 0
-        # Stall records of the current (probe) cycle: (stage, reason).
-        self.cycle_stalls: list = []
         # Optional jump journal for tests: (from_cycle, to_cycle, wake).
         self.log: list[tuple[int, int, int]] | None = None
         self.wakes: list[int] = []
@@ -157,22 +150,14 @@ class EventScheduler:
         return target
 
     def skip_to(self, target: int) -> None:
-        """Jump the clock forward to ``target``, crediting the skipped
-        cycles.
+        """Jump the clock forward to ``target``.
 
-        Every skipped cycle is an exact repeat of the probe cycle, so
-        its stall records are replayed ``skipped`` times into what is
-        read: per-stage stall counters and the queue-full counter.  One
-        ``skip`` probe emission hands the same records to any consumer
-        (the stall-attribution profiler keeps per-stage rows summing
-        exactly to the total cycle count).
+        Every skipped cycle is an exact repeat of the probe cycle, whose
+        stalled stages all sleep: their open stall runs cover the
+        skipped cycles and are credited when they end.
         """
         sim = self.sim
         skipped = target - sim.cycle
-        for stage, reason in self.cycle_stalls:
-            stage.credit_skipped_stalls(reason, skipped)
-        if sim.probe is not None:
-            sim.probe.skip(sim.cycle, skipped, self.cycle_stalls)
         # Dense mode refreshes the progress watermark on every cycle
         # with an outstanding memory completion still in the future.
         # While the horizon lies ahead, the request that set it is still

@@ -113,12 +113,14 @@ class FaultPlan:
 
     # -- runtime clock --------------------------------------------------------
 
-    def advance(self, cycle: int) -> None:
+    def advance(self, cycle: int) -> bool:
         """Bring the cached per-cycle view up to ``cycle`` (cheap no-op
-        between window boundaries)."""
-        if cycle < self.cycle or cycle >= self._next_boundary:
+        between window boundaries); True when the view was recomputed."""
+        recompute = cycle < self.cycle or cycle >= self._next_boundary
+        if recompute:
             self._recompute(cycle)
         self.cycle = cycle
+        return recompute
 
     def _recompute(self, cycle: int) -> None:
         self.latency_extra = 0

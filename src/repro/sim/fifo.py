@@ -18,7 +18,7 @@ T = TypeVar("T")
 class Fifo(Generic[T]):
     """Bounded FIFO with staged pushes."""
 
-    __slots__ = ("capacity", "name", "_items", "_staged")
+    __slots__ = ("capacity", "name", "_items", "_staged", "sleeper")
 
     def __init__(self, capacity: int = 2, name: str = "") -> None:
         if capacity < 1:
@@ -27,6 +27,9 @@ class Fifo(Generic[T]):
         self.name = name
         self._items: deque[T] = deque()
         self._staged: list[T] = []
+        # The producer, while it sleeps on this FIFO being full (every
+        # FIFO has one producer); the next pop wakes it.
+        self.sleeper = None
 
     def __len__(self) -> int:
         return len(self._items) + len(self._staged)
@@ -48,6 +51,9 @@ class Fifo(Generic[T]):
         return self._items[0]
 
     def pop(self) -> T:
+        if self.sleeper is not None:
+            self.sleeper.wake()
+            self.sleeper = None
         return self._items.popleft()
 
     def commit(self) -> None:

@@ -23,11 +23,16 @@ from operator import attrgetter
 
 from repro.errors import InvariantViolation
 from repro.sim.events import NEVER
+from repro.obs.events import StallReason
+from repro.sim.pipeline import SourceStage
 from repro.sim.stages import (
+    AllocRuleStage,
     CallStage,
+    EnqueueStage,
     ExpandStage,
     LoadStage,
     RendezvousStage,
+    SwitchStage,
 )
 from repro.sim.token import SimToken
 
@@ -103,7 +108,8 @@ class InvariantChecker:
         self._check_admission_credits(tokens, violations)
         self._check_rule_lanes(tokens, violations)
         self._check_queues(violations)
-        self._check_kept_counters(violations)
+        self._check_kept_counters(tokens, violations)
+        self._check_sleepers(violations)
         self._check_minimum_monotone(violations)
         if at_drain:
             self._check_drained(violations)
@@ -219,15 +225,25 @@ class InvariantChecker:
                         f"banks mark {sum(occupancy)}",
                     ))
 
-    def _check_kept_counters(self, violations: list[Violation]) -> None:
+    def _check_kept_counters(
+        self, tokens: list[tuple[SimToken, int]],
+        violations: list[Violation],
+    ) -> None:
         """Hot-path bookkeeping agrees with the state it summarizes.
 
-        Queue sizes, load-station earliest completions, the memory
-        horizon, the rule engines' lane orders and the rendezvous walk
-        marks are updated where the state changes so the per-cycle code
-        never scans; here each is recomputed by the scan it saves.
+        Queue sizes, the live-token count, load-station earliest
+        completions, the memory horizon and the rule engines' lane orders
+        are updated where the state changes so the per-cycle code never
+        scans; here each is recomputed by the scan it saves.
         """
         sim = self.sim
+        busy = any(pipeline.busy() for pipeline in sim.pipelines)
+        if sim.live_tokens != len(tokens) or bool(tokens) != busy:
+            violations.append(Violation(
+                "live-token-count", "accelerator",
+                f"kept count {sim.live_tokens} but {len(tokens)} tokens "
+                f"are in the pipelines (busy={busy})",
+            ))
         for queue in sim.queues.values():
             banked = sum(queue.bank_occupancy())
             if len(queue) != banked:
@@ -252,10 +268,6 @@ class InvariantChecker:
                     ))
         for name, engine in sim.engines.items():
             self._check_lane_order(name, engine, violations)
-        for stage in sim._stages:
-            if isinstance(stage, RendezvousStage):
-                self._check_rendezvous_walk(stage, sim.decisions.value,
-                                            violations)
         pending = any(
             done_at > sim.cycle for done_at in memory._outstanding.values()
         )
@@ -267,26 +279,21 @@ class InvariantChecker:
                 f"requests say {pending}",
             ))
 
-    @staticmethod
-    def _check_rendezvous_walk(
-        stage: RendezvousStage, decisions: int, violations: list[Violation],
-    ) -> None:
-        """A station that skips its walk at this decision count holds
-        decided tokens only at the exits its last walk found closed."""
-        if stage.walked_at != decisions:
-            return
-        walked = stage.station[:1] if stage.in_order else stage.station
-        found = {token.lanes[0][1].value for token in walked} - {None}
-        held = {value for value, flag in (
-            (True, stage.held_pass), (False, stage.held_squash),
-        ) if flag}
-        if found != held:
-            violations.append(Violation(
-                "rendezvous-walk", stage.name,
-                f"marked walked at decision count {decisions} holding "
-                f"verdicts {sorted(held)}, but its decided tokens hold "
-                f"{sorted(found)}",
-            ))
+    def _check_sleepers(self, violations: list[Violation]) -> None:
+        """A sleeping stage's tick would repeat the one it slept on:
+        stall for the reasons its run records, or change nothing."""
+        for stage in self.sim._stages:
+            if stage.wait != 1:
+                continue
+            verdict = tick_verdict(stage)
+            if verdict != stage.reasons:
+                violations.append(Violation(
+                    "sleeping-stage", stage.name,
+                    f"asleep since cycle {stage.since} on stalls "
+                    f"{[r.value for r in stage.reasons]}, but a tick would "
+                    + ("act" if verdict is None else
+                       f"stall on {[r.value for r in verdict]}"),
+                ))
 
     @staticmethod
     def _check_lane_order(
@@ -421,3 +428,93 @@ class InvariantChecker:
                         f"admission credits drained at {value}, "
                         f"expected {lanes}",
                     ))
+
+
+# The list of held work each station kind releases from.
+_HELD_WORK = {LoadStage: "station", RendezvousStage: "station",
+              ExpandStage: "_inflight", CallStage: "in_flight"}
+_BP, _MEMORY = StallReason.BACKPRESSURE, StallReason.MEMORY
+_RULE, _QUEUE = StallReason.RULE, StallReason.QUEUE
+
+
+def tick_verdict(stage) -> tuple[StallReason, ...] | None:
+    """What one tick of ``stage`` would do now, from its state alone: the
+    stalls it would record if that is all (``()`` if it would do
+    nothing), or None if it would fire or change state."""
+    ctx = stage.ctx
+    visible = bool(stage.input._items)
+    room = stage.can_send()
+    work = _HELD_WORK.get(type(stage))
+    if work is not None:
+        held = getattr(stage, work)
+        reasons = _release_verdict(stage, held, room, ctx.cycle)
+        if reasons is None or visible and len(held) < stage.depth:
+            return None
+        if visible:
+            reasons += (_RULE if isinstance(stage, RendezvousStage)
+                        else _MEMORY,)
+        return reasons
+    if isinstance(stage, SourceStage):
+        queue, faults = stage.queue, ctx.faults
+        if not queue._size:
+            return ()
+        if not room:
+            return (_BP,)
+        credits = ctx.admission_credits
+        if credits is not None and credits[stage.task_set] <= 0:
+            return (_RULE,)
+        poppable = any(
+            bank and not (faults is not None
+                          and faults.bank_stalled(queue.task_set, slot))
+            for slot, bank in enumerate(queue.banks)
+        )
+        return None if poppable else (_QUEUE,)
+    if not visible:
+        return ()
+    env = stage.input._items[0].env
+    if isinstance(stage, SwitchStage) and not stage.op.pred(env):
+        epilogue = stage.epilogue_entry
+        return None if epilogue is None or epilogue.can_push() else (_BP,)
+    if not room:
+        return (_BP,)
+    if isinstance(stage, AllocRuleStage):
+        engine = ctx.engines[stage.op.resolve(env)]
+        lanes = engine.max_lanes
+        if engine.faults is not None:
+            lanes = max(0, lanes - engine.faults.lanes_failed(engine.name))
+        return (_RULE,) if len(engine.lanes) >= lanes else None
+    if isinstance(stage, EnqueueStage):
+        op = stage.op
+        if (op.when is None or op.when(env)) and \
+                not ctx.queues[op.task_set].can_push():
+            return (_QUEUE,)
+    return None
+
+
+def _release_verdict(stage, held, room: bool, cycle: int):
+    """A station's first phase: None if it would release a token (or land
+    its head's stream), else the stall it would record, if any."""
+    if isinstance(stage, RendezvousStage):
+        epilogue = stage.epilogue_entry
+        exits = {True: room, False: epilogue is None or epilogue.can_push()}
+        decided = {token.lanes[0][1].value for token in
+                   (held[:1] if stage.in_order else held)} - {None}
+        if any(exits[value] for value in decided):
+            return None
+        return (_BP,) if decided else ()
+    if isinstance(stage, ExpandStage):
+        if not held:
+            return ()
+        stream = held[0][3]
+        if stream is not None:
+            return None if stage.ctx.memory.ready(cycle, stream) else ()
+        return None if room else (_BP,)
+    if held and not room:
+        return (_BP,)
+    if isinstance(stage, LoadStage):
+        ready = (done_at <= cycle for _token, _req, done_at in
+                 (held[:1] if stage.in_order else held))
+    else:
+        ready = (done_at <= cycle and (stream is None or stream[1] <= cycle)
+                 for _token, done_at, stream in held)
+    return None if any(ready) else ()

@@ -127,7 +127,7 @@ class TokenLedger:
     # on_fire/on_alloc, on_release and on_issue run on most emissions of
     # an observed run, so they inline _append and its monotone clamp.
 
-    def on_fire(self, cycle, stage, uid, retired, *_) -> None:
+    def on_fire(self, cycle, stage, uid, retired) -> None:
         events = self.tokens.get(uid)
         if events is None:
             self.tokens[uid] = [(FIRE, cycle, stage)]
@@ -137,7 +137,15 @@ class TokenLedger:
         if retired is not None:
             self._retire(uid, cycle, retired)
 
-    on_alloc = on_fire
+    def on_alloc(self, cycle, stage, uid, retired, engine, lanes) -> None:
+        events = self.tokens.get(uid)
+        if events is None:
+            self.tokens[uid] = [(FIRE, cycle, stage)]
+        else:
+            last = events[-1][1]
+            events.append((FIRE, cycle if cycle >= last else last, stage))
+        if retired is not None:
+            self._retire(uid, cycle, retired)
 
     def on_fork(self, cycle, stage, uid, retired, parent_uid, last) -> None:
         self._append(uid, (FORK, cycle, parent_uid))

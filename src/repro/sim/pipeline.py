@@ -31,6 +31,7 @@ class SourceStage(Stage):
         super().__init__(ctx, None, name)
         self.task_set = task_set
         self.queue = ctx.queues[task_set]
+        self.queue.ports.append(self)
 
     # The queue's kept size: tick() returns first while it is zero.
     tick_guard = "{queue}._size"
@@ -43,32 +44,45 @@ class SourceStage(Stage):
             return
         if not self.can_send():
             self._stall(BACKPRESSURE)
+            self._sleep((BACKPRESSURE,), self.output)
             return
-        credits = self.ctx.admission_credits
+        ctx = self.ctx
+        credits = ctx.admission_credits
         if credits is not None and credits[self.task_set] <= 0:
             # Admission credits are bounded by the rule-lane count.
             self._stall(RULE)
+            self._sleep((RULE,), waiters=ctx.credit_sleepers[self.task_set])
             return
         popped = queue.pop()
         if popped is None:
             # Work is queued but every bank refused the pop (faults).
             self._stall(QUEUE)
+            self._sleep((QUEUE,), waiters=queue.sleepers)
             return
         if credits is not None:
             credits[self.task_set] -= 1
+        if not queue._size:
+            # The guard of every sibling port on this queue turns false
+            # here: a sibling asleep on a stall would stall this cycle
+            # only if it ticks before this port.
+            for port in queue.ports:
+                if port.wait:
+                    port.credit_run(ctx.cycle + (port.order < self.order))
+                    port.wait = 0
         index, fields, live_handle = popped
         token = SimToken(
             env=dict(fields),
             index=index,
             task_set=self.task_set,
-            uid=self.ctx.next_token_uid(),
+            uid=ctx.next_token_uid(),
             live_handle=live_handle,
         )
         token.task_uid = token.uid
+        ctx.live_tokens += 1
         self.send(token)
-        if self.ctx.probe is not None:
-            self.ctx.probe.born(self.ctx.cycle, self.name, token.uid,
-                                live_handle, self.task_set, len(queue))
+        if ctx.probe is not None:
+            ctx.probe.born(ctx.cycle, self.name, token.uid,
+                           live_handle, self.task_set, len(queue))
         self.mark_active()
 
     def busy(self) -> bool:
@@ -80,10 +94,13 @@ def compile_stage_pass(stages: list[Stage]):
 
     Returns ``(stage_ticks, fifo_commits)``: straight-line functions that
     tick every stage in list order behind its kind's ``tick_guard``, then
-    commit every stage's input FIFO in the same order.  Every object
-    they touch is bound here, once, so a cycle runs no list loop and no
-    attribute chasing.  They hold these very stages: a deep copy of the
-    simulator must compile its own pass.
+    commit every stage's input FIFO in the same order.  A sleeping stage
+    is skipped, and a woken one resumes (closing its stall run) instead
+    of ticking; a commit into an empty input wakes a stage whose kind
+    ``wakes_on_input``.
+    Every object they touch is bound here, once, so a cycle runs no list
+    loop and no attribute chasing.  They hold these very stages: a deep
+    copy of the simulator must compile its own pass.
     """
     bound: dict[str, object] = {}
     ticks, commits = [], []
@@ -93,11 +110,21 @@ def compile_stage_pass(stages: list[Stage]):
         for k, path in enumerate(paths):
             bound[f"a{n}_{k}"] = attrgetter(path)(stage)
             guard = guard.replace("{" + path + "}", f"a{n}_{k}")
+        bound[f"s{n}"] = stage
         bound[f"t{n}"] = stage.tick
-        ticks.append(f"    if {guard}: t{n}()")
+        ticks += [f"    if {guard}:",
+                  f"        if not s{n}.wait: t{n}()",
+                  f"        elif s{n}.wait == 2: s{n}.resume()"]
         bound[f"v{n}"] = stage.input._items
         bound[f"g{n}"] = stage.input._staged
-        commits.append(f"    if g{n}: v{n}.extend(g{n}); g{n}.clear()")
+        if stage.wakes_on_input:
+            # A station asleep with input visible is full, and more
+            # input changes nothing; one with none wakes on the first.
+            commits += [f"    if g{n}:",
+                        f"        if not v{n}: s{n}.wake()",
+                        f"        v{n}.extend(g{n}); g{n}.clear()"]
+        else:
+            commits.append(f"    if g{n}: v{n}.extend(g{n}); g{n}.clear()")
     source = "\n".join([
         "def stage_ticks():", *(ticks or ["    pass"]),
         "def fifo_commits():", *(commits or ["    pass"]),
@@ -105,9 +132,10 @@ def compile_stage_pass(stages: list[Stage]):
     # The bound objects are the functions' globals.  This module's
     # __name__ among them lets the host-time layer sampler, which maps a
     # frame by its globals' __name__, charge the pass to sim.stages.
+    # The functions are taken out, so the namespace holds no cycle.
     namespace = {"__name__": __name__, **bound}
     exec(compile(source, "<stage pass>", "exec"), namespace)
-    return namespace["stage_ticks"], namespace["fifo_commits"]
+    return namespace.pop("stage_ticks"), namespace.pop("fifo_commits")
 
 
 class PipelineInstance:

@@ -24,7 +24,7 @@ from typing import Any, Mapping
 from repro.core.events import Event
 from repro.core.indexing import TaskIndex
 from repro.core.rule import RuleInstance, RuleType
-from repro.obs.metrics import Counter
+from repro.sim.events import wake_all
 
 
 @dataclass
@@ -51,14 +51,15 @@ class RuleEngineSim:
     transient lane failures and event-bus glitches; every hook is a
     single identity test when fault injection is disabled.
 
-    ``decisions`` counts the verdicts this engine sets.  A simulator
-    shares one counter between its engines and rendezvous stations, so a
-    station can skip its walk while the count stands still.
+    ``verdict_sleepers`` holds the rendezvous stations asleep until a
+    verdict is set; a simulator shares it between its engines and
+    stations.  ``sleepers`` holds the AllocRule stages asleep until a
+    lane of this engine is freed.
     """
 
     def __init__(self, name: str, rule_type: RuleType, lanes: int,
                  faults=None, probe=None,
-                 decisions: Counter | None = None) -> None:
+                 verdict_sleepers: list | None = None) -> None:
         self.name = name
         self.rule_type = rule_type
         self.max_lanes = lanes
@@ -70,9 +71,10 @@ class RuleEngineSim:
         self._order: list[tuple] = []
         self._waiting: list[tuple] = []
         self._seq = itertools.count()
-        self.decisions = (
-            decisions if decisions is not None else Counter("decisions")
+        self.verdict_sleepers = (
+            verdict_sleepers if verdict_sleepers is not None else []
         )
+        self.sleepers: list = []
         self.stats = RuleEngineStats()
         # Event-independent broadcast state, hoisted out of deliver():
         # the clause list (patterns are static per rule type, so the
@@ -120,6 +122,8 @@ class RuleEngineSim:
         if lane.awaited and instance.value is None:
             waiting = self._waiting
             del waiting[bisect_left(waiting, lane.key)]
+        if self.sleepers:
+            wake_all(self.sleepers)
         if self.probe is not None:
             self.probe.lane_free(self.probe.now, self.name, instance.verdict,
                                  len(self.lanes))
@@ -167,7 +171,8 @@ class RuleEngineSim:
                         # which token's event decided it.
                         instance.decided_cycle = probe.now
                         instance.decided_by = source_uid
-        self.decisions.value += decided
+        if decided and self.verdict_sleepers:
+            wake_all(self.verdict_sleepers)
 
     def min_allocated_index(self) -> TaskIndex | None:
         """Minimum parent index over this engine's allocated lanes.
@@ -203,7 +208,8 @@ class RuleEngineSim:
                 # no deciding token, only the broadcast cycle.
                 instance.decided_cycle = probe.now
         del waiting[:fired]
-        self.decisions.value += fired
+        if self.verdict_sleepers:
+            wake_all(self.verdict_sleepers)
         return fired
 
     def would_fire_otherwise(self, min_live: TaskIndex | None) -> bool:

@@ -10,6 +10,7 @@ Everything else is in-order with frugal dual-port FIFO interfaces.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable
 
 from repro.core.events import Event, EventKind
@@ -28,7 +29,7 @@ from repro.core.kernel import (
 )
 from repro.errors import SimulationError
 from repro.obs.events import StallReason
-from repro.sim.events import NEVER, arm
+from repro.sim.events import NEVER, arm, wake_all
 from repro.sim.fifo import Fifo
 from repro.sim.token import SimToken
 
@@ -47,10 +48,19 @@ def _value(spec: Callable | int, env: dict[str, Any]) -> int:
 
 
 class Stage:
-    """Base simulated pipeline stage."""
+    """Base simulated pipeline stage.
+
+    Under the event engine a stage whose tick changes nothing sleeps:
+    ``wait`` is 1 while it sleeps and 2 once something woke it, and the
+    generated stage pass (sim/pipeline.py) skips its ticks until then.
+    Every skipped cycle would have repeated the tick it slept on, so the
+    stalls of that tick (``reasons``) are credited in bulk from cycle
+    ``since``, as one run, when it next ticks.  Dense never sleeps.
+    """
 
     __slots__ = ("ctx", "op", "name", "input", "output", "on_retire",
-                 "active_cycles", "stall_cycles")
+                 "active_cycles", "stall_cycles", "order", "wait", "since",
+                 "reasons")
 
     def __init__(self, ctx, op, name: str) -> None:
         self.ctx = ctx
@@ -63,6 +73,10 @@ class Stage:
         self.on_retire: str = "commit"             # outcome at chain end
         self.active_cycles = 0
         self.stall_cycles = 0
+        self.order = -1  # position in the simulator's stage pass
+        self.wait = 0
+        self.since = 0
+        self.reasons: tuple[StallReason, ...] = ()
 
     # -- wiring ----------------------------------------------------------------
 
@@ -88,6 +102,10 @@ class Stage:
     # tick() returns without effect: here, while no input is visible;
     # kinds holding private work (stations) also tick while it is held.
     tick_guard = "{input._items}"
+    # Whether an input commit can change what a sleeping tick would do
+    # (stations admit while they have room); in-order kinds sleep only
+    # with input visible, so more input changes nothing.
+    wakes_on_input = False
 
     def tick(self) -> None:
         """Default in-order single-cycle behaviour."""
@@ -95,6 +113,7 @@ class Stage:
             return
         if not self.can_send():
             self._stall(BACKPRESSURE)
+            self._sleep((BACKPRESSURE,), self.output)
             return
         token = self.input.pop()
         retired = self.process(token)
@@ -115,18 +134,55 @@ class Stage:
         """One stalled cycle, attributed to the blocking resource."""
         self.stall_cycles += 1
         ctx = self.ctx
-        if ctx.ff is not None:
-            # Event-engine probe: if this whole cycle turns out to make
-            # no progress, every skipped cycle repeats this stall.
-            ctx.ff.cycle_stalls.append((self, reason))
         if ctx.probe is not None:
-            ctx.probe.stall(ctx.cycle, self.name, reason)
+            ctx.probe.stall(ctx.cycle, self.name, reason, 1)
 
-    # -- idle-skip crediting ---------------------------------------------------
+    # -- sleeping (event engine) -------------------------------------------------
 
-    def credit_skipped_stalls(self, reason: StallReason, count: int) -> None:
-        """Replay ``count`` skipped repeats of one probe-cycle stall."""
-        self.stall_cycles += count
+    def _sleep(self, reasons: tuple[StallReason, ...],
+               fifo: Fifo | None = None, waiters: list | None = None,
+               alarm: int = NEVER) -> None:
+        """Sleep from the next cycle, when a tick would only record the
+        stalls ``reasons`` (or do nothing), as would every later tick
+        until something that can change it wakes the stage: a pop from
+        ``fifo`` (room downstream), a wake of ``waiters``, or cycle
+        ``alarm``.  Only the event engine sleeps; dense ticks every cycle.
+        """
+        ctx = self.ctx
+        if ctx.wakes is None:
+            return
+        self.wait = 1
+        self.since = ctx.cycle + 1
+        self.reasons = reasons
+        if fifo is not None:
+            fifo.sleeper = self
+        if waiters is not None:
+            waiters.append(self)
+        if alarm != NEVER:
+            heappush(ctx.alarms, (alarm, self.order))
+
+    def wake(self) -> None:
+        """Something this stage sleeps on changed: tick at its next turn."""
+        if self.wait == 1:
+            self.wait = 2
+
+    def resume(self) -> None:
+        """The pass's call for a woken stage: close the run, then tick."""
+        self.wait = 0
+        self.credit_run(self.ctx.cycle)
+        self.tick()
+
+    def credit_run(self, end: int) -> None:
+        """Credit the open run's stalls for cycles ``since`` .. ``end - 1``
+        (each repeats the tick it slept on), and restart it at ``end``."""
+        count = end - self.since
+        if count > 0 and self.reasons:
+            self.stall_cycles += count * len(self.reasons)
+            probe = self.ctx.probe
+            if probe is not None:
+                for reason in self.reasons:
+                    probe.stall(self.since, self.name, reason, count)
+        self.since = end
 
     def busy(self) -> bool:
         return len(self.input) > 0
@@ -189,13 +245,16 @@ class LoadStage(Stage):
         self.earliest = NEVER
 
     tick_guard = "{station} or {input._items}"
+    wakes_on_input = True
 
     def tick(self) -> None:
         ctx = self.ctx
         station = self.station
         # 1) release one completed request (head-only when in-order).
+        released = blocked = False
         if station and not self.can_send():
             self._stall(BACKPRESSURE)
+            blocked = True
         elif station and ctx.cycle >= self.earliest:
             candidates = station[:1] if self.in_order else station
             for position, (token, req, done_at) in enumerate(candidates):
@@ -214,9 +273,10 @@ class LoadStage(Stage):
                         ctx.probe.release(ctx.cycle, self.name, token.uid,
                                           retired)
                     self.mark_active()
+                    released = True
                     break
         # 2) issue one new request.
-        if self.input._items and len(self.station) < self.depth:
+        if self.input._items and len(station) < self.depth:
             ctx.quiet = False  # silent mutation: station + cache state
             token = self.input.pop()
             op = self.op
@@ -230,6 +290,23 @@ class LoadStage(Stage):
                 self.earliest = done_at
         elif self.input._items:
             self._stall(MEMORY)
+        # Sleep from the next cycle when that tick can release nothing and
+        # issue nothing: the stalls it records repeat until room
+        # downstream (only this stage fills it), or else until a request
+        # completes; an input commit wakes it while it has room.
+        if not station or self.input._items and len(station) < self.depth:
+            return
+        if released:
+            blocked = not self.can_send()
+        ready_at = station[0][2] if self.in_order else self.earliest
+        if blocked or ready_at > ctx.cycle + 1:
+            reasons = (BACKPRESSURE,) if blocked else ()
+            if self.input._items:
+                reasons += (MEMORY,)
+            if blocked:
+                self._sleep(reasons, self.output)
+            else:
+                self._sleep(reasons, alarm=ready_at)
 
     def busy(self) -> bool:
         return bool(self.station) or len(self.input) > 0
@@ -285,12 +362,14 @@ class SwitchStage(Stage):
         if op.pred(token.env):
             if not self.can_send():
                 self._stall(BACKPRESSURE)
+                self._sleep((BACKPRESSURE,), self.output)
                 return
             self.input.pop()
             retired = self.send(token)
         elif self.epilogue_entry is not None:
             if not self.epilogue_entry.can_push():
                 self._stall(BACKPRESSURE)
+                self._sleep((BACKPRESSURE,), self.epilogue_entry)
                 return
             self.input.pop()
             ctx.counters.guard_drops.inc()
@@ -324,11 +403,14 @@ class ExpandStage(Stage):
         self.depth = ctx.config.station_depth
 
     tick_guard = "{_inflight} or {input._items}"
+    wakes_on_input = True
 
     def tick(self) -> None:
         ctx = self.ctx
         op: Expand = self.op
         # 1) emit one child from the head expansion.
+        acted = blocked = False
+        stream_req = None
         if self._inflight:
             entry = self._inflight[0]
             token, items, emitted, stream_req = entry
@@ -337,22 +419,27 @@ class ExpandStage(Stage):
                 ctx.quiet = False  # silent mutation: stream retired
                 ctx.memory.retire(stream_req)
                 entry[3] = stream_req = None
+                acted = True
             if stream_req is None:
                 if self.can_send():
                     child = token.fork(
                         items[emitted], uid=ctx.next_token_uid()
                     )
+                    ctx.live_tokens += 1
                     entry[2] += 1
                     retired = self.send(child)
                     last = entry[2] >= len(items)
                     if last:
                         self._inflight.pop(0)
+                        ctx.live_tokens -= 1
                     if ctx.probe is not None:
                         ctx.probe.fork(ctx.cycle, self.name, child.uid,
                                        retired, token.uid, last)
                     self.mark_active()
+                    acted = True
                 else:
                     self._stall(BACKPRESSURE)
+                    blocked = True
         # 2) accept one new expansion (issue its row fetch).
         if self.input._items and len(self._inflight) < self.depth:
             ctx.quiet = False  # silent mutation: expansion accepted
@@ -375,8 +462,17 @@ class ExpandStage(Stage):
                 ctx.probe.issue(ctx.cycle, self.name, token.uid, stream_req,
                                 -1)
             self._inflight.append([token, items, 0, stream_req])
-        elif self.input._items:
+            return
+        reasons = (BACKPRESSURE,) if blocked else ()
+        if self.input._items:
             self._stall(MEMORY)
+            reasons += (MEMORY,)
+        if self._inflight and not acted:
+            # The head's stream is in flight, or its child is blocked.
+            if blocked:
+                self._sleep(reasons, self.output)
+            else:
+                self._sleep(reasons, alarm=ctx.memory.done_at(stream_req))
 
     def busy(self) -> bool:
         return bool(self._inflight) or len(self.input) > 0
@@ -392,6 +488,7 @@ class AllocRuleStage(Stage):
             return
         if not self.can_send():
             self._stall(BACKPRESSURE)
+            self._sleep((BACKPRESSURE,), self.output)
             return
         token = self.input.peek()
         op: AllocRule = self.op
@@ -401,6 +498,7 @@ class AllocRuleStage(Stage):
         )
         if instance is None:
             self._stall(RULE)
+            self._sleep((RULE,), waiters=engine.sleepers)
             return
         self.input.pop()
         token.lanes.append((engine, instance))
@@ -414,8 +512,7 @@ class AllocRuleStage(Stage):
 class RendezvousStage(Stage):
     """Out-of-order rendezvous: tokens wait for verdicts in a station."""
 
-    __slots__ = ("station", "depth", "epilogue_entry", "in_order",
-                 "decisions", "walked_at", "held_pass", "held_squash")
+    __slots__ = ("station", "depth", "epilogue_entry", "in_order")
 
     def __init__(self, ctx, op, name: str) -> None:
         super().__init__(ctx, op, name)
@@ -426,14 +523,9 @@ class RendezvousStage(Stage):
         self.depth = max(ctx.config.station_depth, ctx.config.rule_lanes)
         self.epilogue_entry: Fifo[SimToken] | None = None
         self.in_order = not ctx.config.out_of_order
-        # The simulator's decision count, its value when a walk last
-        # released nothing (-1: walk on the next tick), and whether that
-        # walk found decided tokens held at the pass or squash exit.
-        self.decisions = ctx.decisions
-        self.walked_at = -1
-        self.held_pass = self.held_squash = False
 
     tick_guard = "{station} or {input._items}"
+    wakes_on_input = True
 
     def tick(self) -> None:
         ctx = self.ctx
@@ -444,20 +536,9 @@ class RendezvousStage(Stage):
         released = False
         held_pass = held_squash = False
         pass_ok = squash_ok = None
-        if self.walked_at == self.decisions.value and not (
-            self.held_pass and self.can_send()
-            or self.held_squash and self.epilogue_entry.can_push()
+        for position, token in enumerate(
+            station[:1] if self.in_order else station
         ):
-            # No verdict set and no decided token admitted since the last
-            # walk released nothing, and the exits it found closed still
-            # are: a walk would find the same tokens held the same way.
-            candidates = ()
-            held_pass, held_squash = self.held_pass, self.held_squash
-        elif self.in_order:
-            candidates = station[:1]
-        else:
-            candidates = station
-        for position, token in enumerate(candidates):
             engine, instance = token.lanes[0]
             value = instance.value
             if value is None:
@@ -494,16 +575,13 @@ class RendezvousStage(Stage):
                                   engine.name, instance, outcome)
             self.mark_active()
             released = True
-            self.walked_at = -1  # other decided tokens may be held
             break
-        if not released:
-            if held_pass or held_squash:
-                # A decided token could not leave: downstream
-                # backpressure (previously unaccounted — the cycle
-                # showed up as idle).
-                self._stall(BACKPRESSURE)
-            self.walked_at = self.decisions.value
-            self.held_pass, self.held_squash = held_pass, held_squash
+        reasons = ()
+        if not released and (held_pass or held_squash):
+            # A decided token could not leave: downstream backpressure
+            # (previously unaccounted — the cycle showed up as idle).
+            self._stall(BACKPRESSURE)
+            reasons = (BACKPRESSURE,)
         # 2) admit one waiting token into the station.
         if self.input._items and len(station) < self.depth:
             ctx.quiet = False  # silent mutation: admission arms otherwise
@@ -521,15 +599,20 @@ class RendezvousStage(Stage):
                 # with whatever the inspection has accumulated so far.
                 instance.trigger_otherwise()
                 instance.decided_cycle = ctx.cycle
-                self.decisions.value += 1
+                wake_all(ctx.verdict_sleepers)
             engine.mark_awaited(instance)
-            if instance.value is not None:
-                # Decided before its parent arrived (or just now): the
-                # count may not have moved since the last walk.
-                self.walked_at = -1
             station.append(token)
-        elif self.input._items:
+            return
+        if self.input._items:
             self._stall(RULE)
+            reasons += (RULE,)
+        if station and not released:
+            # Every held token waits for a verdict (set by any engine or
+            # rendezvous admission) or for room at the exit it is held at.
+            self._sleep(reasons, self.output if held_pass else None,
+                        ctx.verdict_sleepers)
+            if held_squash:
+                self.epilogue_entry.sleeper = self
 
     def busy(self) -> bool:
         return bool(self.station) or len(self.input) > 0
@@ -545,6 +628,7 @@ class EnqueueStage(Stage):
             return
         if not self.can_send():
             self._stall(BACKPRESSURE)
+            self._sleep((BACKPRESSURE,), self.output)
             return
         token = self.input.peek()
         op: Enqueue = self.op
@@ -553,6 +637,7 @@ class EnqueueStage(Stage):
             if not queue.can_push():
                 self._stall(QUEUE)
                 self.ctx.counters.queue_full_stalls.inc()
+                self._sleep((QUEUE,), waiters=queue.sleepers)
                 return
             self.input.pop()
             self.ctx.activate(
@@ -566,10 +651,10 @@ class EnqueueStage(Stage):
             self.ctx.probe.fire(self.ctx.cycle, self.name, token.uid, retired)
         self.mark_active()
 
-    def credit_skipped_stalls(self, reason: StallReason, count: int) -> None:
-        self.stall_cycles += count
-        if reason is QUEUE:
-            self.ctx.counters.queue_full_stalls.inc(count)
+    def credit_run(self, end: int) -> None:
+        if self.reasons == (QUEUE,) and end > self.since:
+            self.ctx.counters.queue_full_stalls.inc(end - self.since)
+        super().credit_run(end)
 
 
 class CallStage(Stage):
@@ -593,14 +678,17 @@ class CallStage(Stage):
         self.depth = ctx.config.station_depth
 
     tick_guard = "{in_flight} or {input._items}"
+    wakes_on_input = True
 
     def tick(self) -> None:
         ctx = self.ctx
         op: Call = self.op
         in_flight = self.in_flight
         # 1) complete one token.
+        released = blocked = False
         if in_flight and not self.can_send():
             self._stall(BACKPRESSURE)
+            blocked = True
         elif in_flight:
             cycle = ctx.cycle
             for position, (token, done_at, stream) in enumerate(in_flight):
@@ -622,6 +710,7 @@ class CallStage(Stage):
                 if ctx.probe is not None:
                     ctx.probe.release(ctx.cycle, self.name, token.uid, retired)
                 self.mark_active()
+                released = True
                 break
         # 2) issue one token.
         if self.input._items and len(in_flight) < self.depth:
@@ -652,8 +741,21 @@ class CallStage(Stage):
                 # Event engine: the latency timer is the one stage-private
                 # clock, so its expiry is armed at issue.
                 arm(ctx.wakes, done_at, ctx.cycle)
-        elif self.input._items:
+            return
+        reasons = (BACKPRESSURE,) if blocked else ()
+        if self.input._items:
             self._stall(MEMORY)
+            reasons += (MEMORY,)
+        if in_flight and not released:
+            # In-flight work only: sleep until room downstream, or else
+            # until the first token's timer and operand stream are done.
+            if blocked:
+                self._sleep(reasons, self.output)
+            else:
+                self._sleep(reasons, alarm=min(
+                    done_at if stream is None else max(done_at, stream[1])
+                    for _token, done_at, stream in in_flight
+                ))
 
     def busy(self) -> bool:
         return bool(self.in_flight) or len(self.input) > 0

@@ -14,6 +14,7 @@ from typing import Any
 
 from repro.core.indexing import TaskIndex
 from repro.errors import SimulationError
+from repro.sim.events import wake_all
 
 
 class MultiBankTaskQueue:
@@ -48,6 +49,11 @@ class MultiBankTaskQueue:
         self._size = 0
         self.pushes = 0
         self.pops = 0
+        # The pop ports (SourceStages) reading this queue, in pass order,
+        # and the stages asleep until its occupancy changes: pushers on a
+        # full queue, ports whose pops every bank refused.
+        self.ports: list = []
+        self.sleepers: list = []
 
     # -- capacity ---------------------------------------------------------
 
@@ -83,6 +89,8 @@ class MultiBankTaskQueue:
                 self._push_wave = (slot + 1) % len(self.banks)
                 self.pushes += 1
                 self._size += 1
+                if self.sleepers:
+                    wake_all(self.sleepers)
                 return
         raise SimulationError(f"push into full task queue {self.task_set!r}")
 
@@ -109,6 +117,8 @@ class MultiBankTaskQueue:
             self.banks[best_slot].pop()
             self.pops += 1
             self._size -= 1
+            if self.sleepers:
+                wake_all(self.sleepers)
             return entry
         for offset in range(len(self.banks)):
             slot = (self._pop_wave + offset) % len(self.banks)
@@ -120,6 +130,8 @@ class MultiBankTaskQueue:
                 self._pop_wave = (slot + 1) % len(self.banks)
                 self.pops += 1
                 self._size -= 1
+                if self.sleepers:
+                    wake_all(self.sleepers)
                 return bank.popleft()
         return None
 

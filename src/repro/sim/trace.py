@@ -23,15 +23,33 @@ class ScheduleTracer:
         self.activity: dict[str, set[int]] = defaultdict(set)
         self.last_cycle = 0
 
-    def record(self, cycle: int, stage_name: str, *_) -> None:
-        """One active (cycle, stage) pair; as the handler of every probe
-        firing kind it ignores the firing's other arguments."""
+    def record(self, cycle: int, stage_name: str) -> None:
+        """One active (cycle, stage) pair."""
         if cycle >= self.max_cycles:
             return
         self.activity[stage_name].add(cycle)
         self.last_cycle = max(self.last_cycle, cycle)
 
-    on_born = on_fire = on_alloc = on_fork = on_release = on_verdict = record
+    # One exact-arity handler per probe firing kind.
+
+    def on_born(self, cycle, stage, uid, handle, task_set, occupancy):
+        self.record(cycle, stage)
+
+    def on_fire(self, cycle, stage, uid, retired):
+        self.record(cycle, stage)
+
+    def on_alloc(self, cycle, stage, uid, retired, engine, lanes):
+        self.record(cycle, stage)
+
+    def on_fork(self, cycle, stage, uid, retired, parent_uid, last):
+        self.record(cycle, stage)
+
+    def on_release(self, cycle, stage, uid, retired):
+        self.record(cycle, stage)
+
+    def on_verdict(self, cycle, stage, uid, retired, engine, instance,
+                   outcome):
+        self.record(cycle, stage)
 
     # -- analysis ------------------------------------------------------------
 

@@ -5,11 +5,12 @@ import pytest
 from repro.apps.registry import build_app
 from repro.errors import InvariantViolation
 from repro.eval.platforms import HARP
+from repro.obs.events import StallReason
 from repro.sim.accelerator import AcceleratorSim, SimConfig
 from repro.sim.events import NEVER
 from repro.sim.faults import FaultEvent, FaultKind, FaultPlan
 from repro.sim.invariants import InvariantChecker
-from repro.sim.stages import LoadStage, RendezvousStage
+from repro.sim.stages import LoadStage
 from repro.substrates.graphs import random_graph
 
 GRAPH = random_graph(40, 90, seed=111)
@@ -109,11 +110,6 @@ def _load_stages(sim):
             if isinstance(stage, LoadStage)]
 
 
-def _rendezvous(sim):
-    return [stage for stage in sim._stages
-            if isinstance(stage, RendezvousStage)]
-
-
 class TestKeptCounters:
     """Each hot-path counter is checked against the scan it replaces."""
 
@@ -158,20 +154,40 @@ class TestKeptCounters:
             sim.checker.check()
         assert excinfo.value.invariant == "lane-order"
 
-    def test_rendezvous_walk_drift_caught(self):
-        def decided(stage):
-            return any(token.lanes[0][1].value is not None
-                       for token in stage.station)
-
+    def test_sleeping_stage_drift_caught(self):
         sim = _sim(check_interval=INTERVAL)
-        _step_until(sim, lambda s: any(map(decided, _rendezvous(s))))
-        stage = next(st for st in _rendezvous(sim) if decided(st))
-        stage.walked_at = sim.decisions.value
-        stage.held_pass = stage.held_squash = False
+        _step_until(sim, lambda s: any(st.wait == 1 and st.reasons
+                                       for st in s._stages))
+        stage = next(st for st in sim._stages
+                     if st.wait == 1 and st.reasons)
+        stage.reasons = (StallReason.QUEUE,)
         with pytest.raises(InvariantViolation) as excinfo:
             sim.checker.check()
-        assert excinfo.value.invariant == "rendezvous-walk"
+        assert excinfo.value.invariant == "sleeping-stage"
         assert excinfo.value.component == stage.name
+
+    def test_unwoken_stage_caught(self):
+        """A stage left asleep after what blocked it changed."""
+        sim = _sim(check_interval=INTERVAL)
+
+        def blocked(stage):
+            return stage.wait == 1 and stage.reasons == (
+                StallReason.BACKPRESSURE,) and stage.output is not None
+
+        _step_until(sim, lambda s: any(map(blocked, s._stages)))
+        stage = next(filter(blocked, sim._stages))
+        stage.output.capacity += 1  # room, but no pop to wake it
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.checker.check()
+        assert excinfo.value.invariant == "sleeping-stage"
+
+    def test_live_token_count_drift_caught(self):
+        sim = _sim(check_interval=INTERVAL)
+        _step_until(sim, lambda s: s.live_tokens > 0)
+        sim.live_tokens += 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.checker.check()
+        assert excinfo.value.invariant == "live-token-count"
 
 
 class TestLiveness:

@@ -155,6 +155,11 @@ class TestKeptOrders:
         live = []       # [instance, awaited] per allocated lane
         decided = 0
         for uid, (op, a, b, c) in enumerate(ops):
+            # A station asleep until the next verdict: woken exactly when
+            # this op sets one.
+            sleeper = _Sleeper()
+            engine.verdict_sleepers[:] = [sleeper]
+            decided_before = decided
             if op == "alloc":
                 instance = engine.try_alloc(TaskIndex((a, b)),
                                             {"addr": c % 2}, uid)
@@ -202,9 +207,18 @@ class TestKeptOrders:
                 assert [id(i) for i in fired] == [id(i) for i in due]
                 assert all(instance.value is True for instance in fired)
                 decided += len(fired)
-            assert engine.decisions.value == decided
+            assert sleeper.woken == (decided > decided_before)
         assert len(engine._order) == len(live)
         assert len(engine._waiting) <= len(live)
+
+
+class _Sleeper:
+    """Stands in for a stage asleep on the engine's verdicts."""
+
+    woken = False
+
+    def wake(self):
+        self.woken = True
 
 
 def _graph_spec(app):

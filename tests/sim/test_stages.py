@@ -240,9 +240,8 @@ class TestRuleStages:
 
     def test_rule_decided_before_its_parent_arrives(self):
         """A token whose rule already returned leaves on the tick after
-        its admission, though no verdict is set in between: admission
-        must re-arm a station that skips its walk until the decision
-        count moves."""
+        its admission, though no verdict is set in between: a station
+        must stay awake once it admits."""
         sim = AcceleratorSim(
             micro_spec([AllocRule("gate", lambda env: {}), Rendezvous("rv")],
                        rules={"gate": GATE}),
@@ -256,13 +255,12 @@ class TestRuleStages:
         engine.deliver(Event(EventKind.REACH, "t", "go", TaskIndex((1,)), {}),
                        source_uid=-1)
         assert instance.value is True
-        rv.tick()  # the station's walk finds nothing at this count
-        decisions = sim.decisions.value
+        rv.tick()  # an empty station: nothing to do, nothing to sleep on
         rv.input.push(token)
         rv.input.commit()
         rv.tick()  # admission
         assert rv.station == [token]
-        assert sim.decisions.value == decisions
+        assert rv.wait == 0
         rv.tick()
         assert rv.station == []
         assert engine.occupancy == 0
@@ -297,7 +295,7 @@ class _AllocProfiler(StallProfiler):
         self.occupancies = []
 
     def on_alloc(self, cycle, stage, uid, retired, engine, occupancy):
-        super().on_alloc(cycle, stage, uid, retired)
+        super().on_alloc(cycle, stage, uid, retired, engine, occupancy)
         self.occupancies.append(occupancy)
 
 
@@ -412,6 +410,6 @@ class TestTickGuards:
         assert (stage.active_cycles, stage.stall_cycles) == (0, 0)
         assert sim.quiet
         assert sim.active_stages_this_cycle == 0
-        assert sim.ff.cycle_stalls == []
+        assert stage.wait == 0  # no stall run opened: it never sleeps
         assert sim.metrics.snapshot() == counters
         assert log.emitted == []
