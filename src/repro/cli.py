@@ -65,6 +65,7 @@ from repro.errors import InputError
 from repro.eval.platforms import EVAL_HARP
 from repro.obs import Observability
 from repro.obs.profile import format_stall_report
+from repro.obs.tracer import DEFAULT_TRACE_CAPACITY
 from repro.obs.runstore import (
     DEFAULT_STORE_DIR,
     RunRecord,
@@ -221,9 +222,9 @@ def _add_store_options(parser: argparse.ArgumentParser) -> None:
     _add_store_dir(parser)
     parser.add_argument("--no-store", action="store_true",
                         help="do not record this run in the run store "
-                             "(recording attaches the full observability "
-                             "bundle, so a stored simulate is an observed "
-                             "run)")
+                             "(recording attaches the observability "
+                             "consumers, so a stored simulate is an "
+                             "observed run)")
 
 
 def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
@@ -387,6 +388,13 @@ def _simulate(args: argparse.Namespace, *, spec=None,
                 list(result.stats.per_stage_active))
 
 
+def _observability(args: argparse.Namespace,
+                   capacity: int = DEFAULT_TRACE_CAPACITY) -> Observability:
+    """The run's probe consumers, with a trace ring of ``capacity``
+    entries only when ``--trace-out`` exports it."""
+    return Observability(capacity if args.trace_out else None)
+
+
 def _write_observability(args: argparse.Namespace, result) -> None:
     """Export the run's trace / metrics snapshot where requested."""
     trace_out, metrics_out = args.trace_out, args.metrics_out
@@ -411,8 +419,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     store = _store_from_args(args)
     tracer = ScheduleTracer(max_cycles=args.trace_cycles) if args.trace \
         else None
-    obs = Observability() if (args.trace_out or args.metrics_out
-                              or store is not None) else None
+    obs = _observability(args) if (args.trace_out or args.metrics_out
+                                   or store is not None) else None
     platform = EVAL_HARP.scaled(args.bandwidth)
     config = SimConfig(prefetch=args.prefetch, engine=args.engine)
     check_interval = (
@@ -491,15 +499,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     """Stall-attribution profile: where does every stage's time go?
 
-    Runs the simulation with the structured tracer attached, folds the
-    event stream into per-stage cycle accounting (active / stalled by
-    reason / idle — each row sums exactly to the cycle count) and prints
-    the most-stalled stages.  ``--trace-out`` additionally exports the
-    Chrome ``trace_event`` JSON for Perfetto.
+    Runs the simulation with the stall profiler attached, which folds
+    the probe stream into per-stage cycle accounting (active / stalled
+    by reason / idle — each row sums exactly to the cycle count), and
+    prints the most-stalled stages.  ``--trace-out`` additionally
+    attaches the trace ring and exports the Chrome ``trace_event`` JSON
+    for Perfetto.
     """
     store = _store_from_args(args)
-    run = _simulate(args, obs=Observability(
-        trace_capacity=args.trace_capacity))
+    run = _simulate(args, obs=_observability(args, args.trace_capacity))
     result = run.result
     accounting = result.obs.profiler.accounting(run.stage_names,
                                                 result.cycles)
@@ -877,7 +885,7 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     store = _store_from_args(args)
     # Telemetry is always on here: the cross-check needs the stall
     # record, and this is an analysis command — nobody times it.
-    run = _simulate(args, obs=Observability(), ledger=TokenLedger())
+    run = _simulate(args, obs=_observability(args), ledger=TokenLedger())
     spec, result = run.spec, run.result
     critpath = extract_critical_path(
         result.ledger, result.cycles,
@@ -1089,7 +1097,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--top", type=_positive_int, default=16,
                          help="rows to print (most-stalled first)")
     profile.add_argument("--trace-capacity", type=_positive_int,
-                         default=65536, help="event ring-buffer capacity")
+                         default=DEFAULT_TRACE_CAPACITY,
+                         help="event ring-buffer capacity")
     _add_export_options(profile)
     _add_store_options(profile)
     profile.set_defaults(handler=cmd_profile)

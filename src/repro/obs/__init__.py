@@ -1,24 +1,20 @@
 """Simulator-wide observability: tracing, metrics, stall attribution.
 
-Three pillars (see docs/observability.md):
+Each consumer of the simulator's one :class:`~repro.obs.events.Probe`
+has one job (see docs/observability.md): the event metrics
+(`metrics.py`) record into a registry from which
+:class:`~repro.sim.stats.SimStats` is re-derived; the stall profiler
+and the utilization timeline (`profile.py`) fold stage activity into
+exact per-stage cycle accounting and a plotted series; the trace ring
+(`tracer.py`) exports Chrome ``trace_event`` JSON for Perfetto.
 
-* a structured **event tracer** (`tracer.py`) — ring-buffered typed
-  events exported as Chrome ``trace_event`` JSON for Perfetto, or folded
-  into the legacy ASCII timeline;
-* a **metrics registry** (`metrics.py`) — named counters, gauges, and
-  log-scaled histograms that components register against, from which
-  :class:`~repro.sim.stats.SimStats` is re-derived;
-* a **stall-attribution profiler** (`profile.py`) — per-stage cycle
-  accounting (active / stalled-by-reason / idle) that sums exactly to
-  the simulated cycle count.
-
-An :class:`Observability` instance bundles all three for one simulation
-run and is handed to :class:`~repro.sim.accelerator.AcceleratorSim` via
-its ``obs=`` parameter.  The bundle is data: its parts are consumers of
-the simulator's one :class:`~repro.obs.events.Probe` (see there for the
-zero-cost contract).  The probe and its consumers live inside the
-simulator's checkpointed object graph, so a rollback restores
-trace/profile/metric state and replayed cycles are never double-counted.
+An :class:`Observability` instance holds one run's consumers, handed to
+:class:`~repro.sim.accelerator.AcceleratorSim` via its ``obs=``
+parameter, and carries the ring only when given a capacity: only a
+command that exports a trace fills one.  The probe and its consumers
+live inside the simulator's checkpointed object graph, so a rollback
+restores trace/profile/metric state and replayed cycles are never
+double-counted.
 """
 
 from __future__ import annotations
@@ -32,7 +28,13 @@ from repro.obs.fleet import (
     merge_fleet_trace,
     write_fleet_trace,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    Counter,
+    EventMetrics,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+)
 from repro.obs.profile import (
     StallProfiler,
     UtilizationTimeline,
@@ -47,17 +49,27 @@ from repro.obs.tracer import EventTracer
 
 
 class Observability:
-    """One run's trace ring, metrics registry, profiler and timeline."""
+    """One run's metrics registry, event metrics, profiler and timeline,
+    and its trace ring (``tracer``) when given a ``trace_capacity``."""
 
-    def __init__(self, trace_capacity: int = 65536) -> None:
-        self.tracer = EventTracer(trace_capacity)
-        self.registry = self.tracer.registry
+    def __init__(self, trace_capacity: int | None = None) -> None:
+        self.registry = MetricsRegistry()
+        self.event_metrics = EventMetrics(self.registry)
+        self.tracer = (EventTracer(trace_capacity)
+                       if trace_capacity is not None else None)
         self.profiler = StallProfiler()
         self.timeline = UtilizationTimeline()
+
+    @property
+    def consumers(self) -> list:
+        """The probe consumers, in the order the probe calls them."""
+        return [c for c in (self.event_metrics, self.tracer, self.profiler,
+                            self.timeline) if c is not None]
 
 
 __all__ = [
     "Counter",
+    "EventMetrics",
     "EventTracer",
     "FleetRecorder",
     "Gauge",

@@ -117,27 +117,45 @@ PROBE_KINDS = {
     "rollback": "cycle",
 }
 
-# (kind, reader count) -> a factory taking that many handlers and
+# The stage firing kinds, and what an ``on_firing`` handler, which
+# stands for all of them, takes.
+FIRING_KINDS = ("born", "fire", "alloc", "fork", "release", "verdict")
+FIRING_ARGS = "cycle, stage"
+
+# (kind, each reader's arguments) -> a factory taking the handlers and
 # returning the kind's fan-out over them, compiled once per shape.
-_FAN_OUTS: dict[tuple[str, int], Callable] = {}
+_FAN_OUTS: dict[tuple, Callable] = {}
 
 
-def _fan_out(kind: str, handlers: tuple):
-    """A function with ``kind``'s arguments calling each handler in turn."""
-    make = _FAN_OUTS.get((kind, len(handlers)))
+def _fan_out(kind: str, readers: tuple):
+    """A function with ``kind``'s arguments calling each reader's
+    handler in turn with that reader's arguments; ``readers`` is a
+    tuple of (handler, arguments)."""
+    shape = (kind, tuple(args for _, args in readers))
+    make = _FAN_OUTS.get(shape)
     if make is None:
-        args = PROBE_KINDS[kind]
-        names = [f"h{i}" for i in range(len(handlers))]
-        calls = "".join(f"        {name}({args})\n" for name in names)
+        names = [f"h{i}" for i in range(len(readers))]
+        calls = "".join(f"        {name}({args})\n"
+                        for name, (_, args) in zip(names, readers))
         source = (f"def make({', '.join(names)}):\n"
-                  f"    def {kind}({args}):\n{calls}"
+                  f"    def {kind}({PROBE_KINDS[kind]}):\n{calls}"
                   f"    return {kind}\n")
         # This module's __name__ lets the host-time layer sampler, which
         # maps a frame by its globals' __name__, charge fan-outs to obs.
         namespace = {"__name__": __name__}
         exec(compile(source, "<probe fan-out>", "exec"), namespace)
-        make = _FAN_OUTS[kind, len(handlers)] = namespace["make"]
-    return make(*handlers)
+        make = _FAN_OUTS[shape] = namespace["make"]
+    return make(*(handler for handler, _ in readers))
+
+
+def _reader(consumer, kind: str):
+    """``consumer``'s handler for ``kind`` and the arguments it takes
+    (an exact ``on_<kind>`` wins over ``on_firing``), or None."""
+    if hasattr(consumer, "on_" + kind):
+        return getattr(consumer, "on_" + kind), PROBE_KINDS[kind]
+    if kind in FIRING_KINDS and hasattr(consumer, "on_firing"):
+        return consumer.on_firing, FIRING_ARGS
+    return None
 
 
 def _ignore(*args) -> None:
@@ -148,11 +166,12 @@ class Probe:
     """The sim core's one instrumentation stream (see :data:`PROBE_KINDS`).
 
     Every instrumented site makes one call, ``probe.<kind>(...)``; a
-    consumer reads a kind by defining ``on_<kind>``.  Each kind is bound
+    consumer reads a kind by defining ``on_<kind>``, or every firing
+    kind by defining ``on_firing(cycle, stage)``.  Each kind is bound
     once, at attach time, to its one reader's method, a generated
-    fan-out calling each reader's method directly, or a no-op.  A
-    simulator holds ``probe = None`` when nothing observes, so an
-    unobserved site costs one identity test.
+    fan-out calling each reader's method directly with the arguments it
+    takes, or a no-op.  A simulator holds ``probe = None`` when nothing
+    observes, so an unobserved site costs one identity test.
 
     A fan-out holds its readers' methods in a closure, and a deep copy
     shares function objects rather than copying them, so a copied probe
@@ -164,12 +183,15 @@ class Probe:
     def __init__(self, consumers: list) -> None:
         self.consumers = consumers
         self.now = 0  # the cycle being executed, refreshed every step
-        for kind in PROBE_KINDS:
-            handlers = tuple(getattr(c, "on_" + kind) for c in consumers
-                             if hasattr(c, "on_" + kind))
-            setattr(self, kind, _fan_out(kind, handlers)
-                    if len(handlers) > 1 else
-                    handlers[0] if handlers else _ignore)
+        for kind, args in PROBE_KINDS.items():
+            readers = [r for r in (_reader(c, kind) for c in consumers)
+                       if r is not None]
+            if not readers:
+                setattr(self, kind, _ignore)
+            elif len(readers) == 1 and readers[0][1] == args:
+                setattr(self, kind, readers[0][0])
+            else:
+                setattr(self, kind, _fan_out(kind, readers))
 
     def __reduce__(self):
         return Probe, (self.consumers,), {"now": self.now}

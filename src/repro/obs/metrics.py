@@ -175,3 +175,61 @@ class MetricsRegistry:
                 for name, h in sorted(self.histograms.items())
             },
         }
+
+
+class _Instruments(dict):
+    """key -> the instrument named ``pattern.format(key)``, registered
+    with ``register`` the first time a handler reads it (a snapshot
+    lists only the instruments a run touched)."""
+
+    def __init__(self, register, pattern: str = "{}") -> None:
+        super().__init__()
+        self.register = register
+        self.pattern = pattern
+
+    def __missing__(self, key: str):
+        instrument = self[key] = self.register(self.pattern.format(key))
+        return instrument
+
+
+class EventMetrics:
+    """Probe consumer recording issue, latency, occupancy and recovery
+    metrics into ``registry``.
+
+    The handlers read their instruments from maps keyed by engine, task
+    set or name, so an emission costs no helper call, no name formatting
+    and no registry lookup.
+    """
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._counters = _Instruments(registry.counter)
+        self._histograms = _Instruments(registry.histogram)
+        self._lane_occupancy = _Instruments(registry.histogram,
+                                            "rules.{}.lane_occupancy")
+        self._queue_occupancy = _Instruments(registry.histogram,
+                                             "queue.{}.occupancy")
+
+    # -- probe consumer ---------------------------------------------------------
+
+    def on_alloc(self, cycle, stage, uid, retired, engine, lanes):
+        self._lane_occupancy[engine].record(lanes)
+
+    def on_activate(self, cycle, handle, cause, cause_uid, task_set,
+                    occupancy):
+        self._queue_occupancy[task_set].record(occupancy)
+
+    def on_load(self, cycle, addr, nbytes, hit, done_at, req):
+        self._counters["mem.loads_issued"].value += 1
+        self._histograms["mem.load_latency"].record(done_at - cycle)
+
+    def on_store(self, cycle, nbytes):
+        self._counters["mem.stores_issued"].value += 1
+
+    def on_stream(self, cycle, nbytes, done_at, req):
+        self._counters["mem.streams_issued"].value += 1
+
+    def on_checkpoint(self, cycle, count):
+        self._counters["recovery.checkpoints"].value += 1
+
+    def on_rollback(self, cycle):
+        self._counters["recovery.rollbacks"].value += 1

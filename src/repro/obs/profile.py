@@ -1,8 +1,8 @@
 """Stall-attribution profiling: fold the probe stream into cycle accounting.
 
-The profiler reads the simulator's probe directly (its ``on_<kind>``
-handlers), so it sees every stage firing and stall even after the trace
-ring wraps.  For each stage it classifies every cycle
+The profiler reads the simulator's probe directly (its ``on_firing``
+and ``on_stall`` handlers), so it sees every stage firing and stall,
+with or without a trace ring.  For each stage it classifies every cycle
 as exactly one of *active*, one of the four :class:`StallReason` buckets,
 or *idle* — a fire beats a stall recorded in the same cycle, the first
 stall reason wins among stalls — so the per-stage rows sum **exactly** to
@@ -39,11 +39,7 @@ def _new_row() -> list[int]:
 
 
 class StallProfiler:
-    """Per-stage cycle accounting, folded online from the probe stream.
-
-    Each firing kind has its own handler taking exactly that kind's
-    arguments, so an emission is a plain exact-arity call.
-    """
+    """Per-stage cycle accounting, folded online from the probe stream."""
 
     def __init__(self) -> None:
         # stage -> [active, queue, memory, rule, backpressure, cycle,
@@ -53,45 +49,9 @@ class StallProfiler:
 
     # -- probe consumer ---------------------------------------------------------
 
-    # A firing: a fire beats any stall recorded in the same cycle.
-
-    def on_born(self, cycle, stage, uid, handle, task_set, occupancy):
-        row = self._rows[stage]
-        if row[_CYCLE] != cycle:
-            row[row[_HELD]] += 1
-            row[_CYCLE] = cycle
-        row[_HELD] = 0
-
-    def on_fire(self, cycle, stage, uid, retired):
-        row = self._rows[stage]
-        if row[_CYCLE] != cycle:
-            row[row[_HELD]] += 1
-            row[_CYCLE] = cycle
-        row[_HELD] = 0
-
-    def on_alloc(self, cycle, stage, uid, retired, engine, lanes):
-        row = self._rows[stage]
-        if row[_CYCLE] != cycle:
-            row[row[_HELD]] += 1
-            row[_CYCLE] = cycle
-        row[_HELD] = 0
-
-    def on_fork(self, cycle, stage, uid, retired, parent_uid, last):
-        row = self._rows[stage]
-        if row[_CYCLE] != cycle:
-            row[row[_HELD]] += 1
-            row[_CYCLE] = cycle
-        row[_HELD] = 0
-
-    def on_release(self, cycle, stage, uid, retired):
-        row = self._rows[stage]
-        if row[_CYCLE] != cycle:
-            row[row[_HELD]] += 1
-            row[_CYCLE] = cycle
-        row[_HELD] = 0
-
-    def on_verdict(self, cycle, stage, uid, retired, engine, instance,
-                   outcome):
+    def on_firing(self, cycle, stage):
+        """Any stage firing: a fire beats a stall recorded in the same
+        cycle."""
         row = self._rows[stage]
         if row[_CYCLE] != cycle:
             row[row[_HELD]] += 1
@@ -139,12 +99,12 @@ class StallProfiler:
 class UtilizationTimeline:
     """Bounded-memory pipeline-activity timeline, folded from the stream.
 
-    Counts ``STAGE_FIRE`` events into fixed-width cycle buckets; when a
+    Counts stage firings into fixed-width cycle buckets; when a
     run outgrows ``max_buckets`` the resolution halves (adjacent buckets
     merge, the width doubles), so any run folds into at most
     ``max_buckets`` points — the series the dashboard's utilization
     timeline plots.  Like the profiler it reads the probe directly, so
-    the timeline is complete even after the ring buffer wraps, and it is
+    the timeline is complete with or without a trace ring, and it is
     plain data, so checkpoints copy it and rollbacks restore it.
     """
 
@@ -155,46 +115,9 @@ class UtilizationTimeline:
         self.bucket_cycles = 1
         self.counts: list[int] = []
 
-    # Each firing kind has its own exact-arity handler; a firing past
-    # the last bucket takes the slow path.
-
-    def on_born(self, cycle, stage, uid, handle, task_set, occupancy):
-        index = cycle // self.bucket_cycles
-        if index < len(self.counts):
-            self.counts[index] += 1
-        else:
-            self._extend(cycle)
-
-    def on_fire(self, cycle, stage, uid, retired):
-        index = cycle // self.bucket_cycles
-        if index < len(self.counts):
-            self.counts[index] += 1
-        else:
-            self._extend(cycle)
-
-    def on_alloc(self, cycle, stage, uid, retired, engine, lanes):
-        index = cycle // self.bucket_cycles
-        if index < len(self.counts):
-            self.counts[index] += 1
-        else:
-            self._extend(cycle)
-
-    def on_fork(self, cycle, stage, uid, retired, parent_uid, last):
-        index = cycle // self.bucket_cycles
-        if index < len(self.counts):
-            self.counts[index] += 1
-        else:
-            self._extend(cycle)
-
-    def on_release(self, cycle, stage, uid, retired):
-        index = cycle // self.bucket_cycles
-        if index < len(self.counts):
-            self.counts[index] += 1
-        else:
-            self._extend(cycle)
-
-    def on_verdict(self, cycle, stage, uid, retired, engine, instance,
-                   outcome):
+    def on_firing(self, cycle, stage):
+        """Any stage firing; one past the last bucket takes the slow
+        path."""
         index = cycle // self.bucket_cycles
         if index < len(self.counts):
             self.counts[index] += 1

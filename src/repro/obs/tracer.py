@@ -3,7 +3,9 @@
 The tracer keeps the most recent ``capacity`` events in a ring (old
 events fall off the back, so tracing a long run is bounded-memory); its
 ``on_<kind>`` handlers fill it as a consumer of the simulator's
-:class:`~repro.obs.events.Probe`.
+:class:`~repro.obs.events.Probe`.  It records nothing else (the event
+metrics are :class:`~repro.obs.metrics.EventMetrics`), so a run attaches
+the ring only when it exports a trace.
 
 The ring exports to the Chrome ``trace_event`` JSON format, loadable in
 ``chrome://tracing`` or https://ui.perfetto.dev: stage activity becomes
@@ -19,7 +21,9 @@ from collections import deque
 
 from repro.obs.events import StallReason, TraceEvent
 from repro.obs.events import TraceEventKind as Kind
-from repro.obs.metrics import MetricsRegistry
+
+# The ring's size when a command does not choose one.
+DEFAULT_TRACE_CAPACITY = 65536
 
 # Synthetic process ids grouping the Chrome trace tracks.
 _PID_PIPELINES = 1
@@ -50,7 +54,6 @@ _KINDS = (Kind.TOKEN_ENQ, Kind.TOKEN_DEQ, Kind.STAGE_FIRE, Kind.STAGE_STALL,
 (_ENQ, _DEQ, _FIRE, _STALL, _PROMISE, _RENDEZVOUS, _RETURN, _SQUASH,
  _MEM_ISSUE, _HIT, _MISS, _COMPLETE, _CHECKPOINT, _ROLLBACK) = range(
     len(_KINDS))
-_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 _REASONS = (None, *StallReason)
 _STALL_SLICES = (None, *(f"stall:{reason.value}" for reason in StallReason))
 _KIND_NAMES = tuple(kind.value for kind in _KINDS)
@@ -64,71 +67,21 @@ class _Ring(deque):
         return _Ring(self, self.maxlen)
 
 
-class _Instruments(dict):
-    """key -> the instrument named ``pattern.format(key)``, registered
-    with ``register`` the first time a handler reads it (a snapshot
-    lists only the instruments a run touched)."""
-
-    def __init__(self, register, pattern: str = "{}") -> None:
-        super().__init__()
-        self.register = register
-        self.pattern = pattern
-
-    def __missing__(self, key: str):
-        instrument = self[key] = self.register(self.pattern.format(key))
-        return instrument
-
-
 class EventTracer:
-    """Bounded ring of trace entries; its probe handlers also record
-    occupancy, latency and issue/recovery metrics into ``registry``.
+    """Bounded ring of trace entries, filled by its probe handlers,
+    which append to the ring directly."""
 
-    The handlers append to the ring directly and read their instruments
-    from maps keyed by engine, task set or name, so an emission costs no
-    helper call, no name formatting and no registry lookup.
-    """
-
-    def __init__(self, capacity: int = 65536) -> None:
+    def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("trace capacity must be >= 1")
         self.capacity = capacity
         self.ring = _Ring(maxlen=capacity)
         self.emitted = 0
-        self.registry = registry = MetricsRegistry()
-        self._counters = _Instruments(registry.counter)
-        self._histograms = _Instruments(registry.histogram)
-        self._lane_occupancy = _Instruments(registry.histogram,
-                                            "rules.{}.lane_occupancy")
-        self._queue_occupancy = _Instruments(registry.histogram,
-                                             "queue.{}.occupancy")
-
-    # -- emission -------------------------------------------------------------
-
-    def emit(
-        self,
-        cycle: int,
-        kind: Kind,
-        name: str,
-        reason: StallReason | None = None,
-        data: dict | None = None,
-    ) -> None:
-        """Append one event given as its parts (the handlers below store
-        their entries without this call)."""
-        self.ring.append((cycle, _CODES[kind], name,
-                          reason.column if reason is not None else 0, data))
-        self.emitted += 1
 
     # -- probe consumer ---------------------------------------------------------
 
-    def on_fire(self, cycle, stage, uid, retired):
-        self.ring.append((cycle, _FIRE, stage, 0, None))
-        self.emitted += 1
-
-    def on_fork(self, cycle, stage, uid, retired, parent_uid, last):
-        self.ring.append((cycle, _FIRE, stage, 0, None))
-        self.emitted += 1
-
-    def on_release(self, cycle, stage, uid, retired):
+    def on_firing(self, cycle, stage):
+        """A fire, fork or release: a plain stage slice."""
         self.ring.append((cycle, _FIRE, stage, 0, None))
         self.emitted += 1
 
@@ -139,7 +92,6 @@ class EventTracer:
         self.emitted += 2
 
     def on_alloc(self, cycle, stage, uid, retired, engine, lanes):
-        self._lane_occupancy[engine].record(lanes)
         append = self.ring.append
         append((cycle, _PROMISE, engine, 0, {"occupancy": lanes}))
         append((cycle, _FIRE, stage, 0, None))
@@ -166,7 +118,6 @@ class EventTracer:
 
     def on_activate(self, cycle, handle, cause, cause_uid, task_set,
                     occupancy):
-        self._queue_occupancy[task_set].record(occupancy)
         self.ring.append((cycle, _ENQ, task_set, 0,
                           {"occupancy": occupancy}))
         self.emitted += 1
@@ -179,22 +130,17 @@ class EventTracer:
         self.emitted += 1
 
     def on_load(self, cycle, addr, nbytes, hit, done_at, req):
-        latency = done_at - cycle
-        self._counters["mem.loads_issued"].value += 1
-        self._histograms["mem.load_latency"].record(latency)
         append = self.ring.append
         append((cycle, _MEM_ISSUE, "load", 0, {"bytes": nbytes}))
         append((cycle, _HIT if hit else _MISS, "load", 0,
-                {"addr": addr, "latency": latency}))
+                {"addr": addr, "latency": done_at - cycle}))
         self.emitted += 2
 
     def on_store(self, cycle, nbytes):
-        self._counters["mem.stores_issued"].value += 1
         self.ring.append((cycle, _MEM_ISSUE, "store", 0, {"bytes": nbytes}))
         self.emitted += 1
 
     def on_stream(self, cycle, nbytes, done_at, req):
-        self._counters["mem.streams_issued"].value += 1
         self.ring.append((cycle, _MEM_ISSUE, "stream", 0,
                           {"bytes": nbytes}))
         self.emitted += 1
@@ -205,13 +151,11 @@ class EventTracer:
         self.emitted += 1
 
     def on_checkpoint(self, cycle, count):
-        self._counters["recovery.checkpoints"].value += 1
         self.ring.append((cycle, _CHECKPOINT, "checkpoint", 0,
                           {"count": count}))
         self.emitted += 1
 
     def on_rollback(self, cycle):
-        self._counters["recovery.rollbacks"].value += 1
         self.ring.append((cycle, _ROLLBACK, "rollback", 0,
                           {"to_cycle": cycle}))
         self.emitted += 1

@@ -143,7 +143,7 @@ class AcceleratorSim:
         self.ledger = ledger
         consumers = [c for c in (tracer, ledger) if c is not None]
         if obs is not None:
-            consumers += [obs.tracer, obs.profiler, obs.timeline]
+            consumers += obs.consumers
         self.probe = Probe(consumers) if consumers else None
         # Per-instance token uid counter: ledgers/traces/goldens get the
         # same uids no matter how many sims ran earlier in the process.
@@ -628,6 +628,8 @@ def run_resilient(
     for attempt in range(1, max_attempts + 1):
         try:
             result = sim.run(verify=verify)
+        except SpecificationError:
+            raise  # a configuration no retry can run
         except (ReproError, AssertionError) as exc:
             failure = FailureRecord(
                 cycle=sim.cycle, attempt=attempt,

@@ -10,10 +10,12 @@ for SPEC-DMR and COOR-LU.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator
 
 from repro.core.indexing import TaskIndex
 from repro.core.spec import ApplicationSpec, SeedTask
+from repro.errors import SpecificationError
 
 
 class HostAdapter:
@@ -59,8 +61,19 @@ class HostAdapter:
         return batch
 
     def start(self) -> None:
-        """Seed the initial tasks (free: they are enqueued before t=0)."""
-        for task_set, fields in self.spec.initial_tasks(self.ctx.state):
+        """Seed the initial tasks (free: they are enqueued before t=0).
+
+        Raises :class:`SpecificationError` when a task set has more seed
+        tasks than its queue holds: no run of that configuration starts.
+        """
+        seeds = list(self.spec.initial_tasks(self.ctx.state))
+        for task_set, count in Counter(name for name, _ in seeds).items():
+            capacity = self.ctx.queues[task_set].capacity
+            if count > capacity:
+                raise SpecificationError(
+                    f"{self.spec.name}: {count} initial {task_set!r} tasks "
+                    f"overflow its task queue, which holds {capacity}")
+        for task_set, fields in seeds:
             self.ctx.activate(task_set, dict(fields), parent=None)
         self._advance_batch()
 

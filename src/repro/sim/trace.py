@@ -23,33 +23,15 @@ class ScheduleTracer:
         self.activity: dict[str, set[int]] = defaultdict(set)
         self.last_cycle = 0
 
-    def record(self, cycle: int, stage_name: str) -> None:
+    def record(self, cycle: int, stage: str) -> None:
         """One active (cycle, stage) pair."""
         if cycle >= self.max_cycles:
             return
-        self.activity[stage_name].add(cycle)
+        self.activity[stage].add(cycle)
         self.last_cycle = max(self.last_cycle, cycle)
 
-    # One exact-arity handler per probe firing kind.
-
-    def on_born(self, cycle, stage, uid, handle, task_set, occupancy):
-        self.record(cycle, stage)
-
-    def on_fire(self, cycle, stage, uid, retired):
-        self.record(cycle, stage)
-
-    def on_alloc(self, cycle, stage, uid, retired, engine, lanes):
-        self.record(cycle, stage)
-
-    def on_fork(self, cycle, stage, uid, retired, parent_uid, last):
-        self.record(cycle, stage)
-
-    def on_release(self, cycle, stage, uid, retired):
-        self.record(cycle, stage)
-
-    def on_verdict(self, cycle, stage, uid, retired, engine, instance,
-                   outcome):
-        self.record(cycle, stage)
+    # The probe handler for every stage firing kind.
+    on_firing = record
 
     # -- analysis ------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from repro.core.state import MemorySpace
 from repro.errors import RecoveryExhaustedError
 from repro.eval.platforms import HARP
 from repro.obs import Observability
-from repro.obs.events import PROBE_KINDS
+from repro.obs.events import FIRING_KINDS, PROBE_KINDS
 from repro.sim.accelerator import (
     AcceleratorSim,
     SimConfig,
@@ -128,19 +128,24 @@ class TestSnapshotRevive:
         # holds the readers' methods, and a deep copy shares function
         # objects: a probe copied as is would feed the original consumers.
         def consumers(sim):
-            return [sim.ledger, sim.obs.tracer, sim.obs.profiler,
-                    sim.obs.timeline]
+            return [sim.ledger, *sim.obs.consumers]
+
+        def reads(consumer, kind):
+            return hasattr(consumer, "on_" + kind) or (
+                kind in FIRING_KINDS and hasattr(consumer, "on_firing"))
 
         def outputs(sim, result):
             names = list(result.stats.per_stage_active)
             obs = sim.obs
             return (obs.profiler.accounting(names, result.cycles),
                     obs.timeline.to_dict(len(names)),
+                    obs.registry.snapshot(),
                     sim.ledger.to_dict(),
                     json.dumps(obs.tracer.chrome_trace()))
 
         sim = AcceleratorSim(_spec("SPEC-BFS"), platform=HARP,
-                             obs=Observability(), ledger=TokenLedger())
+                             obs=Observability(trace_capacity=1 << 16),
+                             ledger=TokenLedger())
         _advance(sim, 800)
         frozen = snapshot(sim)
         result = sim.run()
@@ -149,13 +154,13 @@ class TestSnapshotRevive:
         resumed = revive(frozen)
         revived, old = consumers(resumed), consumers(sim)
         multi = [kind for kind in PROBE_KINDS
-                 if sum(hasattr(c, "on_" + kind) for c in revived) > 1]
+                 if sum(reads(c, kind) for c in revived) > 1]
         assert {"fire", "stall", "born", "verdict", "load"} <= set(multi)
         for kind in multi:
             readers = [cell.cell_contents.__self__ for cell in
                        getattr(resumed.probe, kind).__closure__]
             assert [id(r) for r in readers] == [
-                id(c) for c in revived if hasattr(c, "on_" + kind)], kind
+                id(c) for c in revived if reads(c, kind)], kind
             assert not {id(r) for r in readers} & {id(c) for c in old}, kind
         assert outputs(resumed, resumed.run()) == original
         # The revived run left the original run's consumers as they were.

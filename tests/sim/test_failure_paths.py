@@ -6,7 +6,7 @@ import pytest
 from repro.apps.registry import build_app
 from repro.errors import DeadlockError, SimulationError, SpecificationError
 from repro.eval.platforms import HARP, HarpPlatform
-from repro.sim.accelerator import AcceleratorSim, SimConfig
+from repro.sim.accelerator import AcceleratorSim, SimConfig, run_resilient
 from repro.sim.faults import FaultEvent, FaultKind, FaultPlan
 from repro.sim.memory import MemorySystem
 from repro.substrates.graphs import random_graph
@@ -65,6 +65,35 @@ class TestConfigValidation:
 
     def test_defaults_valid(self):
         SimConfig()  # must not raise
+
+
+class TestSeedOverflow:
+    """More seed tasks than a task queue holds is a configuration error,
+    raised before cycle 0 by both entry points."""
+
+    SPEC = build_app("SPEC-MST", random_graph(40, 120, seed=2))
+    CONFIG = SimConfig(queue_banks=1, queue_depth_per_bank=8)
+    MESSAGE = "120 initial 'mstedge' tasks overflow its task queue, " \
+              "which holds 8"
+
+    def test_run_raises_before_cycle_zero(self):
+        sim = AcceleratorSim(self.SPEC, platform=HARP, config=self.CONFIG)
+        with pytest.raises(SpecificationError, match=self.MESSAGE):
+            sim.run()
+        assert sim.cycle == 0
+
+    def test_run_resilient_raises_it_once(self, monkeypatch):
+        runs = []
+        run = AcceleratorSim.run
+
+        def counted(sim, **kwargs):
+            runs.append(sim)
+            return run(sim, **kwargs)
+
+        monkeypatch.setattr(AcceleratorSim, "run", counted)
+        with pytest.raises(SpecificationError, match=self.MESSAGE):
+            run_resilient(self.SPEC, platform=HARP, config=self.CONFIG)
+        assert len(runs) == 1
 
 
 class TestMemoryMisuse:

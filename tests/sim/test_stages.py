@@ -295,7 +295,7 @@ class _AllocProfiler(StallProfiler):
         self.occupancies = []
 
     def on_alloc(self, cycle, stage, uid, retired, engine, occupancy):
-        super().on_alloc(cycle, stage, uid, retired, engine, occupancy)
+        super().on_firing(cycle, stage)
         self.occupancies.append(occupancy)
 
 

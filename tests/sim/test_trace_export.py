@@ -6,7 +6,9 @@ import json
 import pytest
 
 from repro.apps.registry import build_app
+from repro import cli
 from repro.cli import main
+from repro.core.rule import RuleVerdict
 from repro.eval.platforms import EVAL_HARP, HARP
 from repro.eval.workloads import default_workloads
 from repro.obs import (
@@ -16,6 +18,7 @@ from repro.obs import (
     TraceEvent,
     TraceEventKind,
 )
+from repro.obs.tracer import DEFAULT_TRACE_CAPACITY
 from repro.sim.accelerator import AcceleratorSim
 from repro.substrates.graphs import random_graph
 
@@ -37,18 +40,14 @@ def _observed_run(capacity=1 << 20):
 
 class TestChromeTraceSchema:
     def test_unit_export_covers_every_phase(self):
+        # The tracer is fed through its probe handlers, as a run feeds it.
         tracer = EventTracer(capacity=64)
-        tracer.emit(0, TraceEventKind.STAGE_FIRE, "s.alu")
-        tracer.emit(1, TraceEventKind.STAGE_STALL, "s.alu",
-                    reason=StallReason.MEMORY)
-        tracer.emit(1, TraceEventKind.TOKEN_ENQ, "bfs",
-                    data={"occupancy": 3})
-        tracer.emit(2, TraceEventKind.RULE_PROMISE, "visit",
-                    data={"occupancy": 1})
-        tracer.emit(2, TraceEventKind.MEM_MISS, "load",
-                    data={"addr": 64, "latency": 40})
-        tracer.emit(3, TraceEventKind.CHECKPOINT, "checkpoint",
-                    data={"count": 1})
+        tracer.on_firing(0, "s.alu")
+        tracer.on_stall(1, "s.alu", StallReason.MEMORY, 1)
+        tracer.on_activate(1, 0, "seed", -1, "bfs", 3)
+        tracer.on_awaited(2, "s.rv", 0, "visit")
+        tracer.on_load(2, 64, 8, False, 42, 0)
+        tracer.on_checkpoint(3, 1)
         doc = tracer.chrome_trace()
         events = doc["traceEvents"]
         phases = {e["ph"] for e in events}
@@ -92,12 +91,9 @@ class TestChromeTraceSchema:
 class TestCounterTracks:
     def test_rule_lane_counter_follows_promise_and_return(self):
         tracer = EventTracer(capacity=64)
-        tracer.emit(0, TraceEventKind.RULE_PROMISE, "visit",
-                    data={"occupancy": 1})
-        tracer.emit(1, TraceEventKind.RULE_PROMISE, "visit",
-                    data={"occupancy": 2})
-        tracer.emit(5, TraceEventKind.RULE_RETURN, "visit",
-                    data={"verdict": "clause", "occupancy": 1})
+        tracer.on_alloc(0, "s.alloc", 0, None, "visit", 1)
+        tracer.on_alloc(1, "s.alloc", 1, None, "visit", 2)
+        tracer.on_lane_free(5, "visit", RuleVerdict.CLAUSE, 1)
         events = tracer.chrome_trace()["traceEvents"]
         lanes = [e for e in events if e["name"] == "lanes:visit"]
         assert [e["args"]["lanes"] for e in lanes] == [1, 2, 1]
@@ -105,14 +101,12 @@ class TestCounterTracks:
 
     def test_qpi_outstanding_counter_reconstructed(self):
         tracer = EventTracer(capacity=64)
-        tracer.emit(0, TraceEventKind.MEM_ISSUE, "load",
-                    data={"bytes": 64})
-        tracer.emit(1, TraceEventKind.MEM_ISSUE, "load",
-                    data={"bytes": 64})
-        tracer.emit(2, TraceEventKind.MEM_COMPLETE, "load")
-        tracer.emit(3, TraceEventKind.MEM_COMPLETE, "load")
+        tracer.on_store(0, 64)
+        tracer.on_store(1, 64)
+        tracer.on_mem_done(2)
+        tracer.on_mem_done(3)
         # A complete with no issue in the ring (evicted) must clamp at 0.
-        tracer.emit(4, TraceEventKind.MEM_COMPLETE, "load")
+        tracer.on_mem_done(4)
         events = tracer.chrome_trace()["traceEvents"]
         outstanding = [e["args"]["outstanding"] for e in events
                        if e["name"] == "qpi:outstanding"]
@@ -133,10 +127,10 @@ class TestCounterTracks:
 
 class TestRingStorage:
     def test_slice_entries_are_untracked_and_events_match_the_trace(self):
-        # SPEC-BFS at 8x bandwidth as `repro profile` runs it: its stage
-        # slices wrap the default 65,536-entry ring.
+        # SPEC-BFS at 8x bandwidth as `repro profile --trace-out` runs it:
+        # its stage slices wrap the default 65,536-entry ring.
         spec = default_workloads(scale=0.5)["SPEC-BFS"].build_spec()
-        obs = Observability()
+        obs = Observability(trace_capacity=DEFAULT_TRACE_CAPACITY)
         AcceleratorSim(spec, platform=EVAL_HARP.scaled(8.0), obs=obs).run()
         tracer = obs.tracer
         assert tracer.evicted > 0
@@ -254,3 +248,46 @@ class TestObservabilityCli:
         assert run["app"] == "SPEC-BFS"
         assert run["metrics"]["counters"]["sim.commits"] > 0
         assert payload["aggregate"]["cycles"] == run["cycles"]
+
+
+class TestRingAttachment:
+    """A command attaches the trace ring exactly when ``--trace-out``
+    exports it; storing or diagnosing a run never does."""
+
+    @pytest.fixture
+    def attached(self, monkeypatch):
+        made = []
+
+        def observability(*args, **kwargs):
+            made.append(Observability(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "Observability", observability)
+        return made
+
+    @pytest.mark.parametrize("command", ["profile", "simulate", "critpath"])
+    def test_trace_out_attaches_the_ring(self, command, attached, tmp_path,
+                                         capsys):
+        for exported in (False, True):
+            attached.clear()
+            args = [command, "SPEC-CC", "--no-store"]
+            if command == "simulate":
+                args += ["--metrics-out", str(tmp_path / "m.json")]
+            if exported:
+                args += ["--trace-out", str(tmp_path / "t.json")]
+            assert main(args) == 0
+            [obs] = attached
+            assert (obs.tracer is not None) == exported, args
+
+    @pytest.mark.parametrize("command", [
+        ["diagnose", "SPEC-CC"],
+        ["dashboard", "SPEC-CC", "--out", "dashboard.html"],
+        ["simulate", "SPEC-CC"],
+    ])
+    def test_stored_and_diagnosed_runs_carry_no_ring(self, command, attached,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--store", str(tmp_path / "store")]) == 0
+        [obs] = attached
+        assert obs.tracer is None
