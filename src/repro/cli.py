@@ -15,7 +15,7 @@ Commands
                 / compact)
 ``cache``       inspect and maintain the sweep result cache
                 (stats / verify / compact / prune)
-``diagnose``    rank a run's bottlenecks from its stored telemetry
+``diagnose``    rank a run's bottlenecks by its measured critical path
                 (``--json`` for machine-readable findings)
 ``critpath``    per-token provenance: extract the measured critical
                 path, its bucket decomposition, and what-if projections
@@ -36,7 +36,8 @@ journal (see docs/robustness.md) — plus the fleet observability flags
 ``--fleet-trace FILE`` (merged cross-process Chrome trace, one lane per
 worker pid; open in Perfetto).
 
-``simulate``, ``profile``, ``fault-campaign`` and ``experiment`` append
+``simulate``, ``profile``, ``fault-campaign``, ``experiment``,
+``critpath`` and ``diagnose APP`` append
 a :class:`~repro.obs.runstore.RunRecord` to the run store
 (``.repro/runs.jsonl``; ``--no-store`` opts out, ``--store DIR``
 relocates it), which ``runs`` / ``diagnose`` / ``dashboard`` consume.
@@ -811,25 +812,27 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    """Classify a run's bottleneck from its stored (or fresh) telemetry."""
+    """Read a run's bottlenecks off its measured critical path."""
     from repro.obs.diagnose import (
-        cross_check,
+        STORES_A_PATH,
         diagnose_record,
         format_findings,
     )
+    from repro.sim.ledger import TokenLedger
 
     if args.run is not None:
         try:
             record = _resolve_run_ref(RunStore(args.store), args.run)
         except _STORE_ERRORS as exc:
             return _fail(exc)
-        if record.kind == "sweep":
+        if record.critical_path is None:
             return _fail(ValueError(
-                f"run {record.run_id} is a {record.kind} record: it times "
-                "a sweep's workers and holds no simulated run to diagnose"
+                f"run {record.run_id} is a {record.kind} record and stores "
+                f"no critical path; {STORES_A_PATH}"
             ))
     elif args.app is not None:
-        record = _simulate(args, obs=Observability()).record("diagnose")
+        record = _simulate(args, obs=Observability(),
+                           ledger=TokenLedger()).record("diagnose")
         store = _store_from_args(args)
         if store is not None:
             record = store.append(record)
@@ -838,8 +841,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
               "a stored run", file=sys.stderr)
         return 1
     findings = diagnose_record(record)
-    check = (cross_check(findings, record.critical_path)
-             if record.critical_path is not None else None)
     if getattr(args, "json", False):
         payload = {
             "app": record.app,
@@ -848,13 +849,10 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             "bandwidth_scale": record.platform.get("bandwidth_scale", 1.0),
             "utilization": round(record.utilization, 6),
             "findings": [finding.to_dict() for finding in findings],
-            "critical_path_cross_check": check,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(format_findings(record, findings))
-    if check is not None:
-        print(f"  critical-path cross-check: {check['note']}")
     return 0
 
 
@@ -868,9 +866,7 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     what-if speedup bounds.  ``--json`` emits the stored summary block
     (engine-invariant: dense and event produce byte-identical output);
     ``--trace-out`` writes the run's Chrome trace with the chain
-    appended as a Perfetto flow-arrow track.  The bottleneck
-    classifier's verdict is always cross-checked against the path's
-    dominant bucket.
+    appended as a Perfetto flow-arrow track.
     """
     from repro.obs.critpath import (
         critpath_trace_events,
@@ -879,12 +875,12 @@ def cmd_critpath(args: argparse.Namespace) -> int:
         result_saturation,
         summary_block,
     )
-    from repro.obs.diagnose import cross_check, diagnose_record
     from repro.sim.ledger import TokenLedger
 
     store = _store_from_args(args)
-    # Telemetry is always on here: the cross-check needs the stall
-    # record, and this is an analysis command — nobody times it.
+    # Telemetry is always on here: the stored record carries the stall
+    # table beside the path, and this is an analysis command — nobody
+    # times it.
     run = _simulate(args, obs=_observability(args), ledger=TokenLedger())
     spec, result = run.spec, run.result
     critpath = extract_critical_path(
@@ -895,7 +891,6 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     )
     summary = summary_block(critpath)
     record = run.record("critpath", critical_path=summary)
-    check = cross_check(diagnose_record(record), summary)
 
     # Confirmations go to stderr in --json mode so stdout stays one
     # parseable document (and is byte-identical across engines).
@@ -903,13 +898,9 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     if args.json:
         payload = dict(summary)
         payload["app"] = spec.name
-        payload["diagnose_cross_check"] = check
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(format_critpath(summary, app=spec.name))
-        if check is not None:
-            print()
-            print(f"  diagnose cross-check: {check['note']}")
     if args.trace_out:
         doc = result.obs.tracer.chrome_trace()
         doc["traceEvents"].extend(critpath_trace_events(critpath))
@@ -927,11 +918,13 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
     """Render the self-contained HTML dashboard from the run store."""
     from repro.obs.dashboard import write_dashboard
     from repro.obs.diagnose import diagnose_record
+    from repro.sim.ledger import TokenLedger
 
     store = RunStore(args.store)
     history = store.records()
     if args.app is not None:
-        record = _simulate(args, obs=Observability()).record("diagnose")
+        record = _simulate(args, obs=Observability(),
+                           ledger=TokenLedger()).record("diagnose")
         if not args.no_store:
             record = store.append(record)
             history.append(record)
@@ -1186,17 +1179,14 @@ def build_parser() -> argparse.ArgumentParser:
     cache.set_defaults(handler=cmd_cache)
 
     diagnose = sub.add_parser(
-        "diagnose", help="rank the bottlenecks of a run "
-                         "(memory / bandwidth / rule-lane / queue / "
-                         "squash / host-launch)")
-    _add_sim_options(diagnose, "simulate this app with observability on",
-                     optional=True)
+        "diagnose", help="rank the bottlenecks of a run by its measured "
+                         "critical path (one finding per path bucket)")
+    _add_sim_options(diagnose, "simulate this app with observability and "
+                               "a TokenLedger attached", optional=True)
     diagnose.add_argument("--run", metavar="REF",
                           help="diagnose a stored run instead")
     diagnose.add_argument("--json", action="store_true",
-                          help="emit the ranked findings (and the "
-                               "critical-path cross-check, when the "
-                               "record has one) as JSON")
+                          help="emit the ranked findings as JSON")
     _add_store_options(diagnose)
     diagnose.set_defaults(handler=cmd_diagnose)
 

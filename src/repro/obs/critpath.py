@@ -26,14 +26,15 @@ speculation     doomed work (later squashed or guard-dropped) holding the
 ``speculation`` is the bucket the stage profiler cannot see: a stage
 does not know a token is doomed, but the ledger — holding every token's
 eventual verdict — does.  Pop-port and FIFO waits with no single causal
-owner are *folded* onto the waits concurrently in flight (the same
-root-cause folding ``repro diagnose`` applies to aggregate
-backpressure).  In that fold a doomed token's residency counts as
-speculation only while the QPI channel is unsaturated: wasted work binds
-the run when the resource it wastes has headroom (diagnose's squash
-gate); on a saturated channel the same miss cycles are memory-bound
-whether or not the load was doomed, so doomed tokens add no extra weight
-and their waits fold to their resource.
+owner are *folded* onto the waits concurrently in flight.  In that fold
+a doomed token's residency counts as speculation only while the QPI
+channel is unsaturated: wasted work binds the run when the resource it
+wastes has headroom; on a saturated channel the same miss cycles are
+memory-bound whether or not the load was doomed, so doomed tokens add no
+extra weight and their waits fold to their resource.  This module is the
+only home of the folding and of that waste gate: ``repro diagnose``
+(:mod:`repro.obs.diagnose`) reads its findings off the buckets they
+produce.
 
 What-if projections re-weight the extracted path instead of re-running
 the simulator: shrinking a bucket's edge weights can only shorten the
@@ -65,8 +66,8 @@ BUCKETS = ("compute", "queue", "memory", "rule", "backpressure", "host",
            "speculation")
 
 # Above this channel saturation, doomed tokens' resource waits fold to
-# the resource rather than to speculation (diagnose's SQUASH_MAX_SATURATION
-# gate: waste only binds when the channel it burns is not the bottleneck).
+# the resource rather than to speculation: waste only binds when the
+# channel it burns is not the bottleneck.
 _WASTE_BINDS_BELOW = 0.5
 
 # Deterministic carve order for folded gap segments (and the remainder

@@ -6,8 +6,9 @@ self-contained static HTML page — inline CSS, inline SVG, no JavaScript,
 no external assets — so ``repro dashboard`` output can be opened from a
 CI artifact or mailed around as one file.
 
-Sections: run headline, ranked diagnosis findings, the stall-attribution
-waterfall (stacked per-stage bars with a numeric table view), the
+Sections: run headline, ranked diagnosis findings (read off the
+record's critical path), the stall-attribution waterfall (stacked
+per-stage bars with a numeric table view), the critical path, the
 pipeline-utilization timeline reconstructed from the trace, metrics
 tables (counters and latency/occupancy histograms with p50/p95/p99), and
 a Figure-10-style bandwidth-sweep chart over every stored run of the
@@ -25,6 +26,7 @@ from __future__ import annotations
 import html
 from typing import Any, Iterable, Sequence
 
+from repro.obs.diagnose import STORES_A_PATH
 from repro.obs.runstore import RunRecord, STALL_BUCKETS
 
 # Categorical palette, fixed assignment order (light-mode steps).
@@ -553,10 +555,12 @@ def _headline(record: RunRecord) -> str:
     return (f'<p class="sub">{_esc(meta)}</p><table>{cells}</table>')
 
 
-def _findings_section(findings) -> str:
+def _findings_section(record: RunRecord, findings) -> str:
     if not findings:
-        return ('<p class="sub">no bottleneck classifier fired — the run '
-                "looks balanced</p>")
+        if record.critical_path is None:
+            return ('<p class="sub">no findings: the run was stored '
+                    f"without a critical path; {_esc(STORES_A_PATH)}</p>")
+        return '<p class="sub">no findings</p>'
     blocks = []
     for rank, finding in enumerate(findings, 1):
         evidence = "".join(
@@ -648,7 +652,7 @@ def render_dashboard(
         ]
     else:
         sections = [
-            ("Diagnosis", _findings_section(findings or [])),
+            ("Diagnosis", _findings_section(record, findings)),
             ("Stall attribution", _stall_waterfall(record)),
             ("Critical path", _critpath_section(record)),
             ("Pipeline utilization", _utilization_timeline(record)),

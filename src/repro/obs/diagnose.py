@@ -1,47 +1,101 @@
-"""Automated bottleneck diagnosis over stored run telemetry.
+"""Bottleneck diagnosis: a stored run's measured critical path, read out
+as ranked findings.
 
-Rule-based classifiers fold a :class:`~repro.obs.runstore.RunRecord`
-into ranked, human-readable findings — the regimes Section 6 of the
-paper narrates by hand: memory-bound, QPI-bandwidth-bound,
-rule-lane-bound, queue/backpressure-bound, squash-bound (wasted
-speculation), host-launch-bound.  Each finding carries a severity in
-``[0, 1]`` and the evidence lines supporting it, so ``repro diagnose``
-output reads like the paper's own analysis ("extra bandwidth floods the
-pipelines with speculative updates that get squashed or guard-dropped").
+A :class:`~repro.obs.runstore.RunRecord` whose run carried a
+:class:`~repro.sim.ledger.TokenLedger` stores its critical path
+(:mod:`repro.obs.critpath`): seven buckets that sum exactly to the
+cycle count.  :func:`diagnose_record` renders one :class:`Finding` per
+bucket holding at least :data:`MIN_PATH_SHARE` of the path, ranked
+like the path itself.  A finding's severity is its bucket's share of
+the path, and its evidence comes from the path's own segments and
+what-if bounds, plus the record's counters where they explain the
+bucket.  The root-cause folding and the waste-vs-saturation gate that
+decide which bucket a wait lands in live in :mod:`repro.obs.critpath`
+alone, so the findings cannot disagree with the path.
 
-Two modelling decisions keep the classification faithful:
-
-* **Backpressure folds to its root cause.**  A ``backpressure`` stall
-  means "blocked by another stage", which is a symptom: the pipe behind
-  a load station full of QPI misses reads as backpressure even though
-  memory is the bottleneck.  The engine re-attributes aggregate
-  backpressure cycles proportionally onto the real resource stalls
-  (queue / memory / rule); only when no resource stall exists does
-  backpressure stand alone as a finding.
-* **Wasted speculation counts guard drops.**  The simulator squashes
-  mis-speculated tasks *and* drops stale updates at guards; both are
-  cycles spent on work the commit order rejected, so the squash-bound
-  classifier scores ``(squashes + guard_drops) / all verdicts`` — the
-  quantity that makes SPEC-BFS degrade at 8x bandwidth while its
-  utilization keeps rising (EXPERIMENTS.md, EXP-F10).
+The codes are the regimes Section 6 of the paper narrates by hand:
+``squash-bound`` is the SPEC-BFS high-bandwidth anomaly (extra
+bandwidth floods the pipelines with speculative updates that get
+squashed or guard-dropped), ``qpi-bandwidth-bound`` the Figure 10
+channel regime.  A record without a path yields no findings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
-from repro.obs.runstore import RunRecord, STALL_BUCKETS
+from repro.obs.critpath import BUCKETS
+from repro.obs.runstore import RunRecord
 
-# Classifier gates (shares of cycles unless stated otherwise).
-MEMORY_MIN_STAGE_SHARE = 0.05      # memory stalls must be non-trivial
-MEMORY_MAX_HIT_RATE = 0.95         # all-hits runs are not memory-bound
-BANDWIDTH_MIN_SATURATION = 0.75    # bytes/cycle vs QPI capacity
-RULE_MIN_STAGE_SHARE = 0.10
-QUEUE_MIN_STAGE_SHARE = 0.15
-SQUASH_MIN_WASTED = 0.20           # fraction of verdicts rejected
-SQUASH_MAX_SATURATION = 0.50       # else the channel is the bottleneck
-HOST_MAX_UTILIZATION = 0.05
+# A memory-bound path whose channel runs at least this full (bytes/cycle
+# vs QPI capacity) is bound by the link itself, not by miss latency.
+BANDWIDTH_MIN_SATURATION = 0.75
+# Path buckets below this share of the cycles are not listed.
+MIN_PATH_SHARE = 0.05
+
+# Where to point a reader whose record stores no path.
+STORES_A_PATH = "`repro diagnose APP` or `repro critpath APP` stores one"
+
+# Path bucket -> (code, title).  ``memory`` is split by channel
+# saturation (:data:`_SATURATED_MEMORY`).
+_FINDINGS: dict[str, tuple[str, str]] = {
+    "speculation": (
+        "squash-bound",
+        "Speculative work floods the pipelines and is squashed or "
+        "guard-dropped; utilization rises while speedup does not "
+        "(the SPEC-BFS high-bandwidth anomaly)",
+    ),
+    "rule": (
+        "rule-lane-bound",
+        "Rule-engine lanes (or the ordered-admission window they size) "
+        "throttle task issue",
+    ),
+    "queue": (
+        "queue-backpressure",
+        "Tasks wait on a workset queue for a pop grant or for room",
+    ),
+    "backpressure": (
+        "queue-backpressure",
+        "Decided tokens wait on a full downstream FIFO with no single "
+        "resource to blame",
+    ),
+    "host": (
+        "host-launch-bound",
+        "End-to-end time is dominated by the host streaming the task "
+        "list into the accelerator",
+    ),
+    "compute": (
+        "compute-bound",
+        "Stages and function units are busy doing the path's own work",
+    ),
+    "memory": (
+        "memory-bound",
+        "Pipelines stall on the memory system (load stations full of "
+        "outstanding misses)",
+    ),
+}
+_SATURATED_MEMORY = (
+    "qpi-bandwidth-bound",
+    "The QPI channel is saturated; more bandwidth would move the "
+    "needle (Figure 10 regime)",
+)
+
+# The what-if bound that deletes (part of) each bucket.
+_WHAT_IF = {
+    "memory": "qpi_latency_x0.5",
+    "rule": "rule_lanes_plus1",
+    "host": "zero_launch_overhead",
+    "speculation": "perfect_speculation",
+}
+
+# The path buckets each code reads (what :func:`cross_check` expects
+# to dominate when that code ranks first).
+_TABLE = (*_FINDINGS.items(), ("memory", _SATURATED_MEMORY))
+EXPECTED_DOMINANT: dict[str, tuple[str, ...]] = {
+    code: tuple(b for b, (c, _) in _TABLE if c == code)
+    for _, (code, _) in _TABLE
+}
 
 
 @dataclass
@@ -62,271 +116,96 @@ class Finding:
         }
 
 
-# ---------------------------------------------------------------------------
-# Signal extraction
-# ---------------------------------------------------------------------------
+def _saturation(record: RunRecord) -> float:
+    """Sustained QPI load: ``bytes/cycle / qpi_bytes_per_cycle``."""
+    capacity = record.platform.get("qpi_bytes_per_cycle", 0.0)
+    if not capacity or not record.cycles:
+        return 0.0
+    return record.memory.get("bytes", 0) / record.cycles / capacity
 
 
-def _signals(record: RunRecord) -> dict[str, Any]:
-    """Normalize a record into the quantities the classifiers test.
-
-    Shares are fractions of total stage-cycles (cycles x stages); a
-    record stored without stall attribution yields zero shares and the
-    bucket-driven classifiers stay silent rather than guessing.
-    """
-    counters = (record.metrics or {}).get("counters", {})
-    commits = counters.get("sim.commits", 0)
-    squashes = counters.get("sim.squashes", 0)
-    guard_drops = counters.get("sim.guard_drops", 0)
-    verdicts = commits + squashes + guard_drops
-
-    totals = record.stall_totals() if record.stalls else {}
-    stage_cycles = sum(
-        row.get("total", 0) for row in (record.stalls or {}).values()
-    )
-    share = {
-        bucket: totals.get(bucket, 0) / stage_cycles if stage_cycles else 0.0
-        for bucket in ("active", "idle") + STALL_BUCKETS
-    }
-    # Root-cause folding: distribute backpressure over the resources.
-    resource = {k: share[k] for k in ("queue", "memory", "rule")}
-    resource_total = sum(resource.values())
-    folded = dict(resource)
-    unfolded_backpressure = share["backpressure"]
-    if resource_total > 0 and share["backpressure"] > 0:
-        for k in folded:
-            folded[k] += share["backpressure"] * resource[k] / resource_total
-        unfolded_backpressure = 0.0
-
-    qpi_capacity = record.platform.get("qpi_bytes_per_cycle", 0.0)
-    bytes_per_cycle = (
-        record.memory.get("bytes", 0) / record.cycles
-        if record.cycles else 0.0
-    )
-    saturation = bytes_per_cycle / qpi_capacity if qpi_capacity else 0.0
-
-    load_latency = (record.metrics or {}).get("histograms", {}).get(
-        "mem.load_latency", {}
-    )
-    return {
-        "record": record,
-        "share": share,
-        "folded": folded,
-        "unfolded_backpressure": unfolded_backpressure,
-        "has_stalls": record.stalls is not None,
-        "hit_rate": record.memory.get("hit_rate", 1.0),
-        "bytes_per_cycle": bytes_per_cycle,
-        "qpi_capacity": qpi_capacity,
-        "saturation": saturation,
-        "commits": commits,
-        "squashes": squashes,
-        "guard_drops": guard_drops,
-        "wasted_fraction": (
-            (squashes + guard_drops) / verdicts if verdicts else 0.0
-        ),
-        "load_latency_p95": load_latency.get("p95", 0.0),
-        "rule_lanes": record.config.get("rule_lanes", 0),
-        "lane_p95": _max_histogram_p95(record, "rules."),
-        "queue_p95": _max_histogram_p95(record, "queue."),
-    }
-
-
-def _max_histogram_p95(record: RunRecord, prefix: str) -> float:
-    histograms = (record.metrics or {}).get("histograms", {})
-    return max(
-        (h.get("p95", 0.0) for name, h in histograms.items()
-         if name.startswith(prefix)),
-        default=0.0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Classifiers — each returns a Finding or None
-# ---------------------------------------------------------------------------
-
-
-def _diagnose_memory(s: dict[str, Any]) -> Finding | None:
-    if not s["has_stalls"]:
-        return None
-    folded_memory = s["folded"]["memory"]
-    if (s["share"]["memory"] < MEMORY_MIN_STAGE_SHARE
-            or s["hit_rate"] > MEMORY_MAX_HIT_RATE):
-        return None
-    evidence = [
-        f"memory stalls hold {s['share']['memory'] * 100:.1f}% of "
-        f"stage-cycles ({folded_memory * 100:.1f}% after folding "
-        "backpressure onto its root cause)",
-        f"cache hit rate {s['hit_rate'] * 100:.1f}%",
-    ]
-    if s["load_latency_p95"]:
+def _evidence(record: RunRecord, path: dict[str, Any], bucket: str,
+              saturation: float) -> list[str]:
+    total = path["total_cycles"]
+    cycles = path["buckets"][bucket]
+    evidence = [f"{cycles} of {total} path cycles ({cycles / total:.1%})"]
+    longest = next((s for s in path.get("segments", [])
+                    if s["bucket"] == bucket), None)
+    if longest is not None:
         evidence.append(
-            f"p95 load latency {s['load_latency_p95']:.0f} cycles"
+            f"longest segment {longest['cycles']} cycles "
+            f"[{longest['start']}, {longest['end']}): {longest['detail']}"
         )
-    return Finding(
-        "memory-bound",
-        "Pipelines stall on the memory system (load stations full of "
-        "outstanding misses)",
-        min(1.0, folded_memory + (1.0 - s["hit_rate"]) * 0.2),
-        evidence,
-    )
-
-
-def _diagnose_bandwidth(s: dict[str, Any]) -> Finding | None:
-    if s["saturation"] < BANDWIDTH_MIN_SATURATION:
-        return None
-    return Finding(
-        "qpi-bandwidth-bound",
-        "The QPI channel is saturated; more bandwidth would move the "
-        "needle (Figure 10 regime)",
-        min(1.0, s["saturation"]),
-        [
-            f"sustained {s['bytes_per_cycle']:.1f} bytes/cycle of "
-            f"{s['qpi_capacity']:.1f} available "
-            f"({s['saturation'] * 100:.0f}% of channel capacity)",
-            f"cache hit rate {s['hit_rate'] * 100:.1f}%",
-        ],
-    )
-
-
-def _diagnose_rule_lanes(s: dict[str, Any]) -> Finding | None:
-    if not s["has_stalls"] or s["folded"]["rule"] < RULE_MIN_STAGE_SHARE:
-        return None
-    evidence = [
-        f"rule stalls (lane allocation / rendezvous admission / ordered-"
-        f"admission credits) hold {s['share']['rule'] * 100:.1f}% of "
-        f"stage-cycles ({s['folded']['rule'] * 100:.1f}% folded)",
-    ]
-    if s["rule_lanes"] and s["lane_p95"]:
+    bound = path.get("what_if", {}).get(_WHAT_IF.get(bucket, ""))
+    if bound is not None:
         evidence.append(
-            f"p95 lane occupancy {s['lane_p95']:.0f} of "
-            f"{s['rule_lanes']} lanes"
+            f"what-if {_WHAT_IF[bucket]}: saves <= "
+            f"{bound['saved_cycles']} cycles "
+            f"(speedup <= {bound['speedup_bound']:.3f}x)"
         )
-    return Finding(
-        "rule-lane-bound",
-        "Rule-engine lanes (or the ordered-admission window they size) "
-        "throttle task issue",
-        min(1.0, s["folded"]["rule"]),
-        evidence,
-    )
-
-
-def _diagnose_queue(s: dict[str, Any]) -> Finding | None:
-    if not s["has_stalls"]:
-        return None
-    pressure = s["folded"]["queue"] + s["unfolded_backpressure"]
-    if pressure < QUEUE_MIN_STAGE_SHARE:
-        return None
-    evidence = [
-        f"queue stalls hold {s['share']['queue'] * 100:.1f}% and "
-        f"unattributed backpressure "
-        f"{s['unfolded_backpressure'] * 100:.1f}% of stage-cycles",
-    ]
-    if s["queue_p95"]:
-        evidence.append(f"p95 queue occupancy {s['queue_p95']:.0f}")
-    return Finding(
-        "queue-backpressure",
-        "Workset queues / inter-stage FIFOs exert backpressure with no "
-        "single resource to blame",
-        min(1.0, pressure),
-        evidence,
-    )
-
-
-def _diagnose_squash(s: dict[str, Any]) -> Finding | None:
-    record: RunRecord = s["record"]
-    if record.app_mode and record.app_mode != "speculative":
-        return None
-    if (s["wasted_fraction"] < SQUASH_MIN_WASTED
-            or s["saturation"] > SQUASH_MAX_SATURATION):
-        return None
-    rejected = s["squashes"] + s["guard_drops"]
-    return Finding(
-        "squash-bound",
-        "Speculative work floods the pipelines and is squashed or "
-        "guard-dropped; utilization rises while speedup does not "
-        "(the SPEC-BFS high-bandwidth anomaly)",
-        min(1.0, s["wasted_fraction"] * (1.0 - s["saturation"])),
-        [
-            f"{rejected} of {s['commits'] + rejected} verdicts rejected "
-            f"({s['wasted_fraction'] * 100:.0f}%): "
-            f"{s['squashes']} squashed, {s['guard_drops']} guard-dropped",
-            f"channel only {s['saturation'] * 100:.0f}% saturated — "
-            "bandwidth is not the binding constraint",
-        ],
-    )
-
-
-def _diagnose_host(s: dict[str, Any]) -> Finding | None:
-    record: RunRecord = s["record"]
-    if not record.host_fed or record.utilization > HOST_MAX_UTILIZATION:
-        return None
-    idle = s["share"]["idle"]
-    evidence = [
-        f"tasks stream from the host over QPI (Section 6.1 feed); "
-        f"pipeline utilization only {record.utilization * 100:.2f}%",
-    ]
-    if s["has_stalls"]:
+    if bucket == "memory":
+        capacity = record.platform.get("qpi_bytes_per_cycle", 0.0)
         evidence.append(
-            f"{idle * 100:.0f}% of stage-cycles idle waiting for work"
+            f"cache hit rate {record.memory.get('hit_rate', 1.0):.1%}; "
+            f"sustained {saturation * capacity:.1f} bytes/cycle of "
+            f"{capacity:.1f} available ({saturation:.0%} of channel "
+            "capacity)"
         )
-    if s["saturation"]:
+    elif bucket == "speculation":
+        waste = path.get("wasted_speculation", {})
         evidence.append(
-            f"feed rate tracks the channel "
-            f"({s['saturation'] * 100:.0f}% saturated) — speedup scales "
-            "linearly with bandwidth (Figure 10)"
+            f"wasted speculation: {waste.get('tokens', 0)} doomed tokens, "
+            f"{waste.get('cycles', 0)} token-cycles off the path"
         )
-    return Finding(
-        "host-launch-bound",
-        "End-to-end time is dominated by the host streaming the task "
-        "list into the accelerator",
-        min(1.0, max(idle, 1.0 - record.utilization / HOST_MAX_UTILIZATION)),
-        evidence,
-    )
-
-
-CLASSIFIERS: tuple[Callable[[dict[str, Any]], Finding | None], ...] = (
-    _diagnose_host,
-    _diagnose_bandwidth,
-    _diagnose_memory,
-    _diagnose_squash,
-    _diagnose_rule_lanes,
-    _diagnose_queue,
-)
+        counters = (record.metrics or {}).get("counters")
+        if counters is not None:
+            squashes = counters.get("sim.squashes", 0)
+            drops = counters.get("sim.guard_drops", 0)
+            verdicts = counters.get("sim.commits", 0) + squashes + drops
+            evidence.append(
+                f"{squashes + drops} of {verdicts} verdicts rejected: "
+                f"{squashes} squashed, {drops} guard-dropped"
+            )
+    elif bucket == "host":
+        evidence.append(
+            f"pipeline utilization {record.utilization:.2%}"
+        )
+    return evidence
 
 
 def diagnose_record(record: RunRecord) -> list[Finding]:
-    """Ranked findings (most severe first) for one stored run."""
-    signals = _signals(record)
-    findings = [
-        finding for classifier in CLASSIFIERS
-        if (finding := classifier(signals)) is not None
-    ]
-    findings.sort(key=lambda f: (-f.severity, f.code))
+    """Ranked findings (largest path bucket first) for one stored run.
+
+    Ties keep :data:`~repro.obs.critpath.BUCKETS` order (a stable
+    sort), so the top finding reads the path's ``dominant`` bucket.
+    """
+    path = record.critical_path
+    if not path or not path.get("total_cycles"):
+        return []
+    total, buckets = path["total_cycles"], path["buckets"]
+    saturation = _saturation(record)
+    findings = []
+    for bucket in sorted(BUCKETS, key=lambda b: -buckets[b]):
+        share = buckets[bucket] / total
+        if share < MIN_PATH_SHARE:
+            break
+        code, title = _FINDINGS[bucket]
+        if bucket == "memory" and saturation >= BANDWIDTH_MIN_SATURATION:
+            code, title = _SATURATED_MEMORY
+        findings.append(Finding(code, title, share,
+                                _evidence(record, path, bucket, saturation)))
     return findings
-
-
-# Which critical-path buckets corroborate each classifier code.  The
-# classifiers see aggregate stage-share signals; the critical path sees
-# the one causal chain that set the cycle count — when they disagree the
-# aggregate picture is misleading (e.g. stalls everywhere off the path).
-EXPECTED_DOMINANT: dict[str, tuple[str, ...]] = {
-    "memory-bound": ("memory",),
-    "qpi-bandwidth-bound": ("memory", "host"),
-    "rule-lane-bound": ("rule",),
-    "queue-backpressure": ("queue", "backpressure"),
-    "squash-bound": ("speculation",),
-    "host-launch-bound": ("host", "queue"),
-}
 
 
 def cross_check(findings: list[Finding],
                 critpath: dict[str, Any]) -> dict[str, Any] | None:
-    """Compare the top classifier against the measured critical path.
+    """Compare the top finding against a measured critical path.
 
     Returns None when there is nothing to check (no findings, or a
     critpath without a dominant bucket); otherwise a verdict dict whose
     ``agrees`` says whether the path's dominant bucket is one the top
-    finding predicts, with a human-readable ``note`` either way.
+    finding reads, with a human-readable ``note`` either way.  Findings
+    rendered from the same path always agree.
     """
     dominant = (critpath or {}).get("dominant")
     if not findings or not dominant:
@@ -335,14 +214,14 @@ def cross_check(findings: list[Finding],
     expected = EXPECTED_DOMINANT.get(top.code, ())
     agrees = dominant in expected
     if agrees:
-        note = (f"classifier '{top.code}' and the critical path agree: "
+        note = (f"finding '{top.code}' and the critical path agree: "
                 f"the dominant bucket is '{dominant}'")
     else:
-        note = (f"classifier '{top.code}' predicts "
+        note = (f"finding '{top.code}' reads "
                 f"{' or '.join(repr(e) for e in expected) or 'nothing'} "
-                f"dominant, but the measured path is bound by "
-                f"'{dominant}' — the aggregate stall picture disagrees "
-                "with the causal chain; trust the path")
+                f"as dominant, but the measured path is bound by "
+                f"'{dominant}' — the findings come from another run; "
+                "trust the path")
     return {
         "classifier": top.code,
         "expected": list(expected),
@@ -360,8 +239,8 @@ def format_findings(record: RunRecord, findings: list[Finding]) -> str:
         f"x{record.platform.get('bandwidth_scale', 1)}"
     )
     if not findings:
-        return (f"{head}\n  no bottleneck classifier fired — the run "
-                "looks balanced at the configured thresholds")
+        return (f"{head}\n  no findings: the run stores no critical "
+                f"path; {STORES_A_PATH}")
     lines = [head]
     for rank, finding in enumerate(findings, 1):
         lines.append(

@@ -86,6 +86,16 @@ class HostAdapter:
             self._exhausted = True
             self._update_horizon()
             return
+        # tick() injects a batch whole, once every target queue has room
+        # for its share: a share beyond a queue's capacity never fits.
+        shares = Counter(task_set for task_set, _ in self._pending)
+        for task_set, count in shares.items():
+            capacity = self.ctx.queues[task_set].capacity
+            if count > capacity:
+                raise SpecificationError(
+                    f"{self.spec.name}: host batch {self.batches_sent} "
+                    f"holds {count} {task_set!r} tasks, more than its task "
+                    f"queue holds ({capacity})")
         nbytes = len(self._pending) * self.spec.host_feed.bytes_per_task
         self._transfer_req = self.ctx.memory.issue_stream(
             self.ctx.cycle, nbytes

@@ -2,7 +2,8 @@
 
 ``repro simulate`` appends records, ``repro runs list/show/diff``
 queries them (including against golden baselines), ``repro diagnose``
-classifies them, and ``repro dashboard`` renders the HTML artifact.
+reads findings off a stored critical path, and ``repro dashboard``
+renders the HTML artifact.
 """
 
 import json
@@ -75,22 +76,42 @@ class TestRunStoreCli:
         assert "empty" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="class")
+def diagnosed_store(tmp_path_factory):
+    """A store holding one fresh `repro diagnose SPEC-CC` record."""
+    store = tmp_path_factory.mktemp("obs-cli") / "store"
+    assert main(["diagnose", "SPEC-CC", "--store", str(store)]) == 0
+    return store
+
+
 class TestDiagnoseCli:
-    def test_diagnose_stored_run(self, populated_store, capsys):
+    def test_diagnose_stored_run(self, diagnosed_store, capsys):
         assert main(["diagnose", "--run", "latest",
-                     "--store", str(populated_store)]) == 0
+                     "--store", str(diagnosed_store)]) == 0
         out = capsys.readouterr().out
         assert "SPEC-CC:" in out
         assert "cycles" in out
+        assert "1. [" in out and "path cycles" in out
 
-    def test_diagnose_fresh_app_appends_to_store(self, tmp_path, capsys):
-        store = tmp_path / "store"
-        assert main(["diagnose", "SPEC-CC", "--store", str(store)]) == 0
+    def test_diagnose_fresh_app_appends_to_store(self, diagnosed_store):
         record = json.loads(
-            (store / "runs.jsonl").read_text().splitlines()[0]
+            (diagnosed_store / "runs.jsonl").read_text().splitlines()[0]
         )
         assert record["kind"] == "diagnose"
         assert record["stalls"]
+        # The run carried a ledger: its findings' path is stored.
+        assert sum(record["critical_path"]["buckets"].values()) == \
+            record["cycles"]
+
+    def test_diagnose_simulate_record_fails(self, populated_store, capsys):
+        # A stored `simulate` run carries no ledger, so no path to read.
+        assert main(["diagnose", "--run", "latest",
+                     "--store", str(populated_store)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: run 000002 is a simulate record")
+        assert "`repro diagnose APP` or `repro critpath APP`" in line
 
     def test_diagnose_without_target_fails(self, tmp_path, capsys):
         assert main(["diagnose", "--store",
@@ -133,6 +154,8 @@ class TestDashboardCli:
         assert "SPEC-CC" in html
         # Two bandwidth points stored -> the sweep chart renders.
         assert "speedup" in html
+        # A stored simulate run has no path: the findings say so.
+        assert "stored without a critical path" in html
 
     def test_dashboard_empty_store_fails(self, tmp_path, capsys):
         assert main(["dashboard", "--store", str(tmp_path / "none"),
@@ -146,3 +169,4 @@ class TestDashboardCli:
                      "--out", str(out_path)]) == 0
         assert out_path.exists()
         assert (store / "runs.jsonl").exists()
+        assert "path cycles" in out_path.read_text(encoding="utf-8")

@@ -93,6 +93,7 @@ class TestSections:
     def test_missing_telemetry_degrades_to_messages(self):
         html = render_dashboard(make_record(stalls=None, metrics=None))
         assert "without stall attribution" in html
+        assert "stored without a critical path" in html
         assert "no utilization timeline" in html
         assert "no metrics snapshot" in html
 

@@ -5,8 +5,13 @@ import pytest
 
 from repro.apps.registry import build_app
 from repro.errors import DeadlockError, SimulationError, SpecificationError
-from repro.eval.platforms import HARP, HarpPlatform
-from repro.sim.accelerator import AcceleratorSim, SimConfig, run_resilient
+from repro.eval.platforms import EVAL_HARP, HARP, HarpPlatform
+from repro.sim.accelerator import (
+    AcceleratorSim,
+    SimConfig,
+    run_resilient,
+    simulate_app,
+)
 from repro.sim.faults import FaultEvent, FaultKind, FaultPlan
 from repro.sim.memory import MemorySystem
 from repro.substrates.graphs import random_graph
@@ -93,6 +98,48 @@ class TestSeedOverflow:
         monkeypatch.setattr(AcceleratorSim, "run", counted)
         with pytest.raises(SpecificationError, match=self.MESSAGE):
             run_resilient(self.SPEC, platform=HARP, config=self.CONFIG)
+        assert len(runs) == 1
+
+
+class TestHostBatchOverflow:
+    """A host batch with more tasks for one task set than that queue
+    holds can never be injected whole: a configuration error, raised
+    when the batch is pulled, not a deadlock after the window."""
+
+    CONFIG = SimConfig(queue_banks=1, queue_depth_per_bank=4,
+                       deadlock_window=2000)
+    CASES = {
+        "SPEC-DMR": "SPEC-DMR: host batch 0 holds 16 'refine' tasks, "
+                    r"more than its task queue holds \(4\)",
+        "COOR-LU": "COOR-LU: host batch 0 holds 24 'lutask' tasks, "
+                   r"more than its task queue holds \(4\)",
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def app(self, request):
+        # The CLI's inputs for the two host-fed apps.
+        from repro.eval.workloads import default_workloads
+
+        spec = default_workloads(scale=0.5)[request.param].build_spec()
+        return spec, self.CASES[request.param]
+
+    def test_simulate_app_raises_it(self, app):
+        spec, message = app
+        with pytest.raises(SpecificationError, match=message):
+            simulate_app(spec, EVAL_HARP, self.CONFIG)
+
+    def test_run_resilient_raises_it_once(self, app, monkeypatch):
+        spec, message = app
+        runs = []
+        run = AcceleratorSim.run
+
+        def counted(sim, **kwargs):
+            runs.append(sim)
+            return run(sim, **kwargs)
+
+        monkeypatch.setattr(AcceleratorSim, "run", counted)
+        with pytest.raises(SpecificationError, match=message):
+            run_resilient(spec, platform=EVAL_HARP, config=self.CONFIG)
         assert len(runs) == 1
 
 
