@@ -406,48 +406,74 @@ def parse_rule(source: str) -> RuleAst:
 # Compiler: AST -> executable RuleType
 # ---------------------------------------------------------------------------
 
+# Binary operators as Python source over their operands' value names.
+# Both operands are evaluated before the operator, ``and``/``or`` included,
+# so a raising operand raises either way; only ``bool(b)`` is skipped when
+# ``bool(a)`` decides.
+_BINARY_OPS = {
+    "and": "bool({}) and bool({})",
+    "or": "bool({}) or bool({})",
+    "==": "{} == {}",
+    "!=": "{} != {}",
+    "<": "{} < {}",
+    "<=": "{} <= {}",
+    ">": "{} > {}",
+    ">=": "{} >= {}",
+    "+": "{} + {}",
+    "-": "{} - {}",
+    "*": "{} * {}",
+    "/": "{} / {}",
+    "overlaps": "bool(set({}) & set({}))",
+}
+
+
 def _compile_expr(expr: Expr) -> Callable[[Event, Mapping[str, Any]], Any]:
-    """Compile an expression into ``f(event, params) -> value``."""
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda event, params: value
-    if isinstance(expr, ParamRef):
-        name = expr.name
-        return lambda event, params: params[name]
-    if isinstance(expr, EventField):
-        name = expr.name
-        if name == "index":
-            return lambda event, params: event.index
-        return lambda event, params: event.payload[name]
-    if isinstance(expr, UnaryOp):
-        operand = _compile_expr(expr.operand)
-        if expr.op == "not":
-            return lambda event, params: not operand(event, params)
-        raise EcaSemanticError(f"unknown unary operator {expr.op!r}")
-    if isinstance(expr, BinaryOp):
-        left = _compile_expr(expr.left)
-        right = _compile_expr(expr.right)
-        op = expr.op
-        table: dict[str, Callable[[Any, Any], Any]] = {
-            "and": lambda a, b: bool(a) and bool(b),
-            "or": lambda a, b: bool(a) or bool(b),
-            "==": lambda a, b: a == b,
-            "!=": lambda a, b: a != b,
-            "<": lambda a, b: a < b,
-            "<=": lambda a, b: a <= b,
-            ">": lambda a, b: a > b,
-            ">=": lambda a, b: a >= b,
-            "+": lambda a, b: a + b,
-            "-": lambda a, b: a - b,
-            "*": lambda a, b: a * b,
-            "/": lambda a, b: a / b,
-            "overlaps": lambda a, b: bool(set(a) & set(b)),
-        }
-        if op not in table:
-            raise EcaSemanticError(f"unknown binary operator {op!r}")
-        fn = table[op]
-        return lambda event, params: fn(left(event, params), right(event, params))
-    raise EcaSemanticError(f"cannot compile expression node {expr!r}")
+    """Compile an expression into one generated ``f(event, params)``.
+
+    The function body has one statement per operand and operator node, in
+    post-order: a node's operands, left first, before the node itself.
+    Literals are bound as the function's globals.
+    """
+    lines: list[str] = []
+    literals: dict[str, Any] = {}
+
+    def emit(node: Expr) -> str:
+        """Append ``node``'s statements; return the name of its value."""
+        if isinstance(node, Literal):
+            name = f"k{len(literals)}"
+            literals[name] = node.value
+            return name
+        if isinstance(node, ParamRef):
+            value = f"params[{node.name!r}]"
+        elif isinstance(node, EventField):
+            value = ("event.index" if node.name == "index"
+                     else f"event.payload[{node.name!r}]")
+        elif isinstance(node, UnaryOp):
+            operand = emit(node.operand)
+            if node.op != "not":
+                raise EcaSemanticError(f"unknown unary operator {node.op!r}")
+            value = f"not {operand}"
+        elif isinstance(node, BinaryOp):
+            left, right = emit(node.left), emit(node.right)
+            template = _BINARY_OPS.get(node.op)
+            if template is None:
+                raise EcaSemanticError(
+                    f"unknown binary operator {node.op!r}"
+                )
+            value = template.format(left, right)
+        else:
+            raise EcaSemanticError(f"cannot compile expression node {node!r}")
+        name = f"v{len(lines)}"
+        lines.append(f"    {name} = {value}")
+        return name
+
+    result = emit(expr)
+    source = "\n".join(
+        ["def condition(event, params):", *lines, f"    return {result}"]
+    )
+    namespace = {"__name__": __name__, **literals}
+    exec(compile(source, "<eca condition>", "exec"), namespace)
+    return namespace.pop("condition")
 
 
 def compile_rule(source: str | RuleAst) -> RuleType:

@@ -166,8 +166,10 @@ class RuleInstance:
         """
         if self.value is not None:
             return self.value
+        arguments = self.arguments
         for clause in clauses:
-            if not clause.condition_holds(event, self.arguments):
+            condition = clause.condition
+            if condition is not None and not condition(event, arguments):
                 continue
             kind, payload = clause.action
             if kind == "return":

@@ -255,7 +255,7 @@ class AcceleratorSim:
         self.bind_stage_pass()
 
     def bind_stage_pass(self) -> None:
-        """Compile the event engine's stage pass over this simulator's own
+        """Bind the event engine's stage pass to this simulator's own
         stages (again after a deep copy: the generated functions are
         shared by a copy, not rebound).  Dense, and a pass-less copy,
         tick through the interpreted lists: dense is the oracle."""

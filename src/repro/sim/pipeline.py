@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from operator import attrgetter
+from types import CodeType
 
 from repro.errors import SimulationError
 from repro.sim.stages import (
@@ -20,6 +21,12 @@ from repro.synthesis.datapath import StageProgram, StageSpec
 
 # A {dotted.path} operand of a stage's tick_guard.
 _GUARD_OPERAND = re.compile(r"\{([\w.]+)\}")
+
+# Generated stage-pass source -> its code object.  The source depends only
+# on the stages' kinds and order, so simulators of one shape (sweep jobs,
+# checkpoint revives, repeated runs) compile it once.  Code objects are
+# immutable: sharing one shares no state between simulators.
+_PASS_CODE: dict[str, CodeType] = {}
 
 
 class SourceStage(Stage):
@@ -100,7 +107,9 @@ def compile_stage_pass(stages: list[Stage]):
     ``wakes_on_input``.
     Every object they touch is bound here, once, so a cycle runs no list
     loop and no attribute chasing.  They hold these very stages: a deep
-    copy of the simulator must compile its own pass.
+    copy of the simulator must bind its own pass.  The code object is
+    shared by every pass of the same source; only the bound objects are
+    per call.
     """
     bound: dict[str, object] = {}
     ticks, commits = [], []
@@ -133,8 +142,11 @@ def compile_stage_pass(stages: list[Stage]):
     # __name__ among them lets the host-time layer sampler, which maps a
     # frame by its globals' __name__, charge the pass to sim.stages.
     # The functions are taken out, so the namespace holds no cycle.
+    code = _PASS_CODE.get(source)
+    if code is None:
+        code = _PASS_CODE[source] = compile(source, "<stage pass>", "exec")
     namespace = {"__name__": __name__, **bound}
-    exec(compile(source, "<stage pass>", "exec"), namespace)
+    exec(code, namespace)
     return namespace.pop("stage_ticks"), namespace.pop("fifo_commits")
 
 

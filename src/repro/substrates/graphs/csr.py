@@ -8,6 +8,7 @@ per direction: build with ``directed=False`` to symmetrize an edge list.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -110,6 +111,15 @@ class CSRGraph:
         if self.num_vertices == 0:
             return 0.0
         return self.num_edges / self.num_vertices
+
+    def digest(self) -> str:
+        """sha256 over the dtypes, shapes and bytes of the CSR arrays: two
+        graphs with one digest are the same input."""
+        h = hashlib.sha256()
+        for arr in (self.indptr, self.indices, self.weights):
+            h.update(f"{arr.dtype.str}{arr.shape}".encode())
+            h.update(arr.tobytes())
+        return h.hexdigest()
 
     # -- memory footprint (drives the timing models) ------------------------
 

@@ -125,27 +125,47 @@ def rmat_graph(
     b: float = 0.19,
     c: float = 0.19,
 ) -> CSRGraph:
-    """Recursive-matrix (Graph500-style) scale-free graph, 2**scale vertices."""
+    """Recursive-matrix (Graph500-style) scale-free graph, 2**scale vertices.
+
+    Each of the ``edge_factor * 2**scale`` edges descends ``scale`` levels
+    of the adjacency matrix, picking a quadrant per level with
+    probabilities ``a`` (top-left), ``b`` (top-right: ``dst`` takes the
+    half), ``c`` (bottom-left: ``src`` does) and ``1 - a - b - c`` (both).
+
+    Stream contract: per edge, ``scale`` uniforms drawn from
+    ``default_rng(seed)``, most significant level first, then one
+    ``integers(1, 101)`` weight draw if ``src != dst`` (self-loops are
+    dropped).  A uniform ``r`` picks the quadrant counting how many of
+    ``a``, ``a + b``, ``a + b + c`` lie strictly below it.  The graph is a
+    function of this stream, so every input built from a seed stays the
+    same as long as the contract holds.
+    """
     if scale < 1:
         raise InputError("rmat_graph needs scale >= 1")
+    if not (a >= 0 and b >= 0 and c >= 0):
+        raise InputError(
+            f"rmat probabilities must be non-negative, got "
+            f"a={a}, b={b}, c={c}"
+        )
     if a + b + c >= 1.0:
         raise InputError("rmat probabilities must satisfy a + b + c < 1")
     rng = np.random.default_rng(seed)
     n = 1 << scale
-    num_edges = edge_factor * n
+    halves = [n >> level for level in range(1, scale + 1)]
+    ab, abc = a + b, a + b + c
     edges: list[tuple[int, int, float]] = []
-    thresholds = np.array([a, a + b, a + b + c])
-    for _ in range(num_edges):
+    for _ in range(edge_factor * n):
         src = dst = 0
-        half = n >> 1
-        while half >= 1:
-            r = rng.random()
-            quadrant = int(np.searchsorted(thresholds, r))
-            if quadrant in (1, 3):
-                dst += half
-            if quadrant in (2, 3):
-                src += half
-            half >>= 1
+        # One call yields the same doubles as ``scale`` scalar draws.
+        for r, half in zip(rng.random(scale).tolist(), halves):
+            if r > a:
+                if r <= ab:
+                    dst += half
+                elif r <= abc:
+                    src += half
+                else:
+                    src += half
+                    dst += half
         if src != dst:
             edges.append((src, dst, float(rng.integers(1, 101))))
     return CSRGraph(n, edges, directed=False)

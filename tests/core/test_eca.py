@@ -1,12 +1,19 @@
 """Tests for the ECA rule grammar: tokenizer, parser, compiler."""
 
+import operator
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.eca import (
     BinaryOp,
+    ClauseAst,
     EventField,
+    EventSpec,
     Literal,
     ParamRef,
+    RuleAst,
+    UnaryOp,
     compile_rule,
     parse_rule,
     tokenize,
@@ -249,3 +256,125 @@ class TestCompiledRules:
         subs = rule_type.event_subscriptions()
         assert len(subs) == 1
         assert next(iter(subs)).label == "setLevel"
+
+
+class _Unbool:
+    """A value whose truth test raises: shows where ``bool()`` runs."""
+
+    def __bool__(self):
+        raise LookupError("truth test")
+
+
+def _evaluate(expr, event, params):
+    """Reference semantics: evaluate the AST node by node, both operands
+    of every operator first."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, ParamRef):
+        return params[expr.name]
+    if isinstance(expr, EventField):
+        return event.index if expr.name == "index" else \
+            event.payload[expr.name]
+    if isinstance(expr, UnaryOp):
+        return not _evaluate(expr.operand, event, params)
+    a = _evaluate(expr.left, event, params)
+    b = _evaluate(expr.right, event, params)
+    return _REFERENCE_OPS[expr.op](a, b)
+
+
+_REFERENCE_OPS = {
+    "and": lambda a, b: bool(a) and bool(b),
+    "or": lambda a, b: bool(a) or bool(b),
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "overlaps": lambda a, b: bool(set(a) & set(b)),
+}
+
+_FIELDS = ("index", "x", "y", "missing")
+_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.floats(-4.0, 4.0),
+    st.booleans(),
+    st.none(),
+    st.text("ab", max_size=2),
+    st.lists(st.integers(0, 4), max_size=3).map(tuple),
+    st.builds(_Unbool),
+)
+_LEAVES = st.one_of(
+    st.builds(Literal, _VALUES),
+    st.builds(ParamRef, st.sampled_from(("p", "q"))),
+    st.builds(EventField, st.sampled_from(_FIELDS)),
+)
+
+
+def _tree(leaves):
+    return st.one_of(
+        st.builds(UnaryOp, st.just("not"), leaves),
+        st.builds(BinaryOp, st.sampled_from(sorted(_REFERENCE_OPS)),
+                  leaves, leaves),
+    )
+
+
+_EXPRS = st.recursive(_LEAVES, _tree, max_leaves=6)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:   # noqa: BLE001 - the type is compared
+        return "raises", type(exc)
+
+
+def _condition(expr):
+    ast = RuleAst("r", ["p", "q"], clauses=[ClauseAst(
+        (EventSpec(EventKind.REACH, "t", "l"),), expr, ("return", False),
+    )], otherwise=True)
+    return compile_rule(ast).clauses[0].condition
+
+
+@pytest.mark.parametrize("op", [*sorted(_REFERENCE_OPS), "not"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compiled_conditions_match_node_by_node_evaluation(op, data):
+    """Every operator, on random operands and payloads: the generated
+    condition returns what the reference returns, or raises its type."""
+    if op == "not":
+        expr = UnaryOp("not", data.draw(_EXPRS))
+    else:
+        expr = BinaryOp(op, data.draw(_EXPRS), data.draw(_EXPRS))
+    payload = {name: data.draw(_VALUES) for name in _FIELDS[1:3]}
+    event = Event(EventKind.REACH, "t", "l", data.draw(_VALUES), payload)
+    params = {"p": data.draw(_VALUES)}
+    if data.draw(st.booleans()):
+        params["q"] = data.draw(_VALUES)
+    got = _outcome(_condition(expr), event, params)
+    want = _outcome(_evaluate, expr, event, params)
+    if got[0] == want[0] == "value" and got[1] != got[1]:
+        assert want[1] != want[1]   # NaN from both
+    else:
+        assert got == want
+
+
+def test_and_or_evaluate_both_operands_but_truth_test_only_as_needed():
+    """``bool(b)`` is skipped when ``bool(a)`` decides; ``b`` is not."""
+    for op, left, right in (("and", 1, 2), ("or", 0, 2), ("or", 0, 0)):
+        condition = _condition(BinaryOp(op, Literal(left), Literal(right)))
+        assert condition(_event(), {}) is bool(right)
+    unbool = Literal(_Unbool())
+    assert _condition(BinaryOp("and", Literal(0), unbool))(_event(), {}) \
+        is False
+    assert _condition(BinaryOp("or", Literal(1), unbool))(_event(), {}) \
+        is True
+    with pytest.raises(LookupError):
+        _condition(BinaryOp("and", Literal(1), unbool))(_event(), {})
+    with pytest.raises(KeyError):
+        _condition(BinaryOp("and", Literal(0), ParamRef("q")))(
+            _event(), {"p": 1})

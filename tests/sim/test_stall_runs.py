@@ -144,3 +144,23 @@ def test_the_pass_skips_a_sleeping_stage_whatever_its_guard(stage_cls):
         calls.clear()
         stage_ticks()
         assert calls == expected
+
+
+def test_simulators_of_one_shape_share_the_pass_code_not_its_stages():
+    """The generated pass is compiled once per source text; each
+    simulator's pass is bound to, and ticks, only its own stages."""
+    spec = build_app("SPEC-BFS", random_graph(40, 90, seed=1), 0)
+    sims = [AcceleratorSim(spec, platform=HARP, replicas={"visit": 2})
+            for _ in range(2)]
+    first, second = sims
+    assert first._compiled_ticks.__code__ is second._compiled_ticks.__code__
+    assert first._compiled_commits.__code__ is \
+        second._compiled_commits.__code__
+    for sim in sims:
+        sim.host.start()
+    queued = [[len(q) for q in sim._queue_list] for sim in sims]
+    first._compiled_ticks()
+    assert [len(q) for q in first._queue_list] != queued[0]
+    assert [len(q) for q in second._queue_list] == queued[1]
+    second._compiled_ticks()
+    assert [len(q) for q in second._queue_list] != queued[1]

@@ -1,5 +1,6 @@
 """Tests for CSR graphs, generators, DIMACS I/O and oracle algorithms."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -135,6 +136,74 @@ class TestGenerators:
     def test_rmat_invalid_probabilities(self):
         with pytest.raises(InputError):
             rmat_graph(4, a=0.5, b=0.3, c=0.3)
+
+    @pytest.mark.parametrize("a, b, c", [(0.6, -0.1, 0.2), (-0.2, 0.5, 0.5)])
+    def test_rmat_negative_probabilities_rejected(self, a, b, c):
+        with pytest.raises(InputError, match=f"a={a}, b={b}, c={c}"):
+            rmat_graph(6, a=a, b=b, c=c)
+
+
+# Generator output pinned as sha256 prefixes, computed before rmat_graph
+# drew a level's uniforms in one call per edge.  Every input the project
+# simulates is a function of these streams: a change here moves cycle
+# counts, goldens and cached results.
+RMAT_SEEDS = sorted(set(range(30)) | {4 + 1009 * k for k in range(12)})
+RMAT_DEFAULT = (0.57, 0.19, 0.19)
+RMAT_OTHER = [(0.45, 0.25, 0.15), (0.25, 0.25, 0.25), (0.6, 0.0, 0.3)]
+RMAT_DIGESTS = {
+    (1, 1): "4950318e3fc32150",
+    (2, 1): "c7f200111f403fe9",
+    (3, 1): "83b2686279f617e8",
+    (4, 1): "1d950ac52730adf2",
+    (5, 1): "d1599ae6da8f1c81",
+    (6, 1): "b69911d11bb50ab0",
+    (7, 1): "b4051a44d1a1a927",
+    (8, 1): "11d8b025bed5a790",
+    (9, 1): "626996ed21896609",
+    (1, 8): "ca89b0cee1383187",
+    (2, 8): "c3d2ab11172bee0a",
+    (3, 8): "d19318ff86b494dd",
+    (4, 8): "a0aaafef36c48424",
+    (5, 8): "a2b9bc93fe826688",
+    (6, 8): "1a1678a7cd5b37f9",
+    (7, 8): "0d65839c613ab679",
+    (8, 8): "8865a9625b3ece1a",
+    (9, 8): "8043513556fad118",
+}
+# default_workloads' random_graph and road_workloads' road_network.
+WORKLOAD_DIGESTS = {
+    (0.25, "random"): "71d7c995fd5428db",
+    (0.25, "road"): "a70176006a0b1b8a",
+    (0.3, "random"): "37430917616d8688",
+    (0.3, "road"): "d2af5d1605b817d5",
+    (0.5, "random"): "0478951431d27652",
+    (0.5, "road"): "8f72a491a0fff171",
+    (1.0, "random"): "75987f10ff42897b",
+    (1.0, "road"): "4b73bf7689c5ae2b",
+}
+
+
+@pytest.mark.parametrize("scale, edge_factor", sorted(RMAT_DIGESTS))
+def test_rmat_output_is_pinned(scale, edge_factor):
+    """Every seed under the default probabilities; the other three under
+    every seed at edge factor 1 and the first five at 8 (for time)."""
+    cases = [(seed, RMAT_DEFAULT) for seed in RMAT_SEEDS]
+    other_seeds = RMAT_SEEDS if edge_factor == 1 else RMAT_SEEDS[:5]
+    cases += [(seed, probs) for probs in RMAT_OTHER for seed in other_seeds]
+    fold = hashlib.sha256()
+    for seed, probs in cases:
+        graph = rmat_graph(scale, edge_factor, seed, *probs)
+        fold.update(graph.digest().encode())
+    assert fold.hexdigest()[:16] == RMAT_DIGESTS[scale, edge_factor]
+
+
+@pytest.mark.parametrize("scale, kind", sorted(WORKLOAD_DIGESTS))
+def test_workload_graphs_are_pinned(scale, kind):
+    if kind == "random":
+        graph = random_graph(int(600 * scale), int(1800 * scale), seed=5)
+    else:
+        graph = road_network(int(36 * scale), int(22 * scale), seed=11)
+    assert graph.digest()[:16] == WORKLOAD_DIGESTS[scale, kind]
 
 
 class TestAlgorithms:
