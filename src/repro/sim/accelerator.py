@@ -60,10 +60,10 @@ class SimConfig:
     minimum_broadcast_interval: int = 4
     max_cycles: int = 30_000_000
     deadlock_window: int = 200_000
-    # Simulation engine: "event" (the default) skips idle cycles by
-    # reading registered wake-ups (sim/fastpath.py); "dense" ticks every
-    # component every cycle and is the oracle.  Both are cycle-exact
-    # (see docs/simulator.md).
+    # Simulation engine: "event" (the default) lets stalled stages sleep
+    # and jumps idle spans to the earliest alarm or other pending wake-up
+    # (sim/fastpath.py); "dense" ticks every component every cycle and
+    # is the oracle.  Both are cycle-exact (see docs/simulator.md).
     engine: str = "event"
 
     def __post_init__(self) -> None:
@@ -247,9 +247,6 @@ class AcceleratorSim:
         # active_stages_this_cycle); a cycle that ends quiet with no
         # firing is provably a repeat.
         self.quiet = True
-        # Event-engine wake heap; EventScheduler plants it here so the
-        # stages can arm wake-ups at issue time.
-        self.wakes = None
         self.engine = config.engine
         self.ff = EventScheduler(self) if self.engine == "event" else None
         self.bind_stage_pass()

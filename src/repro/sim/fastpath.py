@@ -5,26 +5,22 @@ channel on every cycle, even when the whole accelerator is quiescent
 waiting on a 200 ns QPI miss — exactly the irregular-latency pattern the
 paper's memory subsystem (Figure 7, Choi et al. timing constants)
 produces.  The event engine (``SimConfig.engine="event"``) skips those
-idle cycles: components push their wake-ups onto one heap of cycles
-(:mod:`repro.sim.events`) at the moment they schedule future work, and
-when a whole cycle passes in which *nothing* made progress, the
-scheduler jumps the clock straight to the earliest pending wake-up.
+idle cycles: when a whole cycle passes in which *nothing* made progress,
+the scheduler jumps the clock straight to the earliest pending wake-up.
 
-Wake-up contract (who arms what):
+Wake-up contract (what the jump reads):
 
-* The memory system arms every tracked transfer's completion cycle
-  (pipeline loads, Expand/Call operand streams, host batch DMA) at
-  issue.  Nothing is withdrawn on retire: a request retires only after
-  its completion, by which time its entry is spent.
-* :class:`~repro.sim.stages.CallStage` arms its latency timer's expiry
-  at issue time — the one stage-private clock.
-* Rule-engine deliveries need no separate arming: the simulator's
-  ``_event_heap`` is already a ``(cycle, seq, event)`` priority queue,
-  so the scheduler peeks its head.
+* The head of the simulator's ``alarms`` heap.  A stage that waits on
+  the clock (a Load's requests, an Expand head's row stream, a Call's
+  timer and operand stream) sleeps with an alarm ``(cycle, order)`` at
+  that completion; every other sleeper waits on a handshake, which
+  only a firing or a silent mutation gives.
+* The host's in-flight batch DMA (``host._transfer_req``): the host
+  never sleeps, so its completion is read at probe time.
+* The head of ``_event_heap``, the pending rule-engine deliveries.
 * Fault-plan window boundaries, checkpoint captures, invariant-checker
   passes, and the minimum-broadcast boundary (only when a broadcast
-  would actually fire an otherwise) are single scalars owned by their
-  components, read at probe time.
+  would actually fire an otherwise): scalars read at probe time.
 
 Cycle-exactness argument (see docs/simulator.md for the full version):
 
@@ -32,31 +28,31 @@ Cycle-exactness argument (see docs/simulator.md for the full version):
   mutation, no event delivered, no otherwise triggered) leaves the
   machine state *stationary*: every stage's decision next cycle depends
   only on that unchanged state plus the clock.
-* The only clock-driven state changes are the wake-up sources above.
+* After it, every stage whose tick guard holds is asleep, and each that
+  waits on the clock holds an alarm no later than its completion (the
+  sanitizer's ``stage-alarm``); the rest change only at the sources
+  above.
 * Therefore every skipped cycle would have been an exact repeat of the
   probe cycle just executed.  Every stage that stalled in that cycle
   changed nothing else, so it went to sleep and its stall run simply
   spans the skipped cycles: nothing is credited at the jump.
 
-The scheduler and its heap live inside the simulator's checkpointed
+The scheduler and the alarms live inside the simulator's checkpointed
 object graph, so rollback restores the pending wake-ups and the jump
-bookkeeping along with the machine, and replayed cycles re-arm their own
-wake-ups without double-counting.
+bookkeeping along with the machine.
 """
 
 from __future__ import annotations
 
-from repro.sim.events import NEVER, next_after
+from repro.sim.events import NEVER
 
 
 class EventScheduler:
     """Wake-up discovery plus skip crediting for one simulator.
 
     Attached by :class:`~repro.sim.accelerator.AcceleratorSim` when
-    ``SimConfig.engine == "event"``.  Attaching plants the wake heap on
-    the simulator (``sim.wakes``) and the memory system
-    (``memory.wakes``) so issue paths arm wake-ups from then on; a stage
-    that sees ``sim.wakes`` set sleeps through its stalls.
+    ``SimConfig.engine == "event"``; a stage whose simulator has one
+    (``sim.ff``) sleeps through its stalls.
     """
 
     def __init__(self, sim) -> None:
@@ -65,21 +61,25 @@ class EventScheduler:
         self.cycles_skipped = 0
         # Optional jump journal for tests: (from_cycle, to_cycle, wake).
         self.log: list[tuple[int, int, int]] | None = None
-        self.wakes: list[int] = []
-        sim.wakes = sim.memory.wakes = self.wakes
 
     # -- wake-up discovery -----------------------------------------------------
 
     def next_wakeup(self, now: int) -> int:
         """Earliest cycle > ``now`` at which any component could act.
 
-        The wake heap answers for memory completions and function-unit
-        timers; pending event deliveries are a peek at the event heap
-        (itself a priority queue); the remaining scalar clocks are read
-        directly.
+        The alarm heap's head answers for every stage asleep on the
+        clock; pending event deliveries are a peek at the event heap
+        (itself a priority queue); the host's batch DMA and the
+        remaining scalar clocks are read directly.
         """
         sim = self.sim
-        wake = next_after(self.wakes, now)
+        alarms = sim.alarms
+        wake = alarms[0][0] if alarms else NEVER
+        transfer = sim.host._transfer_req
+        if transfer is not None:
+            when = sim.memory.done_at(transfer)
+            if when < wake:
+                wake = when
         heap = sim._event_heap
         if heap and heap[0][0] < wake:
             wake = heap[0][0]

@@ -281,10 +281,24 @@ class InvariantChecker:
 
     def _check_sleepers(self, violations: list[Violation]) -> None:
         """A sleeping stage's tick would repeat the one it slept on:
-        stall for the reasons its run records, or change nothing."""
+        stall for the reasons its run records, or change nothing.  One
+        whose wait ends on a completion holds an alarm no later than it:
+        the event engine's jumps stop only at alarms."""
+        alarms: dict[int, int] = {}
+        for cycle, order in self.sim.alarms:
+            alarms[order] = min(cycle, alarms.get(order, NEVER))
         for stage in self.sim._stages:
             if stage.wait != 1:
                 continue
+            completion = awaited_completion(stage)
+            alarm = alarms.get(stage.order, NEVER)
+            if alarm > completion:
+                violations.append(Violation(
+                    "stage-alarm", stage.name,
+                    f"asleep until a completion at cycle {completion}, "
+                    + ("but holds no alarm" if alarm == NEVER else
+                       f"but its earliest alarm is at cycle {alarm}"),
+                ))
             verdict = tick_verdict(stage)
             if verdict != stage.reasons:
                 violations.append(Violation(
@@ -489,6 +503,25 @@ def tick_verdict(stage) -> tuple[StallReason, ...] | None:
                 not ctx.queues[op.task_set].can_push():
             return (_QUEUE,)
     return None
+
+
+def awaited_completion(stage) -> int:
+    """The completion a sleeping Load, Expand or Call waits for, which
+    its alarm must not come after (NEVER when it waits on none)."""
+    if isinstance(stage, ExpandStage):
+        stream = stage._inflight[0][3] if stage._inflight else None
+        return NEVER if stream is None else stage.ctx.memory.done_at(stream)
+    if not stage.can_send():
+        return NEVER  # asleep on backpressure: a pop wakes it
+    if isinstance(stage, LoadStage):
+        held = stage.station[:1] if stage.in_order else stage.station
+        return min((done_at for _token, _req, done_at in held),
+                   default=NEVER)
+    if isinstance(stage, CallStage):
+        return min((done_at if stream is None else max(done_at, stream[1])
+                    for _token, done_at, stream in stage.in_flight),
+                   default=NEVER)
+    return NEVER
 
 
 def _release_verdict(stage, held, room: bool, cycle: int):

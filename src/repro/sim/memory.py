@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from repro.eval.platforms import HarpPlatform
 from repro.errors import SimulationError
-from repro.sim.events import arm
 
 
 @dataclass
@@ -129,21 +128,15 @@ class MemorySystem:
         # its completion has passed, so while this lies in the future it
         # names a request still outstanding: ``pending`` is one compare.
         self.horizon = -1
-        # Event-engine wake heap (see sim.events); when attached, every
-        # tracked transfer arms its completion cycle at issue time so the
-        # scheduler never has to scan ``_outstanding``.
-        self.wakes = None
 
     # -- issue ---------------------------------------------------------------
 
-    def _track(self, now: int, done_at: int) -> int:
+    def _track(self, done_at: int) -> int:
         req_id = self._next_id
         self._next_id += 1
         self._outstanding[req_id] = done_at
         if done_at > self.horizon:
             self.horizon = done_at
-        if self.wakes is not None:
-            arm(self.wakes, done_at, now)
         return req_id
 
     def issue_load(self, now: int, addr: int, nbytes: int = 8) -> int:
@@ -165,7 +158,7 @@ class MemorySystem:
                     self.channel.transfer(now, line)
                     self.stats.bytes_transferred += line
                     self.stats.prefetches += 1
-        req = self._track(now, done)
+        req = self._track(done)
         if self.probe is not None:
             self.probe.load(now, addr, nbytes, hit, done, req)
         return req
@@ -189,7 +182,7 @@ class MemorySystem:
         else:
             done = self.channel.transfer(now, nbytes)
             self.stats.bytes_transferred += nbytes
-        req = self._track(now, done)
+        req = self._track(done)
         if self.probe is not None:
             self.probe.stream(now, nbytes, done, req)
         return req
@@ -207,7 +200,7 @@ class MemorySystem:
 
     def retire(self, req_id: int) -> None:
         # Callers retire a request only once its completion has passed;
-        # ``horizon`` relies on it, and its wake-up is spent by then.
+        # ``horizon`` relies on it.
         if self._outstanding.pop(req_id, None) is None:
             raise SimulationError(
                 f"retire of unknown memory request {req_id}"

@@ -29,7 +29,7 @@ from repro.core.kernel import (
 )
 from repro.errors import SimulationError
 from repro.obs.events import StallReason
-from repro.sim.events import NEVER, arm, wake_all
+from repro.sim.events import NEVER, wake_all
 from repro.sim.fifo import Fifo
 from repro.sim.token import SimToken
 
@@ -149,7 +149,7 @@ class Stage:
         ``alarm``.  Only the event engine sleeps; dense ticks every cycle.
         """
         ctx = self.ctx
-        if ctx.wakes is None:
+        if ctx.ff is None:
             return
         self.wait = 1
         self.since = ctx.cycle + 1
@@ -293,13 +293,14 @@ class LoadStage(Stage):
         # Sleep from the next cycle when that tick can release nothing and
         # issue nothing: the stalls it records repeat until room
         # downstream (only this stage fills it), or else until a request
-        # completes; an input commit wakes it while it has room.
+        # completes (an alarm, even at the next cycle: the jump reads
+        # only alarms); an input commit wakes it while it has room.
         if not station or self.input._items and len(station) < self.depth:
             return
         if released:
             blocked = not self.can_send()
         ready_at = station[0][2] if self.in_order else self.earliest
-        if blocked or ready_at > ctx.cycle + 1:
+        if blocked or ready_at > ctx.cycle:
             reasons = (BACKPRESSURE,) if blocked else ()
             if self.input._items:
                 reasons += (MEMORY,)
@@ -737,10 +738,6 @@ class CallStage(Stage):
                 None if stream_req is None
                 else (stream_req, ctx.memory.done_at(stream_req)),
             ))
-            if ctx.wakes is not None:
-                # Event engine: the latency timer is the one stage-private
-                # clock, so its expiry is armed at issue.
-                arm(ctx.wakes, done_at, ctx.cycle)
             return
         reasons = (BACKPRESSURE,) if blocked else ()
         if self.input._items:

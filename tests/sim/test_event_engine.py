@@ -1,27 +1,21 @@
 """Property-based tests for the event engine.
 
-The legality argument in ``sim/fastpath.py`` rests on two scheduler
+The legality argument in ``sim/fastpath.py`` rests on scheduler
 invariants, checked over randomized workloads, platforms, and machine
 states through the scheduler's optional jump journal (``sim.ff.log``,
 one ``(from_cycle, to_cycle, wake)`` entry per committed jump):
 
-* **never past a wake-up** — the clock never jumps beyond the earliest
-  pending wake-up, and ``next_wakeup`` is never later than a brute-force
-  minimum over every wake-up source at arbitrary reachable states;
+* **every jump is legal** — at each jump every stage whose tick guard
+  holds is asleep, and each one that waits on a completion holds an
+  alarm no later than it;
+* **never past a wake-up** — the jump target is exactly the brute-force
+  minimum over the alarms, the host's batch DMA, the event heap and the
+  scalar sources, at every jump and at arbitrary reachable states;
 * **never backwards** — within an execution the clock is monotone, and
   after a rollback restores an earlier cycle, jumps resume from the
-  restored clock without ever re-crossing it backwards.
-
-The wake heap (``sim/events.py``) withdraws nothing, so three more
-checks hold it to its contents, its size and its checkpointing:
-
-* **no lost wake-up** — dropping spent entries on arm or probe never
-  drops a live one: ``next_after`` is the brute-force minimum;
-* **bounded** — every arm leaves the heap no larger than the memory
-  requests outstanding plus the call timers in flight;
-* **checkpoint round-trip** — ``copy.deepcopy`` (the checkpoint
-  manager's capture primitive) copies a mid-run heap, still shared by
-  the scheduler and the memory system, and the copy drains identically.
+  restored clock without ever re-crossing it backwards;
+* **checkpoint round-trip** — a checkpoint clone carries the alarms,
+  equal to the original's and independent of them.
 
 A last check pins what the engine is for: on a bandwidth-starved run it
 skips at least nine cycles in ten.
@@ -29,65 +23,51 @@ skips at least nine cycles in ten.
 
 from __future__ import annotations
 
-import copy
+import heapq
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim.memory
-import repro.sim.stages
 from repro.apps.registry import build_app
 from repro.errors import ReproError
 from repro.eval.platforms import EVAL_HARP
 from repro.sim.accelerator import AcceleratorSim, SimConfig
-from repro.sim.checkpoint import CheckpointManager
-from repro.sim.events import NEVER, arm, next_after
+from repro.sim.checkpoint import CheckpointManager, revive, snapshot
+from repro.sim.events import NEVER
 from repro.sim.faults import FaultEvent, FaultKind, FaultPlan
-from repro.sim.stages import CallStage
+from repro.sim.invariants import InvariantChecker, awaited_completion
+from repro.sim.pipeline import _GUARD_OPERAND
+from repro.sim.stages import LoadStage
 from repro.substrates.graphs import random_graph
 
-SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 SIM_SETTINGS = settings(derandomize=True, deadline=None, max_examples=10)
-
-# One arm: (clock advance, wake-up distance).  Real arms always name a
-# cycle after the clock; small spaces force ties and spent entries.
-ARMS = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 12)),
-                max_size=60)
-
-
-@given(arms=ARMS, probe=st.integers(0, 40))
-@SETTINGS
-def test_next_after_is_earliest_live_wakeup(arms, probe: int) -> None:
-    """Dropping spent entries on arm never loses a live wake-up:
-    ``next_after`` returns the earliest armed cycle strictly after the
-    probe (NEVER when none), and leaves only later entries behind."""
-    wakes: list[int] = []
-    armed: list[int] = []
-    now = 0
-    for advance, distance in arms:
-        now += advance
-        arm(wakes, now + distance, now)
-        armed.append(now + distance)
-        assert min(wakes) > now
-    probe += now
-    live = [cycle for cycle in armed if cycle > probe]
-    assert next_after(wakes, probe) == (min(live) if live else NEVER)
-    assert sorted(wakes) == sorted(live)
-
 
 # -- scheduler properties over whole simulations -----------------------------
 
 APPS = st.sampled_from(["SPEC-BFS", "SPEC-SSSP", "SPEC-CC"])
+# Graph apps plus the two host-fed apps, whose batch DMA is a wake-up
+# source of its own.
+ALL_APPS = st.sampled_from(["SPEC-BFS", "SPEC-SSSP", "SPEC-CC", "COOR-LU",
+                            "SPEC-DMR"])
 SCALES = st.sampled_from([0.05, 0.25, 1.0])
 
 
-def _sim(app: str, graph_seed: int, scale: float, **config_kwargs):
-    spec = build_app(app, random_graph(60, 180, seed=graph_seed))
+def _spec(app: str, seed: int):
+    if app == "COOR-LU":
+        return build_app(app, grid=6, block_size=4, seed=seed)
+    if app == "SPEC-DMR":
+        return build_app(app, n_points=40, seed=seed)
+    return build_app(app, random_graph(60, 180, seed=seed))
+
+
+def _sim(app: str, graph_seed: int, scale: float, *, check_interval=None,
+         **config_kwargs):
     return AcceleratorSim(
-        spec,
+        _spec(app, graph_seed),
         platform=EVAL_HARP.scaled(scale),
         config=SimConfig(engine="event", **config_kwargs),
+        check_interval=check_interval,
     )
 
 
@@ -102,6 +82,40 @@ def _assert_journal_sound(log, *, floor: int = 0) -> None:
         # The clock never jumps past the earliest pending wake-up.
         assert to <= wake
         clock = to
+
+
+def _on_jump(sim, check) -> None:
+    """Call ``check(target)`` at every committed jump, before the clock
+    moves: the machine is still in the quiescent probe cycle's state."""
+    skip_to = sim.ff.skip_to
+
+    def checked(target: int) -> None:
+        check(target)
+        skip_to(target)
+
+    sim.ff.skip_to = checked
+
+
+def _guard_holds(stage) -> bool:
+    """The stage's tick guard, evaluated as the generated pass does."""
+    guard = _GUARD_OPERAND.sub(r"stage.\1", stage.tick_guard)
+    return bool(eval(guard, {"stage": stage}))
+
+
+def _brute_force_wakeup(sim, now: int) -> int:
+    """The earliest wake-up after ``now``, scanning every alarm, the
+    host's batch DMA, every pending event and the scalar sources."""
+    candidates = [NEVER, sim.ff._next_broadcast_cycle(now)]
+    candidates += [cycle for cycle, _order in sim.alarms]
+    candidates += [entry[0] for entry in sim._event_heap]
+    if sim.host._transfer_req is not None:
+        candidates.append(sim.memory.done_at(sim.host._transfer_req))
+    for source in (sim.faults, sim.checkpoints):
+        if source is not None:
+            candidates.append(source.next_event_cycle(now))
+    if sim.checker is not None:
+        candidates.append(sim.checker.next_check_cycle(now))
+    return min(candidates)
 
 
 @SIM_SETTINGS
@@ -122,13 +136,63 @@ def test_jump_journal_respects_wakeups(app, graph_seed, scale, banks):
 
 
 @SIM_SETTINGS
-@given(app=APPS, graph_seed=st.integers(0, 5), steps=st.integers(1, 400),
-       scale=SCALES)
+@given(app=ALL_APPS, graph_seed=st.integers(0, 5), scale=SCALES)
+def test_every_jump_leaves_guarded_stages_asleep_on_alarms(app, graph_seed,
+                                                           scale):
+    """The legality condition of a jump: after a quiescent cycle every
+    stage whose tick guard holds is asleep, and each that waits on a
+    completion holds an alarm no later than it (the sanitizer's
+    ``stage-alarm``), so the alarms alone say when one can act."""
+    sim = _sim(app, graph_seed, scale)
+    checker = InvariantChecker(sim)  # not attached: adds no wake-up
+    jumps = 0
+
+    def check(_target: int) -> None:
+        nonlocal jumps
+        jumps += 1
+        awake = [stage.name for stage in sim._stages
+                 if _guard_holds(stage) and stage.wait != 1]
+        assert not awake, f"cycle {sim.cycle}: awake with work: {awake}"
+        violations = []
+        checker._check_sleepers(violations)
+        assert not violations, [v.format() for v in violations]
+
+    _on_jump(sim, check)
+    result = sim.run()
+    assert jumps == result.ff_jumps > 0
+
+
+@SIM_SETTINGS
+@given(app=ALL_APPS, graph_seed=st.integers(0, 5), scale=SCALES,
+       check_interval=st.sampled_from([None, 97]),
+       checkpoint_interval=st.sampled_from([None, 1500]))
+def test_jump_target_is_the_brute_force_minimum(app, graph_seed, scale,
+                                                check_interval,
+                                                checkpoint_interval):
+    """Every jump lands on the earliest pending wake-up over all sources,
+    clamped only by the run's limits, which these runs never reach."""
+    sim = _sim(app, graph_seed, scale, check_interval=check_interval)
+    if checkpoint_interval is not None:
+        sim.checkpoints = CheckpointManager(sim, checkpoint_interval)
+    sim.ff.log = []
+
+    def check(target: int) -> None:
+        frm, to, wake = sim.ff.log[-1]
+        assert (frm, to) == (sim.cycle, target)
+        assert wake == to == _brute_force_wakeup(sim, sim.cycle - 1)
+
+    _on_jump(sim, check)
+    sim.run()
+
+
+@SIM_SETTINGS
+@given(app=ALL_APPS, graph_seed=st.integers(0, 5),
+       steps=st.integers(1, 400), scale=SCALES)
 def test_next_wakeup_contract_at_arbitrary_states(app, graph_seed, steps,
                                                   scale):
     """At any reachable machine state, the scheduler's wake-up is
-    strictly in the future and never later than a brute-force minimum
-    over every pending source."""
+    strictly in the future and exactly the brute-force minimum over
+    every pending source."""
     sim = _sim(app, graph_seed, scale)
     sim.host.start()
     sim._started = True
@@ -139,21 +203,7 @@ def test_next_wakeup_contract_at_arbitrary_states(app, graph_seed, steps,
     now = sim.cycle - 1
     wake = sim.ff.next_wakeup(now)
     assert wake > now
-
-    candidates = [NEVER, sim.ff._next_broadcast_cycle(now)]
-    if sim._event_heap:
-        candidates.append(sim._event_heap[0][0])
-    candidates.extend(
-        done_at for done_at in sim.memory._outstanding.values()
-        if done_at > now
-    )
-    candidates.extend(
-        done_at
-        for stage in sim._stages if isinstance(stage, CallStage)
-        for _token, done_at, _req in stage.in_flight
-        if done_at > now
-    )
-    assert wake <= min(candidates)
+    assert wake == _brute_force_wakeup(sim, now)
 
 
 def test_jump_journal_monotone_across_rollback():
@@ -197,57 +247,59 @@ def test_jump_journal_monotone_across_rollback():
     _assert_journal_sound(revived.ff.log, floor=restored_cycle)
 
 
-def _call_timers(sim) -> int:
-    return sum(len(stage.in_flight) for stage in sim._stages
-               if isinstance(stage, CallStage))
-
-
-@pytest.mark.parametrize("scale", [8.0, 0.05])
-def test_every_arm_leaves_the_heap_bounded(scale, monkeypatch):
-    """Spent entries are dropped on every arm, and nothing else is ever
-    in the heap: each live entry is a completion still in the future,
-    so the heap never outgrows the work that will complete."""
-    sim = _sim("SPEC-SSSP", 3, scale)
-    wakes = sim.ff.wakes
-    peak = 0
-
-    def bounded_arm(heap, cycle, now):
-        nonlocal peak
-        arm(heap, cycle, now)
-        assert heap is wakes
-        assert len(heap) <= len(sim.memory._outstanding) + _call_timers(sim)
-        peak = max(peak, len(heap))
-
-    monkeypatch.setattr(repro.sim.memory, "arm", bounded_arm)
-    monkeypatch.setattr(repro.sim.stages, "arm", bounded_arm)
-    sim.run()
-    assert peak > 1
-
-
-def test_checkpoint_roundtrip_preserves_pending_heap():
-    """A deep copy of a mid-run simulator carries its pending wake-ups,
-    still one heap shared by the scheduler and the memory system, and
-    private to the copy."""
+def test_checkpoint_clone_carries_independent_alarms():
+    """A checkpoint clone's alarms equal the original's and are its own:
+    running the clone to the end leaves the original's untouched, and
+    the original then finishes on the same cycle."""
     sim = _sim("SPEC-SSSP", 3, 0.25)
     sim.host.start()
     sim._started = True
-    while len(sim.ff.wakes) < 4:
+    for _ in range(5000):
         sim.step()
-    clone = copy.deepcopy(sim)
-    assert clone.ff.wakes == sim.ff.wakes
-    assert clone.memory.wakes is clone.ff.wakes is clone.wakes
-    assert clone.ff.wakes is not sim.ff.wakes
+        if len(sim.alarms) >= 4:
+            break
+    else:  # pragma: no cover - the run must put stages to sleep
+        raise AssertionError("no four alarms pending at once")
+    pending = list(sim.alarms)
+    clone = revive(snapshot(sim))
+    assert clone.alarms == pending
+    assert clone.alarms is not sim.alarms
+    finished = clone.run().cycles
+    assert sim.alarms == pending
+    assert sim.run().cycles == finished
 
-    def drain(heap):
-        order, now = [], sim.cycle - 1
-        while (now := next_after(heap, now)) != NEVER:
-            order.append(now)
-        return order
 
-    pending = sorted({w for w in sim.ff.wakes if w >= sim.cycle})
-    assert drain(clone.ff.wakes) == pending
-    assert clone.ff.wakes == []
-    assert drain(sim.ff.wakes) == pending
+@pytest.mark.parametrize("scale", [0.05, 0.25])
+def test_an_early_alarm_wakes_a_load_that_sleeps_again(scale):
+    """An alarm may come before the completion it stands for (a stale
+    one does).  Moved to the cycle before, it wakes the Load in an
+    otherwise quiescent cycle with its requests one cycle from done; the
+    Load must sleep again on an alarm at the completion, or the jump
+    that follows passes it."""
+    expected = _sim("SPEC-BFS", 3, scale).run()
+    sim = _sim("SPEC-BFS", 3, scale)
+    step = sim.step
+    moved = 0
+
+    def step_then_move_alarms() -> None:
+        nonlocal moved
+        step()
+        for stage in sim._stages:
+            if not isinstance(stage, LoadStage) or stage.wait != 1:
+                continue
+            done = awaited_completion(stage)
+            if sim.cycle + 1 < done < NEVER and \
+                    (done - 1, stage.order) not in sim.alarms:
+                sim.alarms[:] = [alarm for alarm in sim.alarms
+                                 if alarm[1] != stage.order]
+                sim.alarms.append((done - 1, stage.order))
+                heapq.heapify(sim.alarms)
+                moved += 1
+
+    sim.step = step_then_move_alarms
+    result = sim.run()
+    assert moved > 10
+    assert (result.cycles, result.stats) == (expected.cycles, expected.stats)
 
 
 @pytest.mark.parametrize("app", ["SPEC-BFS", "SPEC-SSSP"])

@@ -1,5 +1,7 @@
 """Tests for the runtime invariant checker (the simulator's sanitizer)."""
 
+import heapq
+
 import pytest
 
 from repro.apps.registry import build_app
@@ -9,7 +11,7 @@ from repro.obs.events import StallReason
 from repro.sim.accelerator import AcceleratorSim, SimConfig
 from repro.sim.events import NEVER
 from repro.sim.faults import FaultEvent, FaultKind, FaultPlan
-from repro.sim.invariants import InvariantChecker
+from repro.sim.invariants import InvariantChecker, awaited_completion
 from repro.sim.stages import LoadStage
 from repro.substrates.graphs import random_graph
 
@@ -180,6 +182,25 @@ class TestKeptCounters:
         with pytest.raises(InvariantViolation) as excinfo:
             sim.checker.check()
         assert excinfo.value.invariant == "sleeping-stage"
+
+    def test_dropped_alarm_caught(self):
+        """A stage asleep until a completion with no alarm: the jump
+        reads only alarms, so it would pass the completion."""
+        sim = _sim(check_interval=INTERVAL)
+
+        def waiting(stage):
+            return stage.wait == 1 and \
+                sim.cycle < awaited_completion(stage) < NEVER
+
+        _step_until(sim, lambda s: any(map(waiting, s._stages)))
+        stage = next(filter(waiting, sim._stages))
+        sim.alarms[:] = [alarm for alarm in sim.alarms
+                         if alarm[1] != stage.order]
+        heapq.heapify(sim.alarms)
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.checker.check()
+        assert excinfo.value.invariant == "stage-alarm"
+        assert excinfo.value.component == stage.name
 
     def test_live_token_count_drift_caught(self):
         sim = _sim(check_interval=INTERVAL)
