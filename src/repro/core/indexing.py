@@ -28,7 +28,7 @@ class TaskIndex:
     positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(p < 0 for p in self.positions):
+        if min(self.positions, default=0) < 0:
             raise SpecificationError(
                 f"index positions must be non-negative, got {self.positions}"
             )

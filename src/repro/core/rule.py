@@ -83,9 +83,9 @@ class RuleType:
         arguments = dict(arguments)
         if "my_index" in self.params and "my_index" not in arguments:
             arguments["my_index"] = parent_index
-        missing = set(self.params) - set(arguments)
-        extra = set(arguments) - set(self.params)
-        if missing or extra:
+        if arguments.keys() != set(self.params):
+            missing = set(self.params) - set(arguments)
+            extra = set(arguments) - set(self.params)
             raise SchedulingError(
                 f"rule {self.name!r} instantiated with wrong arguments: "
                 f"missing={sorted(missing)} extra={sorted(extra)}"
@@ -154,7 +154,7 @@ class RuleInstance:
     def observe_triggered(
         self,
         event: Event,
-        clauses: list[ClauseSpec],
+        clauses: tuple[ClauseSpec, ...],
         requires: frozenset[str],
     ) -> bool | None:
         """:meth:`observe` with the event-independent work hoisted out.

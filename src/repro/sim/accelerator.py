@@ -41,6 +41,8 @@ from repro.sim.token import SimToken
 from repro.sim.trace import ScheduleTracer
 from repro.synthesis.datapath import Datapath, build_datapath
 
+ACTIVATE = EventKind.ACTIVATE  # bound once, as in sim/stages.py
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -263,10 +265,6 @@ class AcceleratorSim:
 
     # -- services stages call ---------------------------------------------------
 
-    def next_token_uid(self) -> int:
-        """Allocate a token uid from this simulation's private counter."""
-        return next(self._token_uids)
-
     def activate(
         self, task_set: str, fields: dict[str, Any],
         parent: TaskIndex | None,
@@ -276,22 +274,24 @@ class AcceleratorSim:
         self.quiet = False
         index = self.minter.mint(task_set, fields, parent)
         handle = self.tracker.register(index)
-        self.queues[task_set].push(index, fields, handle)
+        queue = self.queues[task_set]
+        queue.push(index, fields, handle)
         if self.probe is not None:
             self.probe.activate(self.cycle, handle, cause, cause_uid,
-                                task_set, len(self.queues[task_set]))
-        self.counters.tasks_activated.inc()
+                                task_set, queue._size)
+        self.counters.tasks_activated.value += 1
         self.emit_at(
             self.cycle + 1,
-            Event(EventKind.ACTIVATE, task_set, "", index, dict(fields)),
+            Event(ACTIVATE, task_set, "", index, dict(fields)),
             source_uid=-1,
         )
 
-    def retire(self, token: SimToken, outcome: str) -> None:
+    def retire(self, token: SimToken, outcome: str) -> str:
         """Token leaves the datapath: free liveness and leftover lanes.
-        (The retiring stage reports it in its firing's probe emission.)"""
+        Returns ``outcome``, which the retiring stage reports in its
+        firing's probe emission."""
         if outcome == "commit":
-            self.counters.commits.inc()
+            self.counters.commits.value += 1
         self.live_tokens -= 1
         for engine, instance in token.lanes:
             engine.release(instance)
@@ -306,6 +306,7 @@ class AcceleratorSim:
             sleepers = self.credit_sleepers[token.task_set]
             if sleepers:
                 wake_all(sleepers)
+        return outcome
 
     def emit_at(self, when: int, event: Event, source_uid: int) -> None:
         heapq.heappush(

@@ -16,14 +16,24 @@ T = TypeVar("T")
 
 
 class Fifo(Generic[T]):
-    """Bounded FIFO with staged pushes."""
+    """Bounded FIFO with staged pushes and a kept ``free`` slot count.
 
-    __slots__ = ("capacity", "name", "_items", "_staged", "sleeper")
+    Stage firing sites spell the handshake in place, the same way at
+    each: room is ``free``; a pop is ``_items.popleft()``, ``free += 1``
+    and a wake of the ``sleeper``, which it then clears; a push is ``_staged.append`` and
+    ``free -= 1``, after the room test.  A push into a full FIFO drives
+    ``free`` negative: the dense engine's :meth:`commit` raises on it,
+    and the invariant checker's ``fifo-capacity`` check catches it under
+    either engine.
+    """
+
+    __slots__ = ("capacity", "name", "_items", "_staged", "sleeper", "free")
 
     def __init__(self, capacity: int = 2, name: str = "") -> None:
         if capacity < 1:
             raise SimulationError("fifo capacity must be >= 1")
         self.capacity = capacity
+        self.free = capacity
         self.name = name
         self._items: deque[T] = deque()
         self._staged: list[T] = []
@@ -40,25 +50,14 @@ class Fifo(Generic[T]):
         return len(self._items)
 
     def can_push(self) -> bool:
-        return len(self._items) + len(self._staged) < self.capacity
-
-    def push(self, item: T) -> None:
-        if len(self._items) + len(self._staged) >= self.capacity:
-            raise SimulationError(f"push into full fifo {self.name!r}")
-        self._staged.append(item)
-
-    def peek(self) -> T:
-        return self._items[0]
-
-    def pop(self) -> T:
-        if self.sleeper is not None:
-            self.sleeper.wake()
-            self.sleeper = None
-        return self._items.popleft()
+        return self.free > 0
 
     def commit(self) -> None:
-        """End of cycle: staged pushes become visible."""
+        """End of cycle: staged pushes become visible.  The event engine
+        commits through its generated pass instead, without this check."""
         if self._staged:
+            if self.free < 0:
+                raise SimulationError(f"push into full fifo {self.name!r}")
             self._items.extend(self._staged)
             self._staged.clear()
 

@@ -231,12 +231,21 @@ class InvariantChecker:
     ) -> None:
         """Hot-path bookkeeping agrees with the state it summarizes.
 
-        Queue sizes, the live-token count, load-station earliest
+        Queue sizes, the live-token count, FIFO free counts (firing
+        sites push without a full check), load-station earliest
         completions, the memory horizon and the rule engines' lane orders
         are updated where the state changes so the per-cycle code never
         scans; here each is recomputed by the scan it saves.
         """
         sim = self.sim
+        for fifo in sim._fifos:
+            held = len(fifo._items) + len(fifo._staged)
+            if held > fifo.capacity or fifo.free != fifo.capacity - held:
+                violations.append(Violation(
+                    "fifo-capacity", f"fifo {fifo.name!r}",
+                    f"holds {held} of {fifo.capacity} entries with a "
+                    f"kept free count of {fifo.free}",
+                ))
         busy = any(pipeline.busy() for pipeline in sim.pipelines)
         if sim.live_tokens != len(tokens) or bool(tokens) != busy:
             violations.append(Violation(
@@ -457,7 +466,7 @@ def tick_verdict(stage) -> tuple[StallReason, ...] | None:
     nothing), or None if it would fire or change state."""
     ctx = stage.ctx
     visible = bool(stage.input._items)
-    room = stage.can_send()
+    room = stage.output is None or stage.output.can_push()
     work = _HELD_WORK.get(type(stage))
     if work is not None:
         held = getattr(stage, work)
@@ -511,7 +520,7 @@ def awaited_completion(stage) -> int:
     if isinstance(stage, ExpandStage):
         stream = stage._inflight[0][3] if stage._inflight else None
         return NEVER if stream is None else stage.ctx.memory.done_at(stream)
-    if not stage.can_send():
+    if stage.output is not None and not stage.output.can_push():
         return NEVER  # asleep on backpressure: a pop wakes it
     if isinstance(stage, LoadStage):
         held = stage.station[:1] if stage.in_order else stage.station

@@ -49,22 +49,20 @@ class SourceStage(Stage):
             # Every branch below is side-effect-free on an empty queue
             # (a refused pop leaves the wavefront where it was).
             return
-        if not self.can_send():
-            self._stall(BACKPRESSURE)
-            self._sleep((BACKPRESSURE,), self.output)
+        out = self.output  # a source always feeds a stage
+        if not out.free:
+            self._stall(BACKPRESSURE, out)
             return
         ctx = self.ctx
         credits = ctx.admission_credits
         if credits is not None and credits[self.task_set] <= 0:
             # Admission credits are bounded by the rule-lane count.
-            self._stall(RULE)
-            self._sleep((RULE,), waiters=ctx.credit_sleepers[self.task_set])
+            self._stall(RULE, waiters=ctx.credit_sleepers[self.task_set])
             return
         popped = queue.pop()
         if popped is None:
             # Work is queued but every bank refused the pop (faults).
-            self._stall(QUEUE)
-            self._sleep((QUEUE,), waiters=queue.sleepers)
+            self._stall(QUEUE, waiters=queue.sleepers)
             return
         if credits is not None:
             credits[self.task_set] -= 1
@@ -81,16 +79,18 @@ class SourceStage(Stage):
             env=dict(fields),
             index=index,
             task_set=self.task_set,
-            uid=ctx.next_token_uid(),
+            uid=next(ctx._token_uids),
             live_handle=live_handle,
         )
         token.task_uid = token.uid
         ctx.live_tokens += 1
-        self.send(token)
+        out._staged.append(token)
+        out.free -= 1
         if ctx.probe is not None:
             ctx.probe.born(ctx.cycle, self.name, token.uid,
-                           live_handle, self.task_set, len(queue))
-        self.mark_active()
+                           live_handle, self.task_set, queue._size)
+        self.active_cycles += 1
+        ctx.active_stages_this_cycle += 1
 
     def busy(self) -> bool:
         return False  # the queue itself tracks pending work
@@ -102,8 +102,8 @@ def compile_stage_pass(stages: list[Stage]):
     Returns ``(stage_ticks, fifo_commits)``: straight-line functions that
     tick every stage in list order behind its kind's ``tick_guard``, then
     commit every stage's input FIFO in the same order.  A sleeping stage
-    is skipped, and a woken one resumes (closing its stall run) instead
-    of ticking; a commit into an empty input wakes a stage whose kind
+    is skipped, and a woken one closes its stall run (``credit_run``)
+    and ticks; a commit into an empty input wakes a stage whose kind
     ``wakes_on_input``.
     Every object they touch is bound here, once, so a cycle runs no list
     loop and no attribute chasing.  They hold these very stages: a deep
@@ -111,7 +111,7 @@ def compile_stage_pass(stages: list[Stage]):
     shared by every pass of the same source; only the bound objects are
     per call.
     """
-    bound: dict[str, object] = {}
+    bound: dict[str, object] = {"ctx": stages[0].ctx if stages else None}
     ticks, commits = [], []
     for n, stage in enumerate(stages):
         guard = stage.tick_guard
@@ -123,7 +123,11 @@ def compile_stage_pass(stages: list[Stage]):
         bound[f"t{n}"] = stage.tick
         ticks += [f"    if {guard}:",
                   f"        if not s{n}.wait: t{n}()",
-                  f"        elif s{n}.wait == 2: s{n}.resume()"]
+                  f"        elif s{n}.wait == 2:",
+                  f"            s{n}.wait = 0",
+                  f"            if ctx.cycle > s{n}.since:",
+                  f"                s{n}.credit_run(ctx.cycle)",
+                  f"            t{n}()"]
         bound[f"v{n}"] = stage.input._items
         bound[f"g{n}"] = stage.input._staged
         if stage.wakes_on_input:

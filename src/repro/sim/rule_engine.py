@@ -77,10 +77,9 @@ class RuleEngineSim:
         self.sleepers: list = []
         self.stats = RuleEngineStats()
         # Event-independent broadcast state, hoisted out of deliver():
-        # the clause list (patterns are static per rule type, so the
-        # triggered subset is a function of the event alone) and the
-        # requires-flag set every instance compares against.
-        self._clauses = tuple(rule_type.clauses)
+        # the triggered clauses per (kind, task set, label), all that
+        # static patterns read, and the requires-flag set.
+        self._triggered: dict[tuple, tuple] = {}
         self._requires = frozenset(rule_type.requires)
 
     # -- allocation ---------------------------------------------------------
@@ -143,12 +142,16 @@ class RuleEngineSim:
             if action == "dup":
                 self.stats.events_duplicated += 1
                 rounds = 2
-        # Filter clauses once per broadcast, not once per lane: patterns
-        # are static per rule type, so lanes only differ in conditions.
-        # A rule with pending requires-flags can only complete on a
-        # satisfy action, which needs a triggered clause — so an event
-        # that triggers nothing is a no-op for every lane.
-        triggered = [c for c in self._clauses if c.triggered_by(event)]
+        # Filter clauses once per event shape, not per lane: lanes only
+        # differ in conditions.  A rule with pending requires-flags can
+        # only complete on a satisfy action, which needs a triggered
+        # clause — so an event that triggers nothing is a no-op.
+        key = (event.kind, event.task_set, event.label)
+        triggered = self._triggered.get(key)
+        if triggered is None:
+            triggered = self._triggered[key] = tuple(
+                c for c in self.rule_type.clauses if c.triggered_by(event)
+            )
         if not triggered:
             return
         requires = self._requires

@@ -78,21 +78,6 @@ class Stage:
         self.since = 0
         self.reasons: tuple[StallReason, ...] = ()
 
-    # -- wiring ----------------------------------------------------------------
-
-    def send(self, token: SimToken) -> str | None:
-        """Pass ``token`` on, or retire it; returns the retire outcome."""
-        if self.output is not None:
-            self.output.push(token)
-            return None
-        self.ctx.retire(token, self.on_retire)
-        return self.on_retire
-
-    def can_send(self) -> bool:
-        output = self.output
-        return output is None or \
-            len(output._items) + len(output._staged) < output.capacity
-
     # -- per-cycle -----------------------------------------------------------
 
     # The event engine's generated stage pass (sim/pipeline.py) calls
@@ -108,34 +93,49 @@ class Stage:
     wakes_on_input = False
 
     def tick(self) -> None:
-        """Default in-order single-cycle behaviour."""
-        if not self.input._items:
+        """Default in-order single-cycle behaviour.  Like every firing
+        site, it spells the FIFO handshake in place (see sim/fifo.py);
+        a stage with no output retires its tokens."""
+        inp = self.input
+        if not inp._items:
             return
-        if not self.can_send():
-            self._stall(BACKPRESSURE)
-            self._sleep((BACKPRESSURE,), self.output)
+        out = self.output
+        if out is not None and not out.free:
+            self._stall(BACKPRESSURE, out)
             return
-        token = self.input.pop()
-        retired = self.process(token)
-        if self.ctx.probe is not None:
-            self.ctx.probe.fire(self.ctx.cycle, self.name, token.uid, retired)
-        self.mark_active()
+        token = inp._items.popleft()
+        inp.free += 1
+        if inp.sleeper is not None:
+            inp.sleeper.wake()
+            inp.sleeper = None
+        self.process(token)
+        ctx = self.ctx
+        if out is None:
+            retired = ctx.retire(token, self.on_retire)
+        else:
+            out._staged.append(token)
+            out.free -= 1
+            retired = None
+        if ctx.probe is not None:
+            ctx.probe.fire(ctx.cycle, self.name, token.uid, retired)
+        self.active_cycles += 1
+        ctx.active_stages_this_cycle += 1
 
-    def process(self, token: SimToken) -> str | None:  # pragma: no cover
-        """Apply the op to ``token`` and return :meth:`send`'s result."""
+    def process(self, token: SimToken) -> None:  # pragma: no cover
+        """Apply the op to ``token``; :meth:`tick` passes it on."""
         raise NotImplementedError
 
-    def mark_active(self) -> None:
-        """Account one firing; the firing site emits its probe kind."""
-        self.active_cycles += 1
-        self.ctx.active_stages_this_cycle += 1
-
-    def _stall(self, reason: StallReason) -> None:
-        """One stalled cycle, attributed to the blocking resource."""
+    def _stall(self, reason: StallReason, fifo: Fifo | None = None,
+               waiters: list | None = None) -> None:
+        """One stalled cycle, attributed to the blocking resource.  Given
+        what ends it, a pop from ``fifo`` or a wake of ``waiters``, the
+        stage also sleeps on it alone (:meth:`_sleep`)."""
         self.stall_cycles += 1
         ctx = self.ctx
         if ctx.probe is not None:
             ctx.probe.stall(ctx.cycle, self.name, reason, 1)
+        if fifo is not None or waiters is not None:
+            self._sleep((reason,), fifo, waiters)
 
     # -- sleeping (event engine) -------------------------------------------------
 
@@ -166,12 +166,6 @@ class Stage:
         if self.wait == 1:
             self.wait = 2
 
-    def resume(self) -> None:
-        """The pass's call for a woken stage: close the run, then tick."""
-        self.wait = 0
-        self.credit_run(self.ctx.cycle)
-        self.tick()
-
     def credit_run(self, end: int) -> None:
         """Credit the open run's stalls for cycles ``since`` .. ``end - 1``
         (each repeats the tick it slept on), and restart it at ``end``."""
@@ -195,25 +189,23 @@ class Stage:
 class ConstStage(Stage):
     __slots__ = ()
 
-    def process(self, token: SimToken) -> str | None:
+    def process(self, token: SimToken) -> None:
         op: Const = self.op
         token.env[op.dst] = op.value
-        return self.send(token)
 
 
 class AluStage(Stage):
     __slots__ = ()
 
-    def process(self, token: SimToken) -> str | None:
+    def process(self, token: SimToken) -> None:
         op: Alu = self.op
         token.env[op.dst] = op.fn(token.env)
-        return self.send(token)
 
 
 class LabelStage(Stage):
     __slots__ = ()
 
-    def process(self, token: SimToken) -> str | None:
+    def process(self, token: SimToken) -> None:
         op: Label = self.op
         payload = (
             {name: token.env[name] for name in op.payload}
@@ -225,7 +217,6 @@ class LabelStage(Stage):
                   payload),
             token.task_uid,
         )
-        return self.send(token)
 
 
 class LoadStage(Stage):
@@ -250,9 +241,10 @@ class LoadStage(Stage):
     def tick(self) -> None:
         ctx = self.ctx
         station = self.station
+        inp, out = self.input, self.output
         # 1) release one completed request (head-only when in-order).
         released = blocked = False
-        if station and not self.can_send():
+        if station and out is not None and not out.free:
             self._stall(BACKPRESSURE)
             blocked = True
         elif station and ctx.cycle >= self.earliest:
@@ -268,19 +260,29 @@ class LoadStage(Stage):
                     self.earliest = min(
                         [entry[2] for entry in station], default=NEVER
                     )
-                    retired = self.send(token)
+                    if out is None:
+                        retired = ctx.retire(token, self.on_retire)
+                    else:
+                        out._staged.append(token)
+                        out.free -= 1
+                        retired = None
                     if ctx.probe is not None:
                         ctx.probe.release(ctx.cycle, self.name, token.uid,
                                           retired)
-                    self.mark_active()
+                    self.active_cycles += 1
+                    ctx.active_stages_this_cycle += 1
                     released = True
                     break
         # 2) issue one new request.
-        if self.input._items and len(station) < self.depth:
+        if inp._items and len(station) < self.depth:
             ctx.quiet = False  # silent mutation: station + cache state
-            token = self.input.pop()
+            token = inp._items.popleft()
+            inp.free += 1
+            if inp.sleeper is not None:
+                inp.sleeper.wake()
+                inp.sleeper = None
             op = self.op
-            addr = self.ctx.state.address(op.region, op.addr(token.env))
+            addr = ctx.state.address(op.region, op.addr(token.env))
             req = ctx.memory.issue_load(ctx.cycle, addr)
             if ctx.probe is not None:
                 ctx.probe.issue(ctx.cycle, self.name, token.uid, req, -1)
@@ -288,24 +290,24 @@ class LoadStage(Stage):
             station.append((token, req, done_at))
             if done_at < self.earliest:
                 self.earliest = done_at
-        elif self.input._items:
+        elif inp._items:
             self._stall(MEMORY)
         # Sleep from the next cycle when that tick can release nothing and
         # issue nothing: the stalls it records repeat until room
         # downstream (only this stage fills it), or else until a request
         # completes (an alarm, even at the next cycle: the jump reads
         # only alarms); an input commit wakes it while it has room.
-        if not station or self.input._items and len(station) < self.depth:
+        if not station or inp._items and len(station) < self.depth:
             return
         if released:
-            blocked = not self.can_send()
+            blocked = out is not None and not out.free
         ready_at = station[0][2] if self.in_order else self.earliest
         if blocked or ready_at > ctx.cycle:
             reasons = (BACKPRESSURE,) if blocked else ()
-            if self.input._items:
+            if inp._items:
                 reasons += (MEMORY,)
             if blocked:
-                self._sleep(reasons, self.output)
+                self._sleep(reasons, out)
             else:
                 self._sleep(reasons, alarm=ready_at)
 
@@ -318,7 +320,7 @@ class StoreStage(Stage):
 
     __slots__ = ()
 
-    def process(self, token: SimToken) -> str | None:
+    def process(self, token: SimToken) -> None:
         op: Store = self.op
         ctx = self.ctx
         env = token.env
@@ -342,7 +344,6 @@ class StoreStage(Stage):
                   op.label or op.region, token.index, payload),
             token.task_uid,
         )
-        return self.send(token)
 
 
 class SwitchStage(Stage):
@@ -355,35 +356,34 @@ class SwitchStage(Stage):
         self.epilogue_entry: Fifo[SimToken] | None = None
 
     def tick(self) -> None:
-        if not self.input._items:
+        inp = self.input
+        if not inp._items:
             return
-        token = self.input.peek()
+        token = inp._items[0]
         op: Guard = self.op
         ctx = self.ctx
-        if op.pred(token.env):
-            if not self.can_send():
-                self._stall(BACKPRESSURE)
-                self._sleep((BACKPRESSURE,), self.output)
-                return
-            self.input.pop()
-            retired = self.send(token)
-        elif self.epilogue_entry is not None:
-            if not self.epilogue_entry.can_push():
-                self._stall(BACKPRESSURE)
-                self._sleep((BACKPRESSURE,), self.epilogue_entry)
-                return
-            self.input.pop()
-            ctx.counters.guard_drops.inc()
-            self.epilogue_entry.push(token)
-            retired = None
+        passed = op.pred(token.env)
+        out = self.output if passed else self.epilogue_entry
+        if out is not None and not out.free:
+            self._stall(BACKPRESSURE, out)
+            return
+        inp._items.popleft()
+        inp.free += 1
+        if inp.sleeper is not None:
+            inp.sleeper.wake()
+            inp.sleeper = None
+        if not passed:
+            ctx.counters.guard_drops.value += 1
+        if out is None:
+            retired = ctx.retire(token, self.on_retire if passed else "drop")
         else:
-            self.input.pop()
-            ctx.counters.guard_drops.inc()
-            retired = "drop"
-            ctx.retire(token, retired)
+            out._staged.append(token)
+            out.free -= 1
+            retired = None
         if ctx.probe is not None:
             ctx.probe.fire(ctx.cycle, self.name, token.uid, retired)
-        self.mark_active()
+        self.active_cycles += 1
+        ctx.active_stages_this_cycle += 1
 
 
 class ExpandStage(Stage):
@@ -412,8 +412,9 @@ class ExpandStage(Stage):
         # 1) emit one child from the head expansion.
         acted = blocked = False
         stream_req = None
-        if self._inflight:
-            entry = self._inflight[0]
+        inflight = self._inflight
+        if inflight:
+            entry = inflight[0]
             token, items, emitted, stream_req = entry
             if stream_req is not None and \
                     ctx.memory.ready(ctx.cycle, stream_req):
@@ -422,35 +423,48 @@ class ExpandStage(Stage):
                 entry[3] = stream_req = None
                 acted = True
             if stream_req is None:
-                if self.can_send():
+                out = self.output
+                if out is None or out.free:
                     child = token.fork(
-                        items[emitted], uid=ctx.next_token_uid()
+                        items[emitted], uid=next(ctx._token_uids)
                     )
                     ctx.live_tokens += 1
                     entry[2] += 1
-                    retired = self.send(child)
+                    if out is None:
+                        retired = ctx.retire(child, self.on_retire)
+                    else:
+                        out._staged.append(child)
+                        out.free -= 1
+                        retired = None
                     last = entry[2] >= len(items)
                     if last:
-                        self._inflight.pop(0)
+                        inflight.pop(0)
                         ctx.live_tokens -= 1
                     if ctx.probe is not None:
                         ctx.probe.fork(ctx.cycle, self.name, child.uid,
                                        retired, token.uid, last)
-                    self.mark_active()
+                    self.active_cycles += 1
+                    ctx.active_stages_this_cycle += 1
                     acted = True
                 else:
                     self._stall(BACKPRESSURE)
                     blocked = True
         # 2) accept one new expansion (issue its row fetch).
-        if self.input._items and len(self._inflight) < self.depth:
+        inp = self.input
+        if inp._items and len(inflight) < self.depth:
             ctx.quiet = False  # silent mutation: expansion accepted
-            token = self.input.pop()
+            token = inp._items.popleft()
+            inp.free += 1
+            if inp.sleeper is not None:
+                inp.sleeper.wake()
+                inp.sleeper = None
             items = list(op.items(token.env, ctx.state))
             if not items:
                 ctx.retire(token, "commit")
                 if ctx.probe is not None:
                     ctx.probe.fire(ctx.cycle, self.name, token.uid, "commit")
-                self.mark_active()
+                self.active_cycles += 1
+                ctx.active_stages_this_cycle += 1
                 return
             if len(items) > 1:
                 ctx.tracker.retain(token.live_handle, len(items) - 1)
@@ -462,13 +476,13 @@ class ExpandStage(Stage):
             if ctx.probe is not None:
                 ctx.probe.issue(ctx.cycle, self.name, token.uid, stream_req,
                                 -1)
-            self._inflight.append([token, items, 0, stream_req])
+            inflight.append([token, items, 0, stream_req])
             return
         reasons = (BACKPRESSURE,) if blocked else ()
-        if self.input._items:
+        if inp._items:
             self._stall(MEMORY)
             reasons += (MEMORY,)
-        if self._inflight and not acted:
+        if inflight and not acted:
             # The head's stream is in flight, or its child is blocked.
             if blocked:
                 self._sleep(reasons, self.output)
@@ -485,29 +499,40 @@ class AllocRuleStage(Stage):
     __slots__ = ()
 
     def tick(self) -> None:
-        if not self.input._items:
+        inp = self.input
+        if not inp._items:
             return
-        if not self.can_send():
-            self._stall(BACKPRESSURE)
-            self._sleep((BACKPRESSURE,), self.output)
+        out = self.output
+        if out is not None and not out.free:
+            self._stall(BACKPRESSURE, out)
             return
-        token = self.input.peek()
+        token = inp._items[0]
         op: AllocRule = self.op
-        engine = self.ctx.engines[op.resolve(token.env)]
+        ctx = self.ctx
+        engine = ctx.engines[op.resolve(token.env)]
         instance = engine.try_alloc(
             token.index, op.args(token.env), token.task_uid
         )
         if instance is None:
-            self._stall(RULE)
-            self._sleep((RULE,), waiters=engine.sleepers)
+            self._stall(RULE, waiters=engine.sleepers)
             return
-        self.input.pop()
+        inp._items.popleft()
+        inp.free += 1
+        if inp.sleeper is not None:
+            inp.sleeper.wake()
+            inp.sleeper = None
         token.lanes.append((engine, instance))
-        retired = self.send(token)
-        if self.ctx.probe is not None:
-            self.ctx.probe.alloc(self.ctx.cycle, self.name, token.uid,
-                                 retired, engine.name, engine.occupancy)
-        self.mark_active()
+        if out is None:
+            retired = ctx.retire(token, self.on_retire)
+        else:
+            out._staged.append(token)
+            out.free -= 1
+            retired = None
+        if ctx.probe is not None:
+            ctx.probe.alloc(ctx.cycle, self.name, token.uid, retired,
+                            engine.name, engine.occupancy)
+        self.active_cycles += 1
+        ctx.active_stages_this_cycle += 1
 
 
 class RendezvousStage(Stage):
@@ -531,12 +556,11 @@ class RendezvousStage(Stage):
     def tick(self) -> None:
         ctx = self.ctx
         station = self.station
-        # 1) release one decided token.  Nothing downstream changes
-        # before the first release, so each exit's readiness is read at
-        # most once per walk.
-        released = False
-        held_pass = held_squash = False
-        pass_ok = squash_ok = None
+        # 1) release one decided token, through the exit its verdict
+        # takes: the output on pass, the epilogue on squash (no FIFO:
+        # it retires).
+        out, epilogue = self.output, self.epilogue_entry
+        released = held_pass = held_squash = False
         for position, token in enumerate(
             station[:1] if self.in_order else station
         ):
@@ -544,37 +568,31 @@ class RendezvousStage(Stage):
             value = instance.value
             if value is None:
                 continue
-            if value:
-                if pass_ok is None:
-                    pass_ok = self.can_send()
-                if not pass_ok:
+            dest = out if value else epilogue
+            if dest is not None and not dest.free:
+                if value:
                     held_pass = True
-                    continue
-            else:
-                if squash_ok is None:
-                    squash_ok = self.epilogue_entry is None or \
-                        self.epilogue_entry.can_push()
-                if not squash_ok:
+                else:
                     held_squash = True
-                    continue
+                continue
             del station[position]
             token.lanes.pop(0)
             engine.release(instance)
-            if value:
-                outcome = "pass"
-                retired = self.send(token)
+            if not value:
+                ctx.counters.squashes.value += 1
+            if dest is not None:
+                dest._staged.append(token)
+                dest.free -= 1
+                outcome, retired = "pass" if value else "epilogue", None
             else:
-                ctx.counters.squashes.inc()
-                if self.epilogue_entry is not None:
-                    outcome, retired = "epilogue", None
-                    self.epilogue_entry.push(token)
-                else:
-                    outcome = retired = "squash"
-                    ctx.retire(token, retired)
+                outcome = "pass" if value else "squash"
+                retired = ctx.retire(token,
+                                     self.on_retire if value else "squash")
             if ctx.probe is not None:
                 ctx.probe.verdict(ctx.cycle, self.name, token.uid, retired,
                                   engine.name, instance, outcome)
-            self.mark_active()
+            self.active_cycles += 1
+            ctx.active_stages_this_cycle += 1
             released = True
             break
         reasons = ()
@@ -584,9 +602,14 @@ class RendezvousStage(Stage):
             self._stall(BACKPRESSURE)
             reasons = (BACKPRESSURE,)
         # 2) admit one waiting token into the station.
-        if self.input._items and len(station) < self.depth:
+        inp = self.input
+        if inp._items and len(station) < self.depth:
             ctx.quiet = False  # silent mutation: admission arms otherwise
-            token = self.input.pop()
+            token = inp._items.popleft()
+            inp.free += 1
+            if inp.sleeper is not None:
+                inp.sleeper.wake()
+                inp.sleeper = None
             if not token.lanes:
                 raise SimulationError(
                     f"{self.name}: token reached rendezvous with no rule"
@@ -604,16 +627,16 @@ class RendezvousStage(Stage):
             engine.mark_awaited(instance)
             station.append(token)
             return
-        if self.input._items:
+        if inp._items:
             self._stall(RULE)
             reasons += (RULE,)
         if station and not released:
             # Every held token waits for a verdict (set by any engine or
             # rendezvous admission) or for room at the exit it is held at.
-            self._sleep(reasons, self.output if held_pass else None,
+            self._sleep(reasons, out if held_pass else None,
                         ctx.verdict_sleepers)
             if held_squash:
-                self.epilogue_entry.sleeper = self
+                epilogue.sleeper = self
 
     def busy(self) -> bool:
         return bool(self.station) or len(self.input) > 0
@@ -625,36 +648,45 @@ class EnqueueStage(Stage):
     __slots__ = ()
 
     def tick(self) -> None:
-        if not self.input._items:
+        inp = self.input
+        if not inp._items:
             return
-        if not self.can_send():
-            self._stall(BACKPRESSURE)
-            self._sleep((BACKPRESSURE,), self.output)
+        out = self.output
+        if out is not None and not out.free:
+            self._stall(BACKPRESSURE, out)
             return
-        token = self.input.peek()
+        token = inp._items[0]
         op: Enqueue = self.op
-        if op.when is None or op.when(token.env):
-            queue = self.ctx.queues[op.task_set]
-            if not queue.can_push():
-                self._stall(QUEUE)
-                self.ctx.counters.queue_full_stalls.inc()
-                self._sleep((QUEUE,), waiters=queue.sleepers)
-                return
-            self.input.pop()
-            self.ctx.activate(
+        ctx = self.ctx
+        enqueue = op.when is None or op.when(token.env)
+        if enqueue and not ctx.queues[op.task_set].can_push():
+            self._stall(QUEUE, waiters=ctx.queues[op.task_set].sleepers)
+            ctx.counters.queue_full_stalls.value += 1
+            return
+        inp._items.popleft()
+        inp.free += 1
+        if inp.sleeper is not None:
+            inp.sleeper.wake()
+            inp.sleeper = None
+        if enqueue:
+            ctx.activate(
                 op.task_set, dict(op.fields(token.env)), token.index,
                 cause="task", cause_uid=token.uid,
             )
+        if out is None:
+            retired = ctx.retire(token, self.on_retire)
         else:
-            self.input.pop()
-        retired = self.send(token)
-        if self.ctx.probe is not None:
-            self.ctx.probe.fire(self.ctx.cycle, self.name, token.uid, retired)
-        self.mark_active()
+            out._staged.append(token)
+            out.free -= 1
+            retired = None
+        if ctx.probe is not None:
+            ctx.probe.fire(ctx.cycle, self.name, token.uid, retired)
+        self.active_cycles += 1
+        ctx.active_stages_this_cycle += 1
 
     def credit_run(self, end: int) -> None:
         if self.reasons == (QUEUE,) and end > self.since:
-            self.ctx.counters.queue_full_stalls.inc(end - self.since)
+            self.ctx.counters.queue_full_stalls.value += end - self.since
         super().credit_run(end)
 
 
@@ -685,9 +717,10 @@ class CallStage(Stage):
         ctx = self.ctx
         op: Call = self.op
         in_flight = self.in_flight
+        inp, out = self.input, self.output
         # 1) complete one token.
         released = blocked = False
-        if in_flight and not self.can_send():
+        if in_flight and out is not None and not out.free:
             self._stall(BACKPRESSURE)
             blocked = True
         elif in_flight:
@@ -707,16 +740,26 @@ class CallStage(Stage):
                         token.task_uid,
                     )
                 del in_flight[position]
-                retired = self.send(token)
+                if out is None:
+                    retired = ctx.retire(token, self.on_retire)
+                else:
+                    out._staged.append(token)
+                    out.free -= 1
+                    retired = None
                 if ctx.probe is not None:
                     ctx.probe.release(ctx.cycle, self.name, token.uid, retired)
-                self.mark_active()
+                self.active_cycles += 1
+                ctx.active_stages_this_cycle += 1
                 released = True
                 break
         # 2) issue one token.
-        if self.input._items and len(in_flight) < self.depth:
+        if inp._items and len(in_flight) < self.depth:
             ctx.quiet = False  # silent mutation: issue applies op.fn
-            token = self.input.pop()
+            token = inp._items.popleft()
+            inp.free += 1
+            if inp.sleeper is not None:
+                inp.sleeper.wake()
+                inp.sleeper = None
             updates = op.fn(token.env, ctx.state)
             if updates:
                 token.env.update(updates)
@@ -740,14 +783,14 @@ class CallStage(Stage):
             ))
             return
         reasons = (BACKPRESSURE,) if blocked else ()
-        if self.input._items:
+        if inp._items:
             self._stall(MEMORY)
             reasons += (MEMORY,)
         if in_flight and not released:
             # In-flight work only: sleep until room downstream, or else
             # until the first token's timer and operand stream are done.
             if blocked:
-                self._sleep(reasons, self.output)
+                self._sleep(reasons, out)
             else:
                 self._sleep(reasons, alarm=min(
                     done_at if stream is None else max(done_at, stream[1])

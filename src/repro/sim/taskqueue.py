@@ -39,6 +39,7 @@ class MultiBankTaskQueue:
         self.faults = faults
         self.banks: list[deque] = [deque() for _ in range(banks)]
         self.depth_per_bank = depth_per_bank
+        self.capacity = banks * depth_per_bank
         self.pop_policy = pop_policy
         self._heaps: list[list] = [[] for _ in range(banks)]
         self._serial = 0
@@ -56,10 +57,6 @@ class MultiBankTaskQueue:
         self.sleepers: list = []
 
     # -- capacity ---------------------------------------------------------
-
-    @property
-    def capacity(self) -> int:
-        return len(self.banks) * self.depth_per_bank
 
     def __len__(self) -> int:
         return self._size

@@ -9,7 +9,7 @@ from typing import Any
 from repro.core.indexing import TaskIndex
 
 # Process-global fallback counter.  The simulator allocates uids from its
-# own per-instance counter (see ``AcceleratorSim.next_token_uid``) so that
+# own per-instance counter (``AcceleratorSim._token_uids``) so that
 # token identities in ledgers, traces and goldens are reproducible no
 # matter how many simulations ran earlier in the process; this global
 # remains as a compatibility shim for tokens constructed outside a

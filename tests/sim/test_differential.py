@@ -10,11 +10,11 @@ identical stall-attribution accounting (every row summing exactly to
 the total cycle count).
 
 The one deliberate divergence is per-cycle ``STAGE_STALL`` trace events:
-the event engine folds a skipped quiescent span into the profiler
-with one ``skip`` probe emission instead of one stall per cycle,
-so trace comparison filters stall events out and compares everything
-else (fires, queue traffic, rule-engine lifecycle, memory events,
-checkpoints, rollbacks) verbatim.
+a stage asleep under the event engine has its stalls credited as one
+``stall`` probe emission with a count (the run's length) when it wakes,
+where dense emits one stall per cycle.  So trace comparison filters
+``STAGE_STALL`` out and compares everything else (fires, queue traffic,
+rule-engine lifecycle, memory events, checkpoints, rollbacks) verbatim.
 
 A small smoke subset runs with the tier-1 suite; the full seeded matrix
 of workloads x platforms x microarchitectural configs x fault plans is

@@ -9,40 +9,53 @@ from repro.sim.fifo import Fifo
 from repro.sim.live import LiveIndexTracker
 
 
+def _push(fifo, item):
+    """A firing site's push (sim/stages.py): stage it, take a slot."""
+    fifo._staged.append(item)
+    fifo.free -= 1
+
+
+def _pop(fifo):
+    """A firing site's pop, without the producer's wake."""
+    fifo.free += 1
+    return fifo._items.popleft()
+
+
 class TestFifo:
     def test_push_invisible_until_commit(self):
         fifo = Fifo(capacity=4)
-        fifo.push("a")
+        _push(fifo, "a")
         assert fifo.visible == 0
         assert len(fifo) == 1
         fifo.commit()
         assert fifo.visible == 1
-        assert fifo.pop() == "a"
+        assert _pop(fifo) == "a"
 
     def test_capacity_counts_staged(self):
         fifo = Fifo(capacity=2)
-        fifo.push("a")
-        fifo.push("b")
+        _push(fifo, "a")
+        _push(fifo, "b")
         assert not fifo.can_push()
-        with pytest.raises(SimulationError):
-            fifo.push("c")
+        _push(fifo, "c")
+        with pytest.raises(SimulationError, match="full fifo"):
+            fifo.commit()
 
     def test_fifo_order(self):
         fifo = Fifo(capacity=8)
         for item in "abc":
-            fifo.push(item)
+            _push(fifo, item)
         fifo.commit()
-        assert [fifo.pop() for _ in range(3)] == ["a", "b", "c"]
+        assert [_pop(fifo) for _ in range(3)] == ["a", "b", "c"]
 
     def test_pop_then_push_same_cycle(self):
         fifo = Fifo(capacity=1)
-        fifo.push("a")
+        _push(fifo, "a")
         fifo.commit()
-        assert fifo.pop() == "a"
+        assert _pop(fifo) == "a"
         assert fifo.can_push()
-        fifo.push("b")
+        _push(fifo, "b")
         fifo.commit()
-        assert fifo.peek() == "b"
+        assert fifo.drain() == ["b"]
 
     def test_invalid_capacity(self):
         with pytest.raises(SimulationError):
@@ -50,9 +63,9 @@ class TestFifo:
 
     def test_drain_shows_everything(self):
         fifo = Fifo(capacity=4)
-        fifo.push("a")
+        _push(fifo, "a")
         fifo.commit()
-        fifo.push("b")
+        _push(fifo, "b")
         assert fifo.drain() == ["a", "b"]
 
 
@@ -65,19 +78,22 @@ def test_fifo_behaves_like_reference_queue(ops):
     counter = 0
     for op in ops:
         if op == "push":
-            if len(visible) + len(staged) < 5:
-                fifo.push(counter)
+            if fifo.can_push():
+                _push(fifo, counter)
                 staged.append(counter)
                 counter += 1
+            else:
+                assert len(visible) + len(staged) == 5
         elif op == "pop":
             if visible:
-                assert fifo.pop() == visible.pop(0)
+                assert _pop(fifo) == visible.pop(0)
         else:
             fifo.commit()
             visible.extend(staged)
             staged.clear()
     assert fifo.visible == len(visible)
     assert len(fifo) == len(visible) + len(staged)
+    assert fifo.free == 5 - len(fifo)
 
 
 class TestLiveIndexTracker:

@@ -5,6 +5,7 @@ import heapq
 import pytest
 
 from repro.apps.registry import build_app
+from repro.core.indexing import TaskIndex
 from repro.errors import InvariantViolation
 from repro.eval.platforms import HARP
 from repro.obs.events import StallReason
@@ -13,6 +14,7 @@ from repro.sim.events import NEVER
 from repro.sim.faults import FaultEvent, FaultKind, FaultPlan
 from repro.sim.invariants import InvariantChecker, awaited_completion
 from repro.sim.stages import LoadStage
+from repro.sim.token import SimToken
 from repro.substrates.graphs import random_graph
 
 GRAPH = random_graph(40, 90, seed=111)
@@ -139,6 +141,22 @@ class TestKeptCounters:
         assert excinfo.value.invariant == "station-earliest"
         assert excinfo.value.component == stage.name
 
+    def test_overfilled_fifo_caught(self):
+        """Firing sites stage pushes in place, with no full check: a push
+        past capacity is caught by the scan."""
+        sim = _sim(check_interval=INTERVAL)
+        fifo = sim._fifos[1]
+        for n in range(fifo.capacity + 1):
+            # A non-root token holding no live handle or lane, so only
+            # the FIFO count is wrong.
+            fifo._staged.append(SimToken(env={}, index=TaskIndex((0,)),
+                                         task_set="", uid=-1 - n))
+            fifo.free -= 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.checker.check()
+        assert excinfo.value.invariant == "fifo-capacity"
+        assert excinfo.value.component == f"fifo {fifo.name!r}"
+
     def test_memory_horizon_drift_caught(self):
         sim = _sim(check_interval=INTERVAL)
         _step_until(sim, lambda s: s.memory.pending(s.cycle))
@@ -178,7 +196,9 @@ class TestKeptCounters:
 
         _step_until(sim, lambda s: any(map(blocked, s._stages)))
         stage = next(filter(blocked, sim._stages))
-        stage.output.capacity += 1  # room, but no pop to wake it
+        # Room, kept free count included, but no pop to wake it.
+        stage.output.capacity += 1
+        stage.output.free += 1
         with pytest.raises(InvariantViolation) as excinfo:
             sim.checker.check()
         assert excinfo.value.invariant == "sleeping-stage"

@@ -256,7 +256,8 @@ class TestRuleStages:
                        source_uid=-1)
         assert instance.value is True
         rv.tick()  # an empty station: nothing to do, nothing to sleep on
-        rv.input.push(token)
+        rv.input._staged.append(token)
+        rv.input.free -= 1
         rv.input.commit()
         rv.tick()  # admission
         assert rv.station == [token]
@@ -396,7 +397,8 @@ class TestTickGuards:
         # A full output: a stage that tested backpressure before its
         # emptiness would record a stall here.
         stage.output = Fifo(capacity=1, name="full")
-        stage.output.push(object())
+        stage.output._staged.append(object())
+        stage.output.free -= 1
 
         # Every list a stage holds is private held work its guard names,
         # so a kind with unguarded held work fails here.

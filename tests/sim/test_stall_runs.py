@@ -114,7 +114,8 @@ def test_queue_full_stalls_are_credited_per_cycle():
 )
 def test_the_pass_skips_a_sleeping_stage_whatever_its_guard(stage_cls):
     """A sleeping stage is not ticked even where its guard holds, and a
-    woken one resumes: kinds whose guard is ``a or b`` included."""
+    woken one closes its stall run and ticks: kinds whose guard is
+    ``a or b`` included."""
     sim = AcceleratorSim(micro_spec([_slow(1)], initial=[("t", {"x": 1})]),
                          platform=HARP, replicas={"t": 1})
     calls = []
@@ -125,8 +126,8 @@ def test_the_pass_skips_a_sleeping_stage_whatever_its_guard(stage_cls):
         def tick(self):
             calls.append("tick")
 
-        def resume(self):
-            calls.append("resume")
+        def credit_run(self, end):
+            calls.append("credit_run")
 
     stage = (Counting(sim, "t", "probe") if stage_cls is SourceStage
              else Counting(sim, None, "probe"))
@@ -139,11 +140,19 @@ def test_the_pass_skips_a_sleeping_stage_whatever_its_guard(stage_cls):
         first = _GUARD_OPERAND.findall(stage_cls.tick_guard)[0]
         attrgetter(first)(stage).append(object())
     stage_ticks, _ = compile_stage_pass([stage])
-    for wait, expected in ((1, []), (2, ["resume"]), (0, ["tick"])):
+    sim.cycle = stage.since + 1  # a run of one slept cycle to close
+    for wait, expected in ((1, []), (2, ["credit_run", "tick"]),
+                           (0, ["tick"])):
         stage.wait = wait
         calls.clear()
         stage_ticks()
         assert calls == expected
+        assert stage.wait == (wait == 1)
+    # Woken in the cycle it slept: an empty run, nothing to close.
+    sim.cycle, stage.wait = stage.since, 2
+    calls.clear()
+    stage_ticks()
+    assert calls == ["tick"]
 
 
 def test_simulators_of_one_shape_share_the_pass_code_not_its_stages():
