@@ -72,12 +72,21 @@ def count_calls(workload) -> dict[str, int]:
     }
 
 
+def _positive_float(text: str) -> float:
+    """``--scale``: a positive number; anything else is a usage error
+    (exit 2), as for ``repro experiment --scale``."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--apps", nargs="+", default=list(APP_NAMES),
                         choices=APP_NAMES, metavar="APP",
                         help="Figure 9 apps to count (default: all six)")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=_positive_float, default=1.0,
                         help="workload scale (default 1.0, as fig9-suite)")
     args = parser.parse_args(argv)
     table = default_workloads(args.scale)

@@ -99,6 +99,11 @@ class LoopNest:
         except KeyError:
             raise SpecificationError(f"unknown loop {loop!r}") from None
 
+    @property
+    def counters(self) -> dict[str, int]:
+        """Each loop's next for-each counter value (a copy)."""
+        return dict(self._counters)
+
     def reset(self) -> None:
         """Zero all for-each counters (start of a fresh execution)."""
         for name in self._counters:

@@ -92,6 +92,13 @@ class RuleType:
             )
         return RuleInstance(self, parent_index, arguments)
 
+    def hears(self, kind: EventKind, task_set: str, label: str) -> bool:
+        """Does any clause listen for events of this shape?  An event of
+        a shape no clause hears triggers nothing, whatever its index and
+        payload."""
+        shape = Event(kind, task_set, label, None, {})
+        return any(clause.triggered_by(shape) for clause in self.clauses)
+
     def event_subscriptions(self) -> set[EventPattern]:
         """All event patterns any clause listens to (sizes the event bus)."""
         return {p for clause in self.clauses for p in clause.patterns}

@@ -31,6 +31,11 @@ from repro.errors import SpecificationError
 # A seeded task: (task_set_name, field dict)
 SeedTask = tuple[str, dict[str, Any]]
 
+# How IndexMinter builds a TaskIndex without the dataclass __init__ (the
+# generated frozen __init__ assigns through object.__setattr__ too).
+_new_object = object.__new__
+_set_attribute = object.__setattr__
+
 
 @dataclass(frozen=True)
 class HostFeed:
@@ -132,7 +137,8 @@ class ApplicationSpec:
 
 
 class IndexMinter:
-    """Mints well-order indices for one execution (wraps :class:`LoopNest`).
+    """Mints well-order indices for one execution (the :class:`LoopNest`
+    scheme, planned once per task set).
 
     Extends the paper's Figure 5 scheme with *priority-indexed* task sets:
     when a task set declares a priority field, the position value is taken
@@ -140,18 +146,38 @@ class IndexMinter:
     priority tie in the well-order (this is how COOR-BFS's "all Visits with
     minimum level execute simultaneously" is expressed — the implicit outer
     loop over levels is the for-each, the Visits within a level the for-all).
+    A for-each set's counter still advances when a priority overrides it.
+
+    Each task set's plan — its loop position, the zero positions right of
+    it, whether it counts (for-each) and its priority field — is fixed by
+    the spec, so :meth:`mint` only joins the parent's prefix, the set's
+    value and the zero tail.  Every position it joins is non-negative but
+    a priority, which it checks itself, so it builds the
+    :class:`TaskIndex` without the dataclass ``__init__``.  ``parent``
+    must be an index of this execution (``width`` positions).
     """
 
     def __init__(self, spec: ApplicationSpec) -> None:
-        self._spec = spec
-        loops = [
+        nest = LoopNest([
             (name, decl.kind.value) for name, decl in spec.task_sets.items()
-        ]
-        self._nest = LoopNest(loops)
+        ])
+        self.width = nest.width
+        # Per task set: (position, root head, zero tail, for-each,
+        # priority field); the root head is a seeded task's prefix.
+        self._plans: dict[str, tuple] = {}
+        for name, decl in spec.task_sets.items():
+            pos = nest.position_of(name)
+            self._plans[name] = (
+                pos, (0,) * pos, (0,) * (nest.width - pos - 1),
+                decl.kind is LoopKind.FOR_EACH,
+                spec.priority_fields.get(name),
+            )
+        self._counters: dict[str, int] = dict.fromkeys(spec.task_sets, 0)
 
     @property
-    def width(self) -> int:
-        return self._nest.width
+    def counters(self) -> dict[str, int]:
+        """Each for-each set's next counter value (a copy)."""
+        return dict(self._counters)
 
     def mint(
         self,
@@ -159,17 +185,33 @@ class IndexMinter:
         fields: Mapping[str, Any],
         parent: TaskIndex | None,
     ) -> TaskIndex:
-        priority_field = self._spec.priority_fields.get(task_set)
-        index = self._nest.index_for(task_set, parent)
+        try:
+            pos, head, tail, for_each, priority_field = \
+                self._plans[task_set]
+        except KeyError:
+            raise SpecificationError(f"unknown loop {task_set!r}") from None
+        value = 0
+        if for_each:
+            counters = self._counters
+            value = counters[task_set]
+            counters[task_set] = value + 1
+        if parent is not None:
+            head = parent.positions[:pos]
         if priority_field is not None:
-            pos = self._nest.position_of(task_set)
-            positions = list(index.positions)
-            positions[pos] = int(fields[priority_field])
-            index = TaskIndex(tuple(positions))
+            value = int(fields[priority_field])
+            if value < 0:
+                raise SpecificationError(
+                    "index positions must be non-negative, got "
+                    f"{head + (value,) + tail}"
+                )
+        index = _new_object(TaskIndex)
+        _set_attribute(index, "positions", head + (value,) + tail)
         return index
 
     def reset(self) -> None:
-        self._nest.reset()
+        """Zero all for-each counters (start of a fresh execution)."""
+        for name in self._counters:
+            self._counters[name] = 0
 
 
 def make_task_sets(

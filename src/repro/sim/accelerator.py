@@ -218,6 +218,11 @@ class AcceleratorSim:
                                 verdict_sleepers=self.verdict_sleepers)
             for name, rule_type in spec.rules.items()
         }
+        # Whether any engine hears an ACTIVATE of each task set; an
+        # event no rule hears travels the bus as a bare heap entry.
+        self._activate_heard = {
+            name: self.hears(ACTIVATE, name, "") for name in spec.task_sets
+        }
         self.pipelines: list[PipelineInstance] = []
         for task_set, program in datapath.programs.items():
             for replica in range(datapath.replicas[task_set]):
@@ -228,7 +233,7 @@ class AcceleratorSim:
             p.stage_count() for p in self.pipelines
         )
         self.host = HostAdapter(self, spec)
-        self._event_heap: list[tuple[int, int, Event, int]] = []
+        self._event_heap: list[tuple[int, int, Event | None, int]] = []
         self._event_seq = 0
         self._last_progress_cycle = 0
         # Precomputed topology: the cycle loop walks these flat lists
@@ -270,7 +275,8 @@ class AcceleratorSim:
         parent: TaskIndex | None,
         cause: str = "seed", cause_uid: int = -1,
     ) -> None:
-        """Mint an index, register liveness, enqueue, broadcast ACTIVATE."""
+        """Mint an index, register liveness, enqueue, broadcast ACTIVATE
+        (as a bare entry when no rule hears it; see :meth:`emit_at`)."""
         self.quiet = False
         index = self.minter.mint(task_set, fields, parent)
         handle = self.tracker.register(index)
@@ -280,11 +286,13 @@ class AcceleratorSim:
             self.probe.activate(self.cycle, handle, cause, cause_uid,
                                 task_set, queue._size)
         self.counters.tasks_activated.value += 1
-        self.emit_at(
-            self.cycle + 1,
-            Event(ACTIVATE, task_set, "", index, dict(fields)),
-            source_uid=-1,
-        )
+        heapq.heappush(self._event_heap, (
+            self.cycle + 1, self._event_seq,
+            Event(ACTIVATE, task_set, "", index, dict(fields))
+            if self._activate_heard[task_set] else None,
+            -1,
+        ))
+        self._event_seq += 1
 
     def retire(self, token: SimToken, outcome: str) -> str:
         """Token leaves the datapath: free liveness and leftover lanes.
@@ -308,7 +316,17 @@ class AcceleratorSim:
                 wake_all(sleepers)
         return outcome
 
-    def emit_at(self, when: int, event: Event, source_uid: int) -> None:
+    def hears(self, kind: EventKind, task_set: str, label: str) -> bool:
+        """Does any rule engine's clause listen for events of this shape?"""
+        return any(engine.rule_type.hears(kind, task_set, label)
+                   for engine in self.engines.values())
+
+    def emit_at(self, when: int, event: Event | None,
+                source_uid: int) -> None:
+        """Put ``event`` on the bus at cycle ``when``.  ``None`` stands
+        for an event of a shape no engine hears: its delivery is counted
+        and draws the bus faults, and nothing else (docs/simulator.md,
+        "Events nobody hears")."""
         heapq.heappush(
             self._event_heap, (when, self._event_seq, event, source_uid)
         )
@@ -326,8 +344,12 @@ class AcceleratorSim:
             _, _, event, source_uid = pop(heap)
             delivered.value += 1
             self.quiet = False
-            for engine in engines:
-                engine.deliver(event, source_uid)
+            if event is not None:
+                for engine in engines:
+                    engine.deliver(event, source_uid)
+            elif self.faults is not None:
+                for engine in engines:
+                    engine.deliver_unheard()
 
     def _work_remaining(self) -> bool:
         for queue in self._queue_list:

@@ -74,7 +74,7 @@ class InvariantChecker:
                 for token in stage.input.drain():
                     yield token, 1
                 if isinstance(stage, LoadStage):
-                    for token, _req, _done in stage.station:
+                    for token, _req, _done, _element in stage.station:
                         yield token, 1
                 elif isinstance(stage, RendezvousStage):
                     for token in stage.station:
@@ -266,7 +266,8 @@ class InvariantChecker:
                 if not isinstance(stage, LoadStage):
                     continue
                 earliest = min(
-                    (memory.done_at(req) for _token, req, _ in stage.station),
+                    (memory.done_at(req)
+                     for _token, req, _done, _element in stage.station),
                     default=NEVER,
                 )
                 if stage.earliest != earliest:
@@ -524,7 +525,7 @@ def awaited_completion(stage) -> int:
         return NEVER  # asleep on backpressure: a pop wakes it
     if isinstance(stage, LoadStage):
         held = stage.station[:1] if stage.in_order else stage.station
-        return min((done_at for _token, _req, done_at in held),
+        return min((done_at for _token, _req, done_at, _element in held),
                    default=NEVER)
     if isinstance(stage, CallStage):
         return min((done_at if stream is None else max(done_at, stream[1])
@@ -554,7 +555,7 @@ def _release_verdict(stage, held, room: bool, cycle: int):
     if held and not room:
         return (_BP,)
     if isinstance(stage, LoadStage):
-        ready = (done_at <= cycle for _token, _req, done_at in
+        ready = (done_at <= cycle for _token, _req, done_at, _element in
                  (held[:1] if stage.in_order else held))
     else:
         ready = (done_at <= cycle and (stream is None or stream[1] <= cycle)

@@ -75,14 +75,9 @@ class SourceStage(Stage):
                     port.credit_run(ctx.cycle + (port.order < self.order))
                     port.wait = 0
         index, fields, live_handle = popped
-        token = SimToken(
-            env=dict(fields),
-            index=index,
-            task_set=self.task_set,
-            uid=next(ctx._token_uids),
-            live_handle=live_handle,
-        )
-        token.task_uid = token.uid
+        uid = next(ctx._token_uids)
+        token = SimToken(dict(fields), index, self.task_set, uid, uid,
+                         live_handle)
         ctx.live_tokens += 1
         out._staged.append(token)
         out.free -= 1

@@ -21,10 +21,12 @@ from dataclasses import dataclass
 from math import inf
 from typing import Any, Mapping
 
-from repro.core.events import Event
+from repro.core.events import Event, EventKind
 from repro.core.indexing import TaskIndex
 from repro.core.rule import RuleInstance, RuleType
 from repro.sim.events import wake_all
+
+ACTIVATE = EventKind.ACTIVATE  # bound once, as in sim/stages.py
 
 
 @dataclass
@@ -77,8 +79,10 @@ class RuleEngineSim:
         self.sleepers: list = []
         self.stats = RuleEngineStats()
         # Event-independent broadcast state, hoisted out of deliver():
-        # the triggered clauses per (kind, task set, label), all that
-        # static patterns read, and the requires-flag set.
+        # the triggered clauses per event shape (kind, task set, label),
+        # all that static patterns read, and the requires-flag set.  The
+        # memo key spells the kind as ``kind is ACTIVATE`` (there are two
+        # kinds): hashing the enum member is a Python-level call.
         self._triggered: dict[tuple, tuple] = {}
         self._requires = frozenset(rule_type.requires)
 
@@ -135,18 +139,14 @@ class RuleEngineSim:
             return
         rounds = 1
         if self.faults is not None:
-            action = self.faults.event_action(self.name)
-            if action == "drop":
-                self.stats.events_dropped += 1
+            rounds = self._bus_fault()
+            if not rounds:
                 return
-            if action == "dup":
-                self.stats.events_duplicated += 1
-                rounds = 2
         # Filter clauses once per event shape, not per lane: lanes only
         # differ in conditions.  A rule with pending requires-flags can
         # only complete on a satisfy action, which needs a triggered
         # clause — so an event that triggers nothing is a no-op.
-        key = (event.kind, event.task_set, event.label)
+        key = (event.kind is ACTIVATE, event.task_set, event.label)
         triggered = self._triggered.get(key)
         if triggered is None:
             triggered = self._triggered[key] = tuple(
@@ -176,6 +176,25 @@ class RuleEngineSim:
                         instance.decided_by = source_uid
         if decided and self.verdict_sleepers:
             wake_all(self.verdict_sleepers)
+
+    def deliver_unheard(self) -> None:
+        """An event of a shape no engine hears (the simulator sends no
+        :class:`Event` for it): all that :meth:`deliver` would do is
+        draw this engine's bus fault while it holds lanes."""
+        if self.lanes and self.faults is not None:
+            self._bus_fault()
+
+    def _bus_fault(self) -> int:
+        """Draw one delivery's injected bus fault and count it: the
+        rounds the event is observed in (0 dropped, 2 duplicated)."""
+        action = self.faults.event_action(self.name)
+        if action == "drop":
+            self.stats.events_dropped += 1
+            return 0
+        if action == "dup":
+            self.stats.events_duplicated += 1
+            return 2
+        return 1
 
     def min_allocated_index(self) -> TaskIndex | None:
         """Minimum parent index over this engine's allocated lanes.

@@ -60,7 +60,7 @@ class Stage:
 
     __slots__ = ("ctx", "op", "name", "input", "output", "on_retire",
                  "active_cycles", "stall_cycles", "order", "wait", "since",
-                 "reasons")
+                 "reasons", "heard")
 
     def __init__(self, ctx, op, name: str) -> None:
         self.ctx = ctx
@@ -77,6 +77,10 @@ class Stage:
         self.wait = 0
         self.since = 0
         self.reasons: tuple[StallReason, ...] = ()
+        # Whether a rule hears the REACH event this stage broadcasts
+        # (Label, Store, labelled Call): decided at its first broadcast,
+        # since the shape is fixed per stage.  Unheard, it sends None.
+        self.heard: bool | None = None
 
     # -- per-cycle -----------------------------------------------------------
 
@@ -207,27 +211,34 @@ class LabelStage(Stage):
 
     def process(self, token: SimToken) -> None:
         op: Label = self.op
-        payload = (
-            {name: token.env[name] for name in op.payload}
-            if op.payload else dict(token.env)
-        )
-        self.ctx.emit_at(
-            self.ctx.cycle + 1,
-            Event(REACH, token.task_set, op.label, token.index,
-                  payload),
-            token.task_uid,
-        )
+        ctx = self.ctx
+        heard = self.heard
+        if heard is None:
+            heard = self.heard = ctx.hears(REACH, token.task_set, op.label)
+        if heard:
+            payload = (
+                {name: token.env[name] for name in op.payload}
+                if op.payload else dict(token.env)
+            )
+            event = Event(REACH, token.task_set, op.label, token.index,
+                          payload)
+        else:
+            event = None
+        ctx.emit_at(ctx.cycle + 1, event, token.task_uid)
 
 
 class LoadStage(Stage):
     """Out-of-order load unit: a station of in-flight cache requests."""
 
-    __slots__ = ("station", "depth", "in_order", "earliest")
+    __slots__ = ("station", "depth", "in_order", "earliest", "region")
 
     def __init__(self, ctx, op, name: str) -> None:
         super().__init__(ctx, op, name)
-        # (token, request id, completion cycle) per in-flight load.
-        self.station: list[tuple[SimToken, int, int]] = []
+        # (token, request id, completion cycle, element index) per
+        # in-flight load: the element is computed once, at issue.
+        self.station: list[tuple[SimToken, int, int, int]] = []
+        # The loaded region, resolved once (None only for a bare stage).
+        self.region = None if op is None else ctx.state.region(op.region)
         self.depth = ctx.config.station_depth
         self.in_order = not ctx.config.out_of_order
         # Earliest completion over the station (NEVER when empty).  A
@@ -249,17 +260,16 @@ class LoadStage(Stage):
             blocked = True
         elif station and ctx.cycle >= self.earliest:
             candidates = station[:1] if self.in_order else station
-            for position, (token, req, done_at) in enumerate(candidates):
+            for position, (token, req, done_at, element) in \
+                    enumerate(candidates):
                 if done_at <= ctx.cycle:
-                    op: Load = self.op
-                    token.env[op.dst] = ctx.state.load(
-                        op.region, op.addr(token.env)
-                    )
+                    token.env[self.op.dst] = self.region.storage[element]
                     ctx.memory.retire(req)
                     del station[position]
-                    self.earliest = min(
-                        [entry[2] for entry in station], default=NEVER
-                    )
+                    if done_at == self.earliest:
+                        self.earliest = min(
+                            [entry[2] for entry in station], default=NEVER
+                        )
                     if out is None:
                         retired = ctx.retire(token, self.on_retire)
                     else:
@@ -281,13 +291,15 @@ class LoadStage(Stage):
             if inp.sleeper is not None:
                 inp.sleeper.wake()
                 inp.sleeper = None
-            op = self.op
-            addr = ctx.state.address(op.region, op.addr(token.env))
-            req = ctx.memory.issue_load(ctx.cycle, addr)
+            region = self.region
+            element = int(self.op.addr(token.env))
+            req = ctx.memory.issue_load(
+                ctx.cycle, region.base + element * region.element_bytes
+            )
             if ctx.probe is not None:
                 ctx.probe.issue(ctx.cycle, self.name, token.uid, req, -1)
             done_at = ctx.memory.done_at(req)
-            station.append((token, req, done_at))
+            station.append((token, req, done_at, element))
             if done_at < self.earliest:
                 self.earliest = done_at
         elif inp._items:
@@ -335,15 +347,19 @@ class StoreStage(Stage):
         ctx.state.store(op.region, addr_idx, value)
         flat = ctx.state.address(op.region, addr_idx)
         ctx.memory.issue_store(ctx.cycle, flat)
-        payload = {"addr": flat, "value": value}
-        for name in op.extra_payload:
-            payload[name] = env[name]
-        ctx.emit_at(
-            ctx.cycle + 2,
-            Event(REACH, token.task_set,
-                  op.label or op.region, token.index, payload),
-            token.task_uid,
-        )
+        heard = self.heard
+        if heard is None:
+            heard = self.heard = ctx.hears(REACH, token.task_set,
+                                           op.label or op.region)
+        if heard:
+            payload = {"addr": flat, "value": value}
+            for name in op.extra_payload:
+                payload[name] = env[name]
+            event = Event(REACH, token.task_set, op.label or op.region,
+                          token.index, payload)
+        else:
+            event = None
+        ctx.emit_at(ctx.cycle + 2, event, token.task_uid)
 
 
 class SwitchStage(Stage):
@@ -733,10 +749,15 @@ class CallStage(Stage):
                         continue
                     ctx.memory.retire(stream[0])
                 if op.label:
+                    heard = self.heard
+                    if heard is None:
+                        heard = self.heard = ctx.hears(
+                            REACH, token.task_set, op.label)
                     ctx.emit_at(
                         ctx.cycle + 1,
                         Event(REACH, token.task_set, op.label,
-                              token.index, dict(token.env)),
+                              token.index, dict(token.env))
+                        if heard else None,
                         token.task_uid,
                     )
                 del in_flight[position]

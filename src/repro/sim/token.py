@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.indexing import TaskIndex
@@ -17,7 +16,6 @@ from repro.core.indexing import TaskIndex
 _token_ids = itertools.count()
 
 
-@dataclass(slots=True)
 class SimToken:
     """One task token.
 
@@ -25,15 +23,31 @@ class SimToken:
     global minimum over live indices drives otherwise triggering);
     ``lanes`` holds rule-engine lanes allocated by this token, consumed in
     FIFO order by rendezvous stages.
+
+    A plain slotted class: one is built per task and per Expand child, so
+    its ``__init__`` assigns and nothing more.  Tokens compare by
+    identity (each has its own uid).
     """
 
-    env: dict[str, Any]
-    index: TaskIndex
-    task_set: str
-    uid: int = field(default_factory=lambda: next(_token_ids))
-    task_uid: int = 0
-    live_handle: int = -1
-    lanes: list = field(default_factory=list)
+    __slots__ = ("env", "index", "task_set", "uid", "task_uid",
+                 "live_handle", "lanes")
+
+    def __init__(self, env: dict[str, Any], index: TaskIndex,
+                 task_set: str, uid: int | None = None, task_uid: int = 0,
+                 live_handle: int = -1) -> None:
+        self.env = env
+        self.index = index
+        self.task_set = task_set
+        self.uid = next(_token_ids) if uid is None else uid
+        self.task_uid = task_uid
+        self.live_handle = live_handle
+        self.lanes: list = []
+
+    def __repr__(self) -> str:
+        return (f"SimToken(env={self.env!r}, index={self.index!r}, "
+                f"task_set={self.task_set!r}, uid={self.uid!r}, "
+                f"task_uid={self.task_uid!r}, "
+                f"live_handle={self.live_handle!r}, lanes={self.lanes!r})")
 
     def fork(
         self, updates: dict[str, Any], uid: int | None = None
@@ -45,13 +59,5 @@ class SimToken:
         """
         env = dict(self.env)
         env.update(updates)
-        if uid is None:
-            uid = next(_token_ids)
-        return SimToken(
-            env=env,
-            index=self.index,
-            task_set=self.task_set,
-            uid=uid,
-            task_uid=self.task_uid,
-            live_handle=self.live_handle,
-        )
+        return SimToken(env, self.index, self.task_set, uid,
+                        self.task_uid, self.live_handle)

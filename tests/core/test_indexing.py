@@ -1,9 +1,13 @@
 """Tests for M-tuple well-order indices and loop nests (Figure 5)."""
 
+import pickle
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.indexing import LoopNest, TaskIndex
+from repro.core.spec import IndexMinter, make_task_sets
 from repro.errors import SpecificationError
 
 
@@ -119,3 +123,77 @@ def test_for_each_sequence_strictly_increasing(n):
     indices = [nest.index_for("t", None) for _ in range(n)]
     for a, b in zip(indices, indices[1:]):
         assert a.earlier_than(b)
+
+
+def _reference_mint(nest, priority_fields, task_set, fields, parent):
+    """IndexMinter's contract spelled out: the loop nest's index, with a
+    priority set's position taken from its priority field."""
+    index = nest.index_for(task_set, parent)
+    priority_field = priority_fields.get(task_set)
+    if priority_field is not None:
+        positions = list(index.positions)
+        positions[nest.position_of(task_set)] = int(fields[priority_field])
+        index = TaskIndex(tuple(positions))
+    return index
+
+
+@st.composite
+def _mint_scripts(draw):
+    """A loop nest of width 1-4 with for-each/for-all kinds, some sets
+    priority-indexed, and a script of mints: each a task set, a priority
+    value (sometimes negative) and a parent (root, or an earlier index)."""
+    width = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(["for-each", "for-all"]),
+                          min_size=width, max_size=width))
+    names = [f"s{i}" for i in range(width)]
+    prioritized = draw(st.lists(st.booleans(), min_size=width,
+                                max_size=width))
+    priority_fields = {name: "p" for name, on in zip(names, prioritized)
+                       if on}
+    mints = draw(st.lists(st.tuples(
+        st.sampled_from(names), st.integers(-2, 9), st.integers(-1, 40)),
+        min_size=1, max_size=40))
+    return names, kinds, priority_fields, mints
+
+
+@given(_mint_scripts())
+def test_index_minter_matches_the_loop_nest_reference(script):
+    names, kinds, priority_fields, mints = script
+    spec = SimpleNamespace(
+        task_sets=make_task_sets([(name, kind, ("p",))
+                                  for name, kind in zip(names, kinds)]),
+        priority_fields=priority_fields,
+    )
+    minter = IndexMinter(spec)
+    nest = LoopNest(list(zip(names, kinds)))
+    assert minter.width == nest.width
+    minted: list[TaskIndex] = []
+    for task_set, priority, parent_pick in mints:
+        parent = minted[parent_pick % len(minted)] \
+            if parent_pick >= 0 and minted else None
+        fields = {"p": priority}
+        try:
+            expected = _reference_mint(nest, priority_fields, task_set,
+                                       fields, parent)
+        except SpecificationError as exc:
+            with pytest.raises(SpecificationError) as raised:
+                minter.mint(task_set, fields, parent)
+            assert str(raised.value) == str(exc)
+        else:
+            index = minter.mint(task_set, fields, parent)
+            assert type(index) is TaskIndex
+            assert index == expected and hash(index) == hash(expected)
+            assert repr(index) == repr(expected)
+            assert not index < expected and not expected < index
+            assert pickle.loads(pickle.dumps(index)) == expected
+            minted.append(index)
+        assert minter.counters == nest.counters
+    minter.reset()
+    assert set(minter.counters.values()) == {0}
+
+
+def test_index_minter_rejects_an_unknown_task_set():
+    spec = SimpleNamespace(task_sets=make_task_sets([("a", "for-each", ())]),
+                           priority_fields={})
+    with pytest.raises(SpecificationError, match="unknown loop 'zzz'"):
+        IndexMinter(spec).mint("zzz", {}, None)

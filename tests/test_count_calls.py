@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "count_calls.py"
 
 
@@ -26,3 +28,13 @@ def test_two_counted_runs_print_identical_numbers(capsys):
     assert name == "SPEC-BFS"
     assert all(int(n.replace(",", "")) > 0
                for n in (python, c_calls, commits, steps))
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "-0.5", "nan"])
+def test_a_non_positive_scale_is_a_usage_error(scale, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _script().main(["--apps", "SPEC-BFS", "--scale", scale])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"must be positive, got '{scale}'" in err
