@@ -965,7 +965,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
     """Rule-based regression detection (see docs/observability.md).
 
     Group the run store into comparable series and flag cycle drift
-    (fail) and wall-clock / throughput outliers (warn).  Exit 1 iff any
+    (fail) and critical-path regime shifts (warn).  Exit 1 iff any
     *fail*-severity finding fired; warnings alone exit 0.
     """
     from repro.obs.regress import format_regressions, regress_store
@@ -973,11 +973,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
     try:
         store = RunStore(args.store)
         records = store.records()
-        findings = regress_store(
-            records,
-            wall_band=args.wall_band,
-            min_wall_samples=args.min_wall_samples,
-        )
+        findings = regress_store(records)
         source = f"{len(records)} runs in {store.path}"
     except (OSError, ValueError) as exc:
         return _fail(exc)
@@ -1231,14 +1227,6 @@ def build_parser() -> argparse.ArgumentParser:
         "regress", help="rule-based regression detection over the run "
                         "store (exit 1 on any fail-severity finding)")
     _add_store_dir(regress)
-    regress.add_argument("--wall-band", type=float, default=0.5,
-                         metavar="F",
-                         help="wall-clock / throughput noise band "
-                              "(default 0.5 = +50%%, warn only)")
-    regress.add_argument("--min-wall-samples", type=int, default=4,
-                         metavar="N",
-                         help="series length before wall-clock warnings "
-                              "apply (default 4)")
     regress.add_argument("--json", action="store_true",
                          help="emit findings as JSON")
     regress.set_defaults(handler=cmd_regress)

@@ -128,6 +128,12 @@ class RuleInstance:
     # of the token whose event decided it (-1 for otherwise/immediate).
     decided_cycle: int = -1
     decided_by: int = -1
+    # Lane bookkeeping, set by the simulator's rule engine: the
+    # allocating token's uid, the sort key in the engine's kept orders
+    # (None while no lane holds it) and whether its parent is awaiting.
+    owner_uid: int = -1
+    key: tuple | None = None
+    awaited: bool = False
 
     @property
     def returned(self) -> bool:

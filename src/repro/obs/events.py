@@ -98,7 +98,9 @@ PROBE_KINDS = {
     "release": "cycle, stage, uid, retired",  # a load/call station
     "verdict": "cycle, stage, uid, retired, engine, instance, outcome",
     # Other stage activity.
-    "issue": "cycle, stage, uid, req, fu_done",  # load/expand/call
+    # A load/expand/call station took a token; the completion cycles of
+    # its memory request and function unit (-1 for none).
+    "issue": "cycle, stage, uid, mem_done, fu_done",
     "awaited": "cycle, stage, uid, engine",  # a rendezvous admitted
     # ``count`` cycles from ``cycle`` on, each stalled for ``reason``:
     # dense emits one cycle at a time, the event engine a sleeping
@@ -106,12 +108,12 @@ PROBE_KINDS = {
     "stall": "cycle, stage, reason, count",
     # Tasks, memory, rule lanes, host feed and recovery.
     "activate": "cycle, handle, cause, cause_uid, task_set, occupancy",
-    "load": "cycle, addr, nbytes, hit, done_at, req",
+    "load": "cycle, addr, nbytes, hit, done_at",
     "store": "cycle, nbytes",
-    "stream": "cycle, nbytes, done_at, req",
+    "stream": "cycle, nbytes, done_at",
     "mem_done": "cycle",  # a tracked request retired
     "lane_free": "cycle, engine, verdict, lanes",
-    "host_issue": "cycle, req, nbytes",  # a host batch DMA was issued
+    "host_issue": "cycle, done_at, nbytes",  # a host batch DMA was issued
     "host_inject": "cycle, batch",  # a host batch entered the queues
     "checkpoint": "cycle, count",
     "rollback": "cycle",

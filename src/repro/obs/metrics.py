@@ -218,14 +218,14 @@ class EventMetrics:
                     occupancy):
         self._queue_occupancy[task_set].record(occupancy)
 
-    def on_load(self, cycle, addr, nbytes, hit, done_at, req):
+    def on_load(self, cycle, addr, nbytes, hit, done_at):
         self._counters["mem.loads_issued"].value += 1
         self._histograms["mem.load_latency"].record(done_at - cycle)
 
     def on_store(self, cycle, nbytes):
         self._counters["mem.stores_issued"].value += 1
 
-    def on_stream(self, cycle, nbytes, done_at, req):
+    def on_stream(self, cycle, nbytes, done_at):
         self._counters["mem.streams_issued"].value += 1
 
     def on_checkpoint(self, cycle, count):

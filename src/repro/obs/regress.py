@@ -8,8 +8,8 @@ bandwidth, sim mode), and applies the rules to each series' trajectory.
 Running it twice on an unchanged store reports the same (possibly
 empty) findings — it never mutates anything.
 
-Host time only ever warns here, because a stored wall clock is one noisy
-sample.  Speed across commits is the job of the benchmark of record
+Host time is not judged here: a stored wall clock is one noisy sample.
+Speed across commits is the job of the benchmark of record
 (``python3 -m bench.run``, compared with ``python3 -m bench.compare``).
 
 Rules and noise bands:
@@ -20,13 +20,6 @@ rule             severity  trigger
 cycle-drift      fail      exact cycle count changed within a series (cycles
                            are fully deterministic — any drift is a
                            behaviour change, not noise)
-wall-clock       warn      latest wall clock above the series median by
-                           more than ``wall_band`` (needs >=
-                           ``min_wall_samples`` records — thin series are
-                           all noise)
-points-per-sec   warn      sweep throughput below the series median by
-                           more than the band (wall-clock rules warn,
-                           never fail: they are host-dependent)
 critpath-shift   warn      the dominant critical-path bucket changed
                            between the two latest ledgered runs of a
                            series — the bottleneck regime moved even if
@@ -39,19 +32,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
-DEFAULT_WALL_BAND = 0.5        # +50% over the series median
-DEFAULT_MIN_WALL_SAMPLES = 4
-
 _CYCLE_DIAGNOSIS = (
     "cycle counts are deterministic: any drift is a behaviour change, "
     "not noise. Localize it with `repro runs diff` / `repro diagnose`; "
     "if the change is intentional, regenerate the goldens "
     "(scripts/update_goldens.py) and commit them."
-)
-_WALL_DIAGNOSIS = (
-    "wall clock is host-dependent, so this is a warning: check the "
-    "fleet page (worker timeline, lock contention, cache economics) "
-    "to see where the time went."
 )
 _CRITPATH_DIAGNOSIS = (
     "the dominant critical-path bucket moved between runs of the same "
@@ -65,7 +50,7 @@ _CRITPATH_DIAGNOSIS = (
 class Regression:
     """One rule violation, with enough context to act on it."""
 
-    rule: str                 # cycle-drift | wall-clock | points-per-sec | ...
+    rule: str                 # cycle-drift | critpath-shift
     where: str                # the series it fired in
     message: str
     severity: str = "fail"    # "fail" (exit non-zero) | "warn"
@@ -89,7 +74,7 @@ def series_key(record) -> tuple | None:
     app, seed, config digest, platform bandwidth, sim mode (event is
     cycle-exact vs dense by contract, but regress keeps them separate so
     an event-engine bug reads as *its* series drifting, not as noise in
-    a mixed one).  Sweep and golden records are handled separately.
+    a mixed one).  Sweep and golden records form no series.
     """
     if record.kind in ("golden", "sweep") or record.cycles <= 0:
         return None
@@ -104,33 +89,13 @@ def series_key(record) -> tuple | None:
     )
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
-
-
-def regress_store(
-    records: Iterable,
-    *,
-    wall_band: float = DEFAULT_WALL_BAND,
-    min_wall_samples: int = DEFAULT_MIN_WALL_SAMPLES,
-) -> list[Regression]:
+def regress_store(records: Iterable) -> list[Regression]:
     """Apply the rules to every series in a run store's records."""
     series: dict[tuple, list] = {}
-    sweeps: dict[tuple, list] = {}
     for record in records:
         key = series_key(record)
         if key is not None:
             series.setdefault(key, []).append(record)
-            continue
-        if record.kind == "sweep":
-            sweep = (record.extra or {}).get("sweep", {})
-            skey = (record.app, (record.extra or {}).get("command", ""),
-                    sweep.get("jobs", 1))
-            sweeps.setdefault(skey, []).append(record)
 
     findings: list[Regression] = []
     # An unseeded run's key holds seed None: order None before any value.
@@ -171,47 +136,6 @@ def regress_store(
                              f"{have} between runs "
                              f"{paths[-2].run_id} and {paths[-1].run_id}"),
                     diagnosis=_CRITPATH_DIAGNOSIS,
-                ))
-        walls = [r.wall_seconds for r in prior if r.wall_seconds > 0]
-        if (len(walls) + 1 >= min_wall_samples and walls
-                and latest.wall_seconds > 0):
-            median = _median(walls)
-            if median > 0 and latest.wall_seconds > median * (1 + wall_band):
-                findings.append(Regression(
-                    rule="wall-clock",
-                    where=where,
-                    severity="warn",
-                    message=(f"wall {latest.wall_seconds:.3f}s vs series "
-                             f"median {median:.3f}s "
-                             f"(+{100 * (latest.wall_seconds / median - 1):.0f}%"
-                             f" > {wall_band:.0%} band, "
-                             f"{len(walls)} prior runs)"),
-                    diagnosis=_WALL_DIAGNOSIS,
-                    current=latest.wall_seconds,
-                    baseline=median,
-                ))
-
-    for skey, runs in sorted(sweeps.items()):
-        app, command, jobs = skey
-        where = f"sweep/{command or app} jobs={jobs}"
-        rates = [
-            (r.extra or {}).get("sweep", {}).get("points_per_sec", 0.0)
-            for r in runs
-        ]
-        prior = [rate for rate in rates[:-1] if rate > 0]
-        latest = rates[-1]
-        if len(prior) + 1 >= min_wall_samples and latest > 0:
-            median = _median(prior)
-            if median > 0 and latest < median / (1 + wall_band):
-                findings.append(Regression(
-                    rule="points-per-sec",
-                    where=where,
-                    severity="warn",
-                    message=(f"throughput {latest:.2f} points/s vs median "
-                             f"{median:.2f} ({wall_band:.0%} band)"),
-                    diagnosis=_WALL_DIAGNOSIS,
-                    current=latest,
-                    baseline=median,
                 ))
     return findings
 

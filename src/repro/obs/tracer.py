@@ -129,7 +129,7 @@ class EventTracer:
                           {"verdict": verdict._value_, "occupancy": lanes}))
         self.emitted += 1
 
-    def on_load(self, cycle, addr, nbytes, hit, done_at, req):
+    def on_load(self, cycle, addr, nbytes, hit, done_at):
         append = self.ring.append
         append((cycle, _MEM_ISSUE, "load", 0, {"bytes": nbytes}))
         append((cycle, _HIT if hit else _MISS, "load", 0,
@@ -140,7 +140,7 @@ class EventTracer:
         self.ring.append((cycle, _MEM_ISSUE, "store", 0, {"bytes": nbytes}))
         self.emitted += 1
 
-    def on_stream(self, cycle, nbytes, done_at, req):
+    def on_stream(self, cycle, nbytes, done_at):
         self.ring.append((cycle, _MEM_ISSUE, "stream", 0,
                           {"bytes": nbytes}))
         self.emitted += 1

@@ -8,14 +8,15 @@ shared by reference.  Restoring produces a *fresh runnable simulator*
 rolled back to the checkpoint cycle, while the checkpoint itself stays
 pristine so the same snapshot can absorb repeated rollbacks.
 
-Two object-graph subtleties make this more than ``copy.deepcopy(sim)``:
-
-* Rule engines key their lane tables by ``id(instance)``; a deep copy
-  re-identifies every instance, so the tables are re-keyed after copying.
-* A host feed is a live generator (not copyable).  The host adapter logs
-  every batch it pulls, and a restored run first *replays* the logged
-  batches past its cursor before touching the shared generator — see
-  :meth:`repro.sim.host.HostAdapter.enable_replay`.
+Nothing in the copied graph is keyed by object identity, which a deep
+copy changes: a rule lane is the instance its token holds, and the
+engine's kept orders sort on parent positions and an allocation sequence
+number, which a copy preserves.  One object-graph subtlety makes this
+more than ``copy.deepcopy(sim)``: a host feed is a live generator (not
+copyable).  The host adapter logs every batch it pulls, and a restored
+run first *replays* the logged batches past its cursor before touching
+the shared generator — see
+:meth:`repro.sim.host.HostAdapter.enable_replay`.
 """
 
 from __future__ import annotations
@@ -65,14 +66,6 @@ def snapshot(sim):
 def revive(clone):
     """A fresh runnable simulator restored from a checkpoint clone."""
     sim = copy.deepcopy(clone, _identity_memo(_shared_roots(clone)))
-    for engine in sim.engines.values():
-        # Lane tables are keyed by instance identity, which the copy
-        # changed; tokens reference the copied instances, so re-key.
-        # (The kept lane orders sort on parent positions and allocation
-        # sequence, which a copy preserves.)
-        engine.lanes = {
-            id(lane.instance): lane for lane in engine.lanes.values()
-        }
     # Function objects are copied by reference: the copied pass would
     # tick the clone's stages, so compile one over the revived ones.
     sim.bind_stage_pass()

@@ -15,8 +15,9 @@ Wake-up contract (what the jump reads):
   timer and operand stream) sleeps with an alarm ``(cycle, order)`` at
   that completion; every other sleeper waits on a handshake, which
   only a firing or a silent mutation gives.
-* The host's in-flight batch DMA (``host._transfer_req``): the host
-  never sleeps, so its completion is read at probe time.
+* The host's in-flight batch DMA, whose completion cycle the host
+  keeps (``host._transfer_done``): the host never sleeps, so it is read
+  at probe time.
 * The head of ``_event_heap``, the pending rule-engine deliveries.
 * Fault-plan window boundaries, checkpoint captures, invariant-checker
   passes, and the minimum-broadcast boundary (only when a broadcast
@@ -75,11 +76,9 @@ class EventScheduler:
         sim = self.sim
         alarms = sim.alarms
         wake = alarms[0][0] if alarms else NEVER
-        transfer = sim.host._transfer_req
-        if transfer is not None:
-            when = sim.memory.done_at(transfer)
-            if when < wake:
-                wake = when
+        transfer = sim.host._transfer_done
+        if transfer is not None and transfer < wake:
+            wake = transfer
         heap = sim._event_heap
         if heap and heap[0][0] < wake:
             wake = heap[0][0]

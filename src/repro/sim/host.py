@@ -26,7 +26,8 @@ class HostAdapter:
         self.spec = spec
         self._batches: Iterator[list[SeedTask]] | None = None
         self._pending: list[SeedTask] | None = None
-        self._transfer_req: int | None = None
+        # Completion cycle of the in-flight batch DMA (None when none).
+        self._transfer_done: int | None = None
         self._exhausted = spec.host_feed is None
         self.batches_sent = 0
         # Checkpoint replay: the generator cannot be deep-copied, so when
@@ -97,11 +98,11 @@ class HostAdapter:
                     f"holds {count} {task_set!r} tasks, more than its task "
                     f"queue holds ({capacity})")
         nbytes = len(self._pending) * self.spec.host_feed.bytes_per_task
-        self._transfer_req = self.ctx.memory.issue_stream(
+        self._transfer_done = self.ctx.memory.issue_stream(
             self.ctx.cycle, nbytes
         )
         if self.ctx.probe is not None:
-            self.ctx.probe.host_issue(self.ctx.cycle, self._transfer_req,
+            self.ctx.probe.host_issue(self.ctx.cycle, self._transfer_done,
                                       nbytes)
         self._update_horizon()
 
@@ -127,12 +128,12 @@ class HostAdapter:
         if self._pending is None:
             return
         ctx = self.ctx
-        if self._transfer_req is not None:
-            if not ctx.memory.ready(ctx.cycle, self._transfer_req):
+        if self._transfer_done is not None:
+            if self._transfer_done > ctx.cycle:
                 return
             ctx.quiet = False  # silent mutation: batch transfer landed
-            ctx.memory.retire(self._transfer_req)
-            self._transfer_req = None
+            ctx.memory.retire()
+            self._transfer_done = None
         # Inject when every target queue has room for its share.
         needed: dict[str, int] = {}
         for task_set, _fields in self._pending:

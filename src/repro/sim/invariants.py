@@ -26,6 +26,7 @@ from repro.sim.events import NEVER
 from repro.obs.events import StallReason
 from repro.sim.pipeline import SourceStage
 from repro.sim.stages import (
+    HELD_WORK,
     AllocRuleStage,
     CallStage,
     EnqueueStage,
@@ -74,16 +75,16 @@ class InvariantChecker:
                 for token in stage.input.drain():
                     yield token, 1
                 if isinstance(stage, LoadStage):
-                    for token, _req, _done, _element in stage.station:
+                    for token, _done, _element in stage.station:
                         yield token, 1
                 elif isinstance(stage, RendezvousStage):
                     for token in stage.station:
                         yield token, 1
                 elif isinstance(stage, CallStage):
-                    for token, _done, _req in stage.in_flight:
+                    for token, _done, _stream in stage.in_flight:
                         yield token, 1
                 elif isinstance(stage, ExpandStage):
-                    for token, items, emitted, _req in stage._inflight:
+                    for token, items, emitted, _stream in stage._inflight:
                         yield token, len(items) - emitted
 
     # -- the check ------------------------------------------------------------
@@ -185,26 +186,25 @@ class InvariantChecker:
         self, tokens: list[tuple[SimToken, int]],
         violations: list[Violation],
     ) -> None:
-        """Every allocated lane is referenced by some in-flight token."""
-        referenced: set[int] = set()
+        """A lane is the rule instance its token holds: every lane an
+        engine lists is held by some in-flight token, and the engine's
+        kept orders hold exactly its tokens' lanes."""
+        held: dict[str, list] = {name: [] for name in self.sim.engines}
         for token, _refs in tokens:
-            for _engine, instance in token.lanes:
-                referenced.add(id(instance))
+            for engine, instance in token.lanes:
+                held[engine.name].append(instance)
         for name, engine in self.sim.engines.items():
-            for key, lane in engine.lanes.items():
-                if key != id(lane.instance):
-                    violations.append(Violation(
-                        "lane-keying", f"engine {name!r}",
-                        f"lane key {key} does not match its instance id "
-                        f"{id(lane.instance)}",
-                    ))
-                elif key not in referenced:
+            lanes = held[name]
+            referenced = {id(instance) for instance in lanes}
+            for _positions, _seq, instance in engine._order:
+                if id(instance) not in referenced:
                     violations.append(Violation(
                         "lane-conservation", f"engine {name!r}",
-                        f"lane for parent {lane.instance.parent_index} "
-                        f"(owner uid {lane.owner_uid}) is referenced by "
-                        f"no in-flight token",
+                        f"lane for parent {instance.parent_index} "
+                        f"(owner uid {instance.owner_uid}) is referenced "
+                        f"by no in-flight token",
                     ))
+            self._check_lane_order(name, engine, lanes, violations)
 
     def _check_queues(self, violations: list[Violation]) -> None:
         for queue in self.sim.queues.values():
@@ -233,9 +233,10 @@ class InvariantChecker:
 
         Queue sizes, the live-token count, FIFO free counts (firing
         sites push without a full check), load-station earliest
-        completions, the memory horizon and the rule engines' lane orders
-        are updated where the state changes so the per-cycle code never
-        scans; here each is recomputed by the scan it saves.
+        completions and the memory system's outstanding count and
+        horizon are updated where the state changes so the per-cycle
+        code never scans; here each is recomputed by the scan it saves
+        (the rule engines' lane orders are checked with the lanes).
         """
         sim = self.sim
         for fifo in sim._fifos:
@@ -266,8 +267,7 @@ class InvariantChecker:
                 if not isinstance(stage, LoadStage):
                     continue
                 earliest = min(
-                    (memory.done_at(req)
-                     for _token, req, _done, _element in stage.station),
+                    (done for _token, done, _element in stage.station),
                     default=NEVER,
                 )
                 if stage.earliest != earliest:
@@ -276,16 +276,19 @@ class InvariantChecker:
                         f"kept earliest completion {stage.earliest} but "
                         f"the station's is {earliest}",
                     ))
-        for name, engine in sim.engines.items():
-            self._check_lane_order(name, engine, violations)
-        pending = any(
-            done_at > sim.cycle for done_at in memory._outstanding.values()
-        )
+        completions = held_requests(sim)
+        if memory.in_flight != len(completions):
+            violations.append(Violation(
+                "memory-outstanding", "MemorySystem",
+                f"kept count {memory.in_flight} but the stations and the "
+                f"host hold {len(completions)} requests",
+            ))
+        pending = any(done > sim.cycle for done in completions)
         if memory.pending(sim.cycle) != pending:
             violations.append(Violation(
                 "memory-horizon", "MemorySystem",
                 f"horizon {memory.horizon} says pending="
-                f"{not pending} at cycle {sim.cycle}, outstanding "
+                f"{not pending} at cycle {sim.cycle}, held "
                 f"requests say {pending}",
             ))
 
@@ -321,15 +324,13 @@ class InvariantChecker:
 
     @staticmethod
     def _check_lane_order(
-        name: str, engine, violations: list[Violation],
+        name: str, engine, lanes: list, violations: list[Violation],
     ) -> None:
         """A rule engine's kept orders hold exactly the lanes they stand
-        for, sorted by key: every allocated lane, and the awaited lanes
-        whose promise is still open."""
-        lanes = list(engine.lanes.values())
+        for, sorted by key: every lane its tokens hold (``lanes``), and
+        the awaited ones whose promise is still open."""
         scanned = min(
-            (lane.instance.parent_index.positions for lane in lanes),
-            default=None,
+            (lane.parent_index.positions for lane in lanes), default=None,
         )
         kept = engine.min_allocated_index()
         kept = kept.positions if kept is not None else None
@@ -339,8 +340,7 @@ class InvariantChecker:
                 f"kept minimum {kept} but the lanes' is {scanned}",
             ))
         waiting = [
-            lane for lane in lanes
-            if lane.awaited and lane.instance.value is None
+            lane for lane in lanes if lane.awaited and lane.value is None
         ]
         for label, entries, members in (
             ("allocated", engine._order, lanes),
@@ -400,7 +400,7 @@ class InvariantChecker:
         for pipeline in sim.pipelines:
             for stage in pipeline.stages:
                 if isinstance(stage, CallStage):
-                    for _token, done_at, _req in stage.in_flight:
+                    for _token, done_at, _stream in stage.in_flight:
                         if done_at > sim.cycle:
                             return  # a function unit will complete later
         stuck = []
@@ -454,9 +454,6 @@ class InvariantChecker:
                     ))
 
 
-# The list of held work each station kind releases from.
-_HELD_WORK = {LoadStage: "station", RendezvousStage: "station",
-              ExpandStage: "_inflight", CallStage: "in_flight"}
 _BP, _MEMORY = StallReason.BACKPRESSURE, StallReason.MEMORY
 _RULE, _QUEUE = StallReason.RULE, StallReason.QUEUE
 
@@ -468,7 +465,7 @@ def tick_verdict(stage) -> tuple[StallReason, ...] | None:
     ctx = stage.ctx
     visible = bool(stage.input._items)
     room = stage.output is None or stage.output.can_push()
-    work = _HELD_WORK.get(type(stage))
+    work = HELD_WORK.get(type(stage))
     if work is not None:
         held = getattr(stage, work)
         reasons = _release_verdict(stage, held, room, ctx.cycle)
@@ -506,7 +503,7 @@ def tick_verdict(stage) -> tuple[StallReason, ...] | None:
         lanes = engine.max_lanes
         if engine.faults is not None:
             lanes = max(0, lanes - engine.faults.lanes_failed(engine.name))
-        return (_RULE,) if len(engine.lanes) >= lanes else None
+        return (_RULE,) if engine.occupancy >= lanes else None
     if isinstance(stage, EnqueueStage):
         op = stage.op
         if (op.when is None or op.when(env)) and \
@@ -515,20 +512,39 @@ def tick_verdict(stage) -> tuple[StallReason, ...] | None:
     return None
 
 
+def held_requests(sim) -> list[int]:
+    """The completion cycle of every outstanding memory request, read
+    off its holder: a load station entry, a Call operand or Expand row
+    stream, or the host's batch DMA."""
+    done = []
+    for stage in sim._stages:
+        if isinstance(stage, LoadStage):
+            done.extend(entry[1] for entry in stage.station)
+        elif isinstance(stage, ExpandStage):
+            done.extend(entry[3] for entry in stage._inflight
+                        if entry[3] is not None)
+        elif isinstance(stage, CallStage):
+            done.extend(entry[2] for entry in stage.in_flight
+                        if entry[2] is not None)
+    if sim.host._transfer_done is not None:
+        done.append(sim.host._transfer_done)
+    return done
+
+
 def awaited_completion(stage) -> int:
     """The completion a sleeping Load, Expand or Call waits for, which
     its alarm must not come after (NEVER when it waits on none)."""
     if isinstance(stage, ExpandStage):
         stream = stage._inflight[0][3] if stage._inflight else None
-        return NEVER if stream is None else stage.ctx.memory.done_at(stream)
+        return NEVER if stream is None else stream
     if stage.output is not None and not stage.output.can_push():
         return NEVER  # asleep on backpressure: a pop wakes it
     if isinstance(stage, LoadStage):
         held = stage.station[:1] if stage.in_order else stage.station
-        return min((done_at for _token, _req, done_at, _element in held),
+        return min((done_at for _token, done_at, _element in held),
                    default=NEVER)
     if isinstance(stage, CallStage):
-        return min((done_at if stream is None else max(done_at, stream[1])
+        return min((done_at if stream is None else max(done_at, stream)
                     for _token, done_at, stream in stage.in_flight),
                    default=NEVER)
     return NEVER
@@ -550,14 +566,14 @@ def _release_verdict(stage, held, room: bool, cycle: int):
             return ()
         stream = held[0][3]
         if stream is not None:
-            return None if stage.ctx.memory.ready(cycle, stream) else ()
+            return None if stream <= cycle else ()
         return None if room else (_BP,)
     if held and not room:
         return (_BP,)
     if isinstance(stage, LoadStage):
-        ready = (done_at <= cycle for _token, _req, done_at, _element in
+        ready = (done_at <= cycle for _token, done_at, _element in
                  (held[:1] if stage.in_order else held))
     else:
-        ready = (done_at <= cycle and (stream is None or stream[1] <= cycle)
+        ready = (done_at <= cycle and (stream is None or stream <= cycle)
                  for _token, done_at, stream in held)
     return None if any(ready) else ()

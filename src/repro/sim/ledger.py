@@ -12,7 +12,7 @@ stamped with the *causal edge* that released it: the parent fork, the
 rule rendezvous answer (which token's event decided the promise), the
 memory request completion, the queue grant, or the host batch launch.
 Sites only report what happened; the ledger derives the edges itself,
-e.g. a station's ready cycle from the memory request ids it saw issued.
+e.g. a station's ready kind from the memory request issued just before.
 
 Every cycle recorded is engine-independent by construction: events are
 appended only when a token actually moves (the ``dense`` and ``event``
@@ -79,9 +79,11 @@ class TokenLedger:
         # live_handle -> (act_cycle, cause_kind, cause_uid), pending
         # until the source stage mints the token (consumed by `born`).
         self.activations: dict[int, tuple[int, str, int]] = {}
-        # memory request id -> (done_at, kind); consumed when the
-        # station (or the host batch) that issued it reports the issue.
-        self._mem_reqs: dict[int, tuple[int, str]] = {}
+        # (done_at, kind) of the latest memory request.  Every issue
+        # site (load, expand and call stations, the host batch) emits
+        # its request's ``load`` or ``stream`` right before its own
+        # ``issue`` or ``host_issue``, so this is that request.
+        self._last_mem: tuple[int, str] = (-1, "mem_stream")
         # Host batch DMA chain: [issue_cycle, done_at, injected_cycle,
         # nbytes] per batch, in launch order (injected_cycle is -1 while
         # the batch is in flight).
@@ -156,10 +158,10 @@ class TokenLedger:
             # release at the last child emission.
             self._append(parent_uid, (RELEASE, cycle, stage, "expand"))
 
-    def on_issue(self, cycle, stage, uid, req, fu_done) -> None:
-        # A station's wait ends at the later of its function unit
-        # (fu_done, -1 for none) and its memory request (req, None for
-        # none); both are fixed at issue, so readiness is recorded now.
+    def on_issue(self, cycle, stage, uid, mem_done, fu_done) -> None:
+        # A station's wait ends at the later of its function unit and its
+        # memory request (-1 for none); both are fixed at issue, so
+        # readiness is recorded now.
         events = self.tokens.get(uid)
         if events is None:
             issued = cycle
@@ -169,10 +171,10 @@ class TokenLedger:
             issued = cycle if cycle >= last else last
             events.append((ISSUE, issued, stage))
         ready, kind = fu_done, "fu"
-        if req is not None:
-            done, mem_kind = self._mem_reqs.pop(req, (cycle, "mem_stream"))
-            if done > ready:
-                ready, kind = done, mem_kind
+        if mem_done > ready:
+            done, kind = self._last_mem
+            assert done == mem_done, (done, mem_done)
+            ready = mem_done
         if ready >= 0:
             events.append((READY, ready if ready >= issued else issued,
                            stage, -1, kind))
@@ -202,15 +204,15 @@ class TokenLedger:
         if retired is not None:
             self._retire(uid, cycle, retired)
 
-    def on_load(self, cycle, addr, nbytes, hit, done_at, req) -> None:
-        self._mem_reqs[req] = (done_at, "mem_hit" if hit else "mem_miss")
+    def on_load(self, cycle, addr, nbytes, hit, done_at) -> None:
+        self._last_mem = (done_at, "mem_hit" if hit else "mem_miss")
 
-    def on_stream(self, cycle, nbytes, done_at, req) -> None:
-        self._mem_reqs[req] = (done_at, "mem_stream")
+    def on_stream(self, cycle, nbytes, done_at) -> None:
+        self._last_mem = (done_at, "mem_stream")
 
-    def on_host_issue(self, cycle: int, req: int, nbytes: int) -> None:
-        done, _kind = self._mem_reqs.pop(req, (cycle, "mem_stream"))
-        self.host_batches.append([cycle, done, -1, nbytes])
+    def on_host_issue(self, cycle: int, done_at: int, nbytes: int) -> None:
+        assert self._last_mem[0] == done_at, (self._last_mem, done_at)
+        self.host_batches.append([cycle, done_at, -1, nbytes])
 
     def on_host_inject(self, cycle: int, batch: int) -> None:
         if 0 <= batch < len(self.host_batches):

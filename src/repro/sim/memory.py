@@ -121,26 +121,20 @@ class MemorySystem:
         self.channel = QpiChannel(platform, platform.miss_extra_cycles,
                                   faults=faults)
         self.stats = MemoryStats()
-        # Request id -> completion cycle, fixed at issue.
-        self._outstanding: dict[int, int] = {}
-        self._next_id = 0
-        # Latest completion ever tracked.  A request retires only once
+        # Requests issued and not yet retired.  Each holder (a load
+        # station entry, a Call or Expand stream, the host's batch DMA)
+        # keeps its request's completion cycle and retires it once that
+        # cycle has passed.
+        self.in_flight = 0
+        # Latest completion ever issued.  A request retires only once
         # its completion has passed, so while this lies in the future it
         # names a request still outstanding: ``pending`` is one compare.
         self.horizon = -1
 
     # -- issue ---------------------------------------------------------------
 
-    def _track(self, done_at: int) -> int:
-        req_id = self._next_id
-        self._next_id += 1
-        self._outstanding[req_id] = done_at
-        if done_at > self.horizon:
-            self.horizon = done_at
-        return req_id
-
     def issue_load(self, now: int, addr: int, nbytes: int = 8) -> int:
-        """A pipeline load; returns a request id."""
+        """A pipeline load; returns its completion cycle."""
         self.stats.loads += 1
         line = self.platform.cache_line_bytes
         hit = self.cache.access(addr)
@@ -158,10 +152,12 @@ class MemorySystem:
                     self.channel.transfer(now, line)
                     self.stats.bytes_transferred += line
                     self.stats.prefetches += 1
-        req = self._track(done)
+        self.in_flight += 1
+        if done > self.horizon:
+            self.horizon = done
         if self.probe is not None:
-            self.probe.load(now, addr, nbytes, hit, done, req)
-        return req
+            self.probe.load(now, addr, nbytes, hit, done)
+        return done
 
     def issue_store(self, now: int, addr: int, nbytes: int = 8) -> None:
         """A commit-unit store (write-through, posted — no tracking)."""
@@ -175,42 +171,31 @@ class MemorySystem:
             self.probe.store(now, nbytes)
 
     def issue_stream(self, now: int, nbytes: int) -> int:
-        """A bulk sequential transfer (CSR row, host batch, block operand)."""
+        """A bulk sequential transfer (CSR row, host batch, block
+        operand); returns its completion cycle."""
         self.stats.streams += 1
         if nbytes <= 0:
             done = now + 1
         else:
             done = self.channel.transfer(now, nbytes)
             self.stats.bytes_transferred += nbytes
-        req = self._track(done)
+        self.in_flight += 1
+        if done > self.horizon:
+            self.horizon = done
         if self.probe is not None:
-            self.probe.stream(now, nbytes, done, req)
-        return req
+            self.probe.stream(now, nbytes, done)
+        return done
 
     # -- completion ------------------------------------------------------------
 
-    def ready(self, now: int, req_id: int) -> bool:
-        return self.done_at(req_id) <= now
-
-    def done_at(self, req_id: int) -> int:
-        done_at = self._outstanding.get(req_id)
-        if done_at is None:
-            raise SimulationError(f"unknown memory request {req_id}")
-        return done_at
-
-    def retire(self, req_id: int) -> None:
-        # Callers retire a request only once its completion has passed;
-        # ``horizon`` relies on it.
-        if self._outstanding.pop(req_id, None) is None:
-            raise SimulationError(
-                f"retire of unknown memory request {req_id}"
-            )
+    def retire(self) -> None:
+        """A holder retires one request whose completion has passed
+        (``horizon`` relies on that)."""
+        if not self.in_flight:
+            raise SimulationError("retire with no memory request outstanding")
+        self.in_flight -= 1
         if self.probe is not None:
             self.probe.mem_done(self.probe.now)
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._outstanding)
 
     def pending(self, now: int) -> bool:
         """True while any outstanding request has not yet completed."""

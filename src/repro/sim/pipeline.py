@@ -9,6 +9,7 @@ from types import CodeType
 from repro.errors import SimulationError
 from repro.sim.stages import (
     BACKPRESSURE,
+    HELD_WORK,
     QUEUE,
     RULE,
     RendezvousStage,
@@ -208,11 +209,11 @@ class PipelineInstance:
         report = []
         for stage in self.stages:
             tokens = stage.drain_tokens()
-            extra = getattr(stage, "station", None) or \
-                getattr(stage, "in_flight", None)
-            if tokens or extra:
+            work = HELD_WORK.get(type(stage))
+            held = getattr(stage, work) if work is not None else ()
+            if tokens or held:
                 report.append(
                     f"{stage.name}: queued={len(tokens)} "
-                    f"internal={len(extra) if extra else 0}"
+                    f"internal={len(held)}"
                 )
         return report

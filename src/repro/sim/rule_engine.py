@@ -6,11 +6,11 @@ events broadcast on the event bus, a return buffer the rendezvous stages
 poll, and the minimum-live-index broadcast that triggers otherwise clauses
 for lanes whose parent is the (tied-)minimum waiting task.
 
-The broadcast reads kept state instead of scanning the lanes: the
-allocated lanes and the awaited, still-undecided lanes, each a list sorted
-by parent index and updated where a lane changes (allocation, arrival at
-the rendezvous, a decision, release).  Neither ever holds more entries
-than there are allocated lanes.
+A lane is the :class:`RuleInstance` its token holds (owner, sort key and
+awaited flag included).  The engine keeps the allocated lanes and the
+awaited, still-undecided lanes, each a list sorted by parent index and
+updated where a lane changes (allocation, arrival at the rendezvous, a
+decision, release), so the broadcast reads them instead of scanning.
 """
 
 from __future__ import annotations
@@ -35,17 +35,6 @@ class RuleEngineStats:
     events_duplicated: int = 0   # injected fault: delivery repeated
 
 
-@dataclass(slots=True)
-class _Lane:
-    instance: RuleInstance
-    owner_uid: int
-    # Sort key in the kept orders: the parent's positions, then the
-    # allocation sequence number (unique, and unlike id() it survives the
-    # deep copy a checkpoint makes).  An entry is ``(*key, lane)``.
-    key: tuple[tuple[int, ...], int]
-    awaited: bool = False
-
-
 class RuleEngineSim:
     """One rule engine with a fixed number of lanes.
 
@@ -67,9 +56,10 @@ class RuleEngineSim:
         self.max_lanes = lanes
         self.faults = faults
         self.probe = probe  # the simulator's Probe (None = unobserved)
-        self.lanes: dict[int, _Lane] = {}  # keyed by id(instance)
         # The allocated lanes, and the awaited lanes whose promise is
-        # still open, as ``(*lane.key, lane)`` entries in key order.
+        # still open, as ``(*instance.key, instance)`` entries in key
+        # order.  A key is the parent's positions, then the allocation
+        # sequence number, which is unique, so no entry compares past it.
         self._order: list[tuple] = []
         self._waiting: list[tuple] = []
         self._seq = itertools.count()
@@ -98,44 +88,43 @@ class RuleEngineSim:
         available = self.max_lanes
         if self.faults is not None:
             available = max(0, available - self.faults.lanes_failed(self.name))
-        if len(self.lanes) >= available:
+        if len(self._order) >= available:
             return None
         instance = self.rule_type.instantiate(parent_index, args)
-        lane = _Lane(instance, owner_uid,
-                     (parent_index.positions, next(self._seq)))
-        self.lanes[id(instance)] = lane
-        insort(self._order, (*lane.key, lane))
+        instance.owner_uid = owner_uid
+        key = instance.key = (parent_index.positions, next(self._seq))
+        insort(self._order, (*key, instance))
         return instance
 
     def mark_awaited(self, instance: RuleInstance) -> None:
         """The parent token reached its rendezvous (otherwise now armed)."""
-        lane = self.lanes.get(id(instance))
-        if lane is not None and not lane.awaited:
-            lane.awaited = True
+        if instance.key is not None and not instance.awaited:
+            instance.awaited = True
             if instance.value is None:
-                insort(self._waiting, (*lane.key, lane))
+                insort(self._waiting, (*instance.key, instance))
 
     def release(self, instance: RuleInstance) -> None:
         """The rendezvous consumed the verdict; free the lane."""
-        lane = self.lanes.pop(id(instance), None)
-        if lane is None:
+        key = instance.key
+        if key is None:
             return
+        instance.key = None
         order = self._order
-        del order[bisect_left(order, lane.key)]
-        if lane.awaited and instance.value is None:
+        del order[bisect_left(order, key)]
+        if instance.awaited and instance.value is None:
             waiting = self._waiting
-            del waiting[bisect_left(waiting, lane.key)]
+            del waiting[bisect_left(waiting, key)]
         if self.sleepers:
             wake_all(self.sleepers)
         if self.probe is not None:
             self.probe.lane_free(self.probe.now, self.name, instance.verdict,
-                                 len(self.lanes))
+                                 len(order))
 
     # -- event bus ------------------------------------------------------------
 
     def deliver(self, event: Event, source_uid: int) -> None:
         """Broadcast one event to every lane (skipping the source's own)."""
-        if not self.lanes:
+        if not self._order:
             return
         rounds = 1
         if self.faults is not None:
@@ -159,16 +148,15 @@ class RuleEngineSim:
         waiting = self._waiting
         decided = 0
         for _ in range(rounds):
-            for lane in self.lanes.values():
-                if lane.owner_uid == source_uid:
+            for _positions, _seq, instance in self._order:
+                if instance.owner_uid == source_uid:
                     continue
-                instance = lane.instance
                 if instance.value is None and instance.observe_triggered(
                     event, triggered, requires
                 ) is not None:
                     decided += 1
-                    if lane.awaited:
-                        del waiting[bisect_left(waiting, lane.key)]
+                    if instance.awaited:
+                        del waiting[bisect_left(waiting, instance.key)]
                     if probe is not None:
                         # The promise just resolved: remember when and
                         # which token's event decided it.
@@ -181,7 +169,7 @@ class RuleEngineSim:
         """An event of a shape no engine hears (the simulator sends no
         :class:`Event` for it): all that :meth:`deliver` would do is
         draw this engine's bus fault while it holds lanes."""
-        if self.lanes and self.faults is not None:
+        if self._order and self.faults is not None:
             self._bus_fault()
 
     def _bus_fault(self) -> int:
@@ -205,7 +193,7 @@ class RuleEngineSim:
         It is the head of the kept allocation order, not a scan.
         """
         order = self._order
-        return order[0][2].instance.parent_index if order else None
+        return order[0][2].parent_index if order else None
 
     def broadcast_minimum(self, min_live: TaskIndex | None) -> int:
         """Fire otherwise for awaited lanes whose parent ties the minimum.
@@ -222,8 +210,7 @@ class RuleEngineSim:
         if not fired:
             return 0
         probe = self.probe
-        for _positions, _seq, lane in waiting[:fired]:
-            instance = lane.instance
+        for _positions, _seq, instance in waiting[:fired]:
             instance.trigger_otherwise()
             if probe is not None:
                 # Otherwise is a liveness escape, not a causal answer:
@@ -248,4 +235,4 @@ class RuleEngineSim:
 
     @property
     def occupancy(self) -> int:
-        return len(self.lanes)
+        return len(self._order)

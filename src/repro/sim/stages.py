@@ -234,9 +234,10 @@ class LoadStage(Stage):
 
     def __init__(self, ctx, op, name: str) -> None:
         super().__init__(ctx, op, name)
-        # (token, request id, completion cycle, element index) per
-        # in-flight load: the element is computed once, at issue.
-        self.station: list[tuple[SimToken, int, int, int]] = []
+        # (token, completion cycle, element index) per in-flight load:
+        # the station holds its requests; the element is computed once,
+        # at issue.
+        self.station: list[tuple[SimToken, int, int]] = []
         # The loaded region, resolved once (None only for a bare stage).
         self.region = None if op is None else ctx.state.region(op.region)
         self.depth = ctx.config.station_depth
@@ -260,15 +261,15 @@ class LoadStage(Stage):
             blocked = True
         elif station and ctx.cycle >= self.earliest:
             candidates = station[:1] if self.in_order else station
-            for position, (token, req, done_at, element) in \
+            for position, (token, done_at, element) in \
                     enumerate(candidates):
                 if done_at <= ctx.cycle:
                     token.env[self.op.dst] = self.region.storage[element]
-                    ctx.memory.retire(req)
+                    ctx.memory.retire()
                     del station[position]
                     if done_at == self.earliest:
                         self.earliest = min(
-                            [entry[2] for entry in station], default=NEVER
+                            [entry[1] for entry in station], default=NEVER
                         )
                     if out is None:
                         retired = ctx.retire(token, self.on_retire)
@@ -293,13 +294,12 @@ class LoadStage(Stage):
                 inp.sleeper = None
             region = self.region
             element = int(self.op.addr(token.env))
-            req = ctx.memory.issue_load(
+            done_at = ctx.memory.issue_load(
                 ctx.cycle, region.base + element * region.element_bytes
             )
             if ctx.probe is not None:
-                ctx.probe.issue(ctx.cycle, self.name, token.uid, req, -1)
-            done_at = ctx.memory.done_at(req)
-            station.append((token, req, done_at, element))
+                ctx.probe.issue(ctx.cycle, self.name, token.uid, done_at, -1)
+            station.append((token, done_at, element))
             if done_at < self.earliest:
                 self.earliest = done_at
         elif inp._items:
@@ -313,7 +313,7 @@ class LoadStage(Stage):
             return
         if released:
             blocked = out is not None and not out.free
-        ready_at = station[0][2] if self.in_order else self.earliest
+        ready_at = station[0][1] if self.in_order else self.earliest
         if blocked or ready_at > ctx.cycle:
             reasons = (BACKPRESSURE,) if blocked else ()
             if inp._items:
@@ -414,8 +414,9 @@ class ExpandStage(Stage):
 
     def __init__(self, ctx, op, name: str) -> None:
         super().__init__(ctx, op, name)
-        # FIFO of in-flight expansions:
-        # [token, items, emitted, stream_req or None]
+        # FIFO of in-flight expansions: [token, items, emitted, stream]
+        # with the completion cycle of the row stream it holds (None
+        # when it holds none, or once the stream is retired).
         self._inflight: list[list] = []
         self.depth = ctx.config.station_depth
 
@@ -427,18 +428,17 @@ class ExpandStage(Stage):
         op: Expand = self.op
         # 1) emit one child from the head expansion.
         acted = blocked = False
-        stream_req = None
+        stream = None
         inflight = self._inflight
         if inflight:
             entry = inflight[0]
-            token, items, emitted, stream_req = entry
-            if stream_req is not None and \
-                    ctx.memory.ready(ctx.cycle, stream_req):
+            token, items, emitted, stream = entry
+            if stream is not None and stream <= ctx.cycle:
                 ctx.quiet = False  # silent mutation: stream retired
-                ctx.memory.retire(stream_req)
-                entry[3] = stream_req = None
+                ctx.memory.retire()
+                entry[3] = stream = None
                 acted = True
-            if stream_req is None:
+            if stream is None:
                 out = self.output
                 if out is None or out.free:
                     child = token.fork(
@@ -485,14 +485,14 @@ class ExpandStage(Stage):
             if len(items) > 1:
                 ctx.tracker.retain(token.live_handle, len(items) - 1)
             traffic = op.traffic(token.env, ctx.state) if op.traffic else 0
-            stream_req = (
+            stream = (
                 ctx.memory.issue_stream(ctx.cycle, traffic)
                 if traffic else None
             )
             if ctx.probe is not None:
-                ctx.probe.issue(ctx.cycle, self.name, token.uid, stream_req,
-                                -1)
-            inflight.append([token, items, 0, stream_req])
+                ctx.probe.issue(ctx.cycle, self.name, token.uid,
+                                -1 if stream is None else stream, -1)
+            inflight.append([token, items, 0, stream])
             return
         reasons = (BACKPRESSURE,) if blocked else ()
         if inp._items:
@@ -503,7 +503,7 @@ class ExpandStage(Stage):
             if blocked:
                 self._sleep(reasons, self.output)
             else:
-                self._sleep(reasons, alarm=ctx.memory.done_at(stream_req))
+                self._sleep(reasons, alarm=stream)
 
     def busy(self) -> bool:
         return bool(self._inflight) or len(self.input) > 0
@@ -720,10 +720,9 @@ class CallStage(Stage):
     def __init__(self, ctx, op, name: str) -> None:
         super().__init__(ctx, op, name)
         # (token, latency expiry, operand stream) per issued token; the
-        # stream is (request id, completion cycle), fixed at issue.
-        self.in_flight: list[
-            tuple[SimToken, int, tuple[int, int] | None]
-        ] = []
+        # stream is the completion cycle of the request it holds (None
+        # for none), fixed at issue.
+        self.in_flight: list[tuple[SimToken, int, int | None]] = []
         self.depth = ctx.config.station_depth
 
     tick_guard = "{in_flight} or {input._items}"
@@ -745,9 +744,9 @@ class CallStage(Stage):
                 if done_at > cycle:
                     continue
                 if stream is not None:
-                    if stream[1] > cycle:
+                    if stream > cycle:
                         continue
-                    ctx.memory.retire(stream[0])
+                    ctx.memory.retire()
                 if op.label:
                     heard = self.heard
                     if heard is None:
@@ -789,19 +788,15 @@ class CallStage(Stage):
                 token.live_handle = -1
             latency = max(1, _value(op.cycles, token.env))
             traffic = _value(op.traffic, token.env)
-            stream_req = (
+            stream = (
                 ctx.memory.issue_stream(ctx.cycle, traffic)
                 if traffic > 0 else None
             )
             done_at = ctx.cycle + latency
             if ctx.probe is not None:
-                ctx.probe.issue(ctx.cycle, self.name, token.uid, stream_req,
-                                done_at)
-            in_flight.append((
-                token, done_at,
-                None if stream_req is None
-                else (stream_req, ctx.memory.done_at(stream_req)),
-            ))
+                ctx.probe.issue(ctx.cycle, self.name, token.uid,
+                                -1 if stream is None else stream, done_at)
+            in_flight.append((token, done_at, stream))
             return
         reasons = (BACKPRESSURE,) if blocked else ()
         if inp._items:
@@ -814,13 +809,18 @@ class CallStage(Stage):
                 self._sleep(reasons, out)
             else:
                 self._sleep(reasons, alarm=min(
-                    done_at if stream is None else max(done_at, stream[1])
+                    done_at if stream is None else max(done_at, stream)
                     for _token, done_at, stream in in_flight
                 ))
 
     def busy(self) -> bool:
         return bool(self.in_flight) or len(self.input) > 0
 
+
+# The list of work each station kind holds besides its input FIFO, by
+# attribute name: the deadlock report and the sanitizer read it.
+HELD_WORK = {LoadStage: "station", RendezvousStage: "station",
+             ExpandStage: "_inflight", CallStage: "in_flight"}
 
 _STAGE_CLASSES = {
     Const: ConstStage,

@@ -6,23 +6,13 @@ from repro.obs.regress import format_regressions, regress_store
 from repro.obs.runstore import RunRecord, RunStore
 
 
-def rec(cycles: int = 1000, wall: float = 1.0, run_id: str = "",
+def rec(cycles: int = 1000, run_id: str = "",
         app: str = "SPEC-BFS", kind: str = "simulate") -> RunRecord:
     return RunRecord(
         kind=kind, app=app, cycles=cycles, seconds=cycles * 5e-9,
         utilization=0.3, squash_fraction=0.01, verified=True,
-        run_id=run_id, wall_seconds=wall,
+        run_id=run_id, wall_seconds=1.0,
         platform={"bandwidth_scale": 1.0}, config_digest="cfg0",
-    )
-
-
-def sweep_rec(points_per_sec: float) -> RunRecord:
-    return RunRecord(
-        kind="sweep", app="SPEC-BFS", cycles=0, seconds=0.0,
-        utilization=0.9, squash_fraction=0.0, verified=True,
-        sim_mode="sweep", wall_seconds=1.0,
-        extra={"command": "experiment:figure10",
-               "sweep": {"jobs": 2, "points_per_sec": points_per_sec}},
     )
 
 
@@ -42,17 +32,6 @@ class TestStoreRules:
         assert "000001" in findings[0].message
         assert "+20.0%" in findings[0].message
 
-    def test_wall_clock_warns_outside_band_only(self):
-        base = [rec(wall=1.0, run_id=f"{i:06d}") for i in range(3)]
-        noisy = regress_store(base + [rec(wall=2.0, run_id="000004")])
-        assert [f.rule for f in noisy] == ["wall-clock"]
-        assert noisy[0].severity == "warn"
-        quiet = regress_store(base + [rec(wall=1.2, run_id="000004")])
-        assert quiet == []
-        # Thin series never warn, whatever the wall clock did.
-        thin = regress_store([rec(wall=1.0), rec(wall=9.0)])
-        assert thin == []
-
     def test_different_series_do_not_cross_talk(self):
         findings = regress_store([
             rec(1000, app="SPEC-BFS"), rec(5000, app="SPEC-SSSP"),
@@ -67,28 +46,21 @@ class TestStoreRules:
         assert regress_store([unseeded, seeded]) == []
         assert regress_store([seeded, unseeded]) == []
 
-    def test_sweep_throughput_warns(self):
-        runs = [sweep_rec(10.0), sweep_rec(10.0), sweep_rec(10.0),
-                sweep_rec(2.0)]
-        findings = regress_store(runs)
-        assert [f.rule for f in findings] == ["points-per-sec"]
-        assert findings[0].severity == "warn"
-        assert regress_store(runs[:-1] + [sweep_rec(9.0)]) == []
+
+def ledgered(run_id: str, dominant: str, cycles: int = 1000) -> RunRecord:
+    record = rec(cycles, run_id=run_id)
+    record.critical_path = {
+        "dominant": dominant,
+        "buckets": {dominant: record.cycles},
+    }
+    return record
 
 
 class TestCritpathShift:
-    def _ledgered(self, run_id, dominant):
-        record = rec(run_id=run_id)
-        record.critical_path = {
-            "dominant": dominant,
-            "buckets": {dominant: record.cycles},
-        }
-        return record
-
     def test_dominant_shift_warns(self):
         findings = regress_store([
-            self._ledgered("a", "memory"),
-            self._ledgered("b", "speculation"),
+            ledgered("a", "memory"),
+            ledgered("b", "speculation"),
         ])
         shifts = [f for f in findings if f.rule == "critpath-shift"]
         assert len(shifts) == 1
@@ -98,16 +70,16 @@ class TestCritpathShift:
 
     def test_stable_dominant_is_quiet(self):
         findings = regress_store([
-            self._ledgered("a", "memory"),
-            self._ledgered("b", "memory"),
+            ledgered("a", "memory"),
+            ledgered("b", "memory"),
         ])
         assert [f for f in findings if f.rule == "critpath-shift"] == []
 
     def test_unledgered_runs_are_skipped(self):
         findings = regress_store([
-            self._ledgered("a", "memory"),
+            ledgered("a", "memory"),
             rec(run_id="b"),
-            self._ledgered("c", "memory"),
+            ledgered("c", "memory"),
         ])
         assert [f for f in findings if f.rule == "critpath-shift"] == []
 
@@ -117,12 +89,12 @@ class TestRendering:
         assert format_regressions([], "all clear") == "all clear"
 
     def test_fails_sort_before_warnings(self):
-        records = [rec(1000, wall=1.0, run_id=f"{i:06d}") for i in range(3)]
-        records.append(rec(1007, wall=4.0, run_id="000004"))
+        records = [ledgered("000001", "memory"),
+                   ledgered("000002", "speculation", cycles=1007)]
         text = format_regressions(regress_store(records))
         assert text.startswith("1 regression(s), 1 warning(s):")
         assert text.index("FAIL [cycle-drift]") \
-            < text.index("warn [wall-clock]")
+            < text.index("warn [critpath-shift]")
         assert "->" in text   # diagnosis lines ride along
 
 

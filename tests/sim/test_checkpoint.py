@@ -166,6 +166,44 @@ class TestSnapshotRevive:
         # The revived run left the original run's consumers as they were.
         assert outputs(sim, result) == original
 
+    def test_revived_lanes_allocate_and_release_without_rekeying(self):
+        """A lane is the instance its token holds: a revived clone's
+        engines allocate and free lanes on the copied instances, and the
+        frozen clone's lanes stay as they were."""
+        from repro.sim.invariants import InvariantChecker
+
+        def lanes(sim):
+            return {name: [(entry[:2], entry[2].value)
+                           for entry in engine._order]
+                    for name, engine in sim.engines.items()}
+
+        # Dense: no stage sleeps, so a check between steps is exact.
+        sim = AcceleratorSim(_spec("SPEC-BFS"), platform=HARP,
+                             config=SimConfig(engine="dense"))
+        _advance(sim, 300)
+        frozen = snapshot(sim)
+        before = lanes(frozen)
+        resumed = revive(frozen)
+        checker = InvariantChecker(resumed)
+        token = next(token for token, _refs in checker.walk_tokens()
+                     if token.lanes)
+        engine, instance = token.lanes[0]
+        assert any(entry[2] is instance for entry in engine._order)
+        occupancy = engine.occupancy
+        args = {p: 0 for p in engine.rule_type.params if p != "my_index"}
+        extra = engine.try_alloc(token.index, args, owner_uid=-7)
+        assert extra is not None and engine.occupancy == occupancy + 1
+        engine.release(extra)
+        token.lanes.pop(0)
+        engine.release(instance)
+        assert engine.occupancy == occupancy - 1
+        assert all(entry[2] is not instance for entry in engine._order)
+        checker.check()  # the revived lanes are still the tokens' lanes
+        assert lanes(frozen) == before
+        again = revive(frozen)
+        InvariantChecker(again).check()
+        assert again.run().cycles == sim.run().cycles
+
     def test_host_feed_replay(self):
         reference = AcceleratorSim(_hosted_spec(), platform=HARP).run()
 

@@ -108,8 +108,8 @@ def _brute_force_wakeup(sim, now: int) -> int:
     candidates = [NEVER, sim.ff._next_broadcast_cycle(now)]
     candidates += [cycle for cycle, _order in sim.alarms]
     candidates += [entry[0] for entry in sim._event_heap]
-    if sim.host._transfer_req is not None:
-        candidates.append(sim.memory.done_at(sim.host._transfer_req))
+    if sim.host._transfer_done is not None:
+        candidates.append(sim.host._transfer_done)
     for source in (sim.faults, sim.checkpoints):
         if source is not None:
             candidates.append(source.next_event_cycle(now))

@@ -148,20 +148,17 @@ class TestMemoryMisuse:
         with pytest.raises(SimulationError):
             MemorySystem(HarpPlatform(cache_bytes=1000))
 
-    def test_done_at_unknown_request(self):
-        memory = MemorySystem(HARP)
-        with pytest.raises(SimulationError, match="unknown memory request"):
-            memory.done_at(12345)
-
     def test_retire_unknown_request(self):
         memory = MemorySystem(HARP)
         with pytest.raises(SimulationError,
-                           match="retire of unknown memory request"):
-            memory.retire(12345)
+                           match="no memory request outstanding"):
+            memory.retire()
 
     def test_double_retire_rejected(self):
         memory = MemorySystem(HARP)
-        req = memory.issue_load(0, 0)
-        memory.retire(req)
-        with pytest.raises(SimulationError, match=str(req)):
-            memory.retire(req)
+        memory.issue_load(0, 0)
+        memory.retire()
+        with pytest.raises(SimulationError,
+                           match="no memory request outstanding"):
+            memory.retire()
+        assert memory.in_flight == 0

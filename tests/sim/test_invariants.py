@@ -165,10 +165,29 @@ class TestKeptCounters:
             sim.checker.check()
         assert excinfo.value.invariant == "memory-horizon"
 
+    def test_memory_outstanding_drift_caught(self):
+        """The memory system counts its outstanding requests; the scan
+        counts the ones the stations and the host hold."""
+        sim = _sim(check_interval=INTERVAL)
+        _step_until(sim, lambda s: s.memory.in_flight > 0)
+        sim.memory.in_flight += 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.checker.check()
+        assert excinfo.value.invariant == "memory-outstanding"
+
+    def test_unretired_request_trips_drain(self):
+        sim = _sim()
+        sim.run()
+        sim.memory.issue_load(sim.cycle, 0)  # a request no one retires
+        with pytest.raises(InvariantViolation) as excinfo:
+            InvariantChecker(sim).check(at_drain=True)
+        assert "[drain] MemorySystem: 1 request(s) never retired" \
+            in str(excinfo.value)
+
     def test_lane_order_drift_caught(self):
         sim = _sim(check_interval=INTERVAL)
-        _step_until(sim, lambda s: any(e.lanes for e in s._engine_list))
-        engine = next(e for e in sim._engine_list if e.lanes)
+        _step_until(sim, lambda s: any(e.occupancy for e in s._engine_list))
+        engine = next(e for e in sim._engine_list if e.occupancy)
         engine._order.pop()
         with pytest.raises(InvariantViolation) as excinfo:
             sim.checker.check()

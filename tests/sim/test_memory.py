@@ -80,33 +80,34 @@ class TestChannel:
 class TestMemorySystem:
     def test_load_hit_latency(self):
         memory = MemorySystem(PLATFORM)
-        memory.issue_load(0, 64)          # warm the line
-        req = memory.issue_load(100, 64)  # hit
-        assert memory.done_at(req) == 100 + PLATFORM.cache_hit_cycles
+        memory.issue_load(0, 64)           # warm the line
+        done = memory.issue_load(100, 64)  # hit
+        assert done == 100 + PLATFORM.cache_hit_cycles
 
     def test_load_miss_slower_than_hit(self):
         memory = MemorySystem(PLATFORM)
         miss = memory.issue_load(0, 0)
         hit = memory.issue_load(1000, 0)
-        assert memory.done_at(miss) - 0 > PLATFORM.cache_hit_cycles
+        assert miss - 0 > PLATFORM.cache_hit_cycles
         # The second load is to a different line and also misses.
-        assert memory.done_at(hit) > PLATFORM.cache_hit_cycles
+        assert hit > PLATFORM.cache_hit_cycles
 
     def test_ready_and_retire(self):
+        """The holder keeps the completion cycle; a retire frees one
+        outstanding request, and a retire with none outstanding raises."""
         memory = MemorySystem(PLATFORM)
-        req = memory.issue_load(0, 0)
-        assert not memory.ready(0, req)
-        done = memory.done_at(req)
-        assert memory.ready(done, req)
-        memory.retire(req)
+        done = memory.issue_load(0, 0)
+        assert done > 0 and memory.in_flight == 1
+        memory.retire()
+        assert memory.in_flight == 0
         with pytest.raises(SimulationError):
-            memory.ready(done, req)
+            memory.retire()
 
     def test_stream_consumes_bandwidth(self):
         memory = MemorySystem(PLATFORM)
-        req = memory.issue_stream(0, 3500)
+        done = memory.issue_stream(0, 3500)
         # 100 cycles transfer + 40 latency.
-        assert memory.done_at(req) == 140
+        assert done == 140
         assert memory.stats.bytes_transferred == 3500
 
     def test_store_posted_untracked(self):
@@ -117,9 +118,9 @@ class TestMemorySystem:
 
     def test_pending(self):
         memory = MemorySystem(PLATFORM)
-        req = memory.issue_load(0, 0)
+        done = memory.issue_load(0, 0)
         assert memory.pending(0)
-        assert not memory.pending(memory.done_at(req))
+        assert not memory.pending(done)
 
     def test_hit_statistics(self):
         memory = MemorySystem(PLATFORM)

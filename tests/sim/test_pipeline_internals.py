@@ -6,7 +6,7 @@ from repro.apps.registry import build_app
 from repro.eval.platforms import HARP
 from repro.sim.accelerator import AcceleratorSim, SimConfig
 from repro.sim.pipeline import PipelineInstance, SourceStage
-from repro.sim.stages import RendezvousStage, SwitchStage
+from repro.sim.stages import ExpandStage, RendezvousStage, SwitchStage
 from repro.substrates.graphs import random_graph
 
 GRAPH = random_graph(40, 90, seed=111)
@@ -75,6 +75,25 @@ class TestDiagnostics:
     def test_stuck_report_empty_before_run(self, bfs_sim):
         for pipeline in bfs_sim.pipelines:
             assert pipeline.stuck_report() == []
+
+    def test_stuck_report_lists_held_expansions(self, bfs_sim):
+        """An Expand stage's held expansions count as its internal work,
+        as a station's requests do."""
+        bfs_sim.host.start()
+        bfs_sim._started = True
+        expands = [s for s in bfs_sim._stages if isinstance(s, ExpandStage)]
+        for _ in range(50):
+            bfs_sim.step()
+            holding = [s for s in expands if s._inflight]
+            if holding:
+                break
+        assert holding
+        report = [line for p in bfs_sim.pipelines
+                  for line in p.stuck_report()]
+        for stage in holding:
+            assert any(line.startswith(f"{stage.name}: ")
+                       and line.endswith(f"internal={len(stage._inflight)}")
+                       for line in report), report
 
     def test_busy_false_when_idle(self, bfs_sim):
         for pipeline in bfs_sim.pipelines:

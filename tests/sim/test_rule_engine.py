@@ -1,5 +1,7 @@
 """Tests for the simulated rule engines (lanes, event bus, otherwise)."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from repro.core.indexing import TaskIndex
 from repro.core.rule import RuleVerdict
 from repro.eval.platforms import HARP
 from repro.sim.accelerator import AcceleratorSim
+from repro.sim.invariants import InvariantChecker
 from repro.sim.rule_engine import RuleEngineSim
 from repro.substrates.graphs.generators import rmat_graph
 
@@ -237,11 +240,14 @@ class TestKeptOrdersInSimulation:
                              platform=HARP.scaled(bandwidth))
         sim.host.start()
         sim._started = True
+        walk = InvariantChecker(sim).walk_tokens
         peak = 0
         while sim._work_remaining():
             sim.step()
+            held = Counter(engine.name for token, _refs in walk()
+                           for engine, _instance in token.lanes)
             for engine in sim._engine_list:
-                live = len(engine.lanes)
+                live = held[engine.name]
                 assert len(engine._order) == live
                 assert len(engine._waiting) <= live
                 peak = max(peak, live)

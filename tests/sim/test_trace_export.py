@@ -46,7 +46,7 @@ class TestChromeTraceSchema:
         tracer.on_stall(1, "s.alu", StallReason.MEMORY, 1)
         tracer.on_activate(1, 0, "seed", -1, "bfs", 3)
         tracer.on_awaited(2, "s.rv", 0, "visit")
-        tracer.on_load(2, 64, 8, False, 42, 0)
+        tracer.on_load(2, 64, 8, False, 42)
         tracer.on_checkpoint(3, 1)
         doc = tracer.chrome_trace()
         events = doc["traceEvents"]

@@ -77,7 +77,7 @@ class TestPrefetcher:
         memory = MemorySystem(HarpPlatform(), prefetch=True)
         memory.issue_load(0, 0)        # miss -> prefetches line 1
         assert memory.stats.prefetches == 1
-        req = memory.issue_load(0, 64)  # prefetched line: hit
+        memory.issue_load(0, 64)  # prefetched line: hit
         assert memory.stats.load_hits == 1
 
     def test_prefetch_off_by_default(self):
