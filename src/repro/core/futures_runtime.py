@@ -4,348 +4,136 @@ The paper lists the possible software implementations of the abstraction:
 "A C++ implementation based on std::thread, std::async and std::future is
 provided for debugging ... any language supporting asynchronous programming
 paradigms with futures and promises might be used."  This is that
-implementation in Python: worker threads execute tasks concurrently, each
-rule's return value is a :class:`concurrent.futures.Future` the parent task
-blocks on at its rendezvous, and a scheduler lock protects the workset,
-the event bus, and the minimum-live bookkeeping that drives the otherwise
-clauses.
+implementation in Python: worker threads execute tasks concurrently, and a
+parent task blocks on a :class:`concurrent.futures.Future` for its rule's
+return value at the rendezvous.
 
-Like the step-based :class:`~repro.core.runtime.AggressiveRuntime`, this
-runtime exists for debugging specifications under *real* concurrency — the
-interleavings come from the OS scheduler rather than a deterministic
-round-robin, so races that survive both interpreters are very likely
-protocol bugs, not luck.
+Only the scheduling is about threads.  Each worker pops the minimum active
+task and steps its :class:`~repro.core.runtime.TaskExecution` one op per
+hold of the scheduler lock; the op semantics, activation, the event bus,
+the minimum-live bookkeeping that drives the otherwise clauses and the
+host feed are the step-based
+:class:`~repro.core.runtime.AggressiveRuntime`'s.  The interleavings come
+from the OS scheduler rather than a deterministic round-robin, so races
+that survive both schedulers are very likely protocol bugs, not luck.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import threading
-from concurrent.futures import Future
-from dataclasses import dataclass, field
+from concurrent.futures import Future, TimeoutError as FutureTimeout
 from typing import Any
 
-from repro.core.events import Event, EventKind
 from repro.core.indexing import TaskIndex
-from repro.core.kernel import (
-    AllocRule,
-    Alu,
-    Call,
-    Const,
-    Enqueue,
-    Expand,
-    Guard,
-    Label,
-    Load,
-    Op,
-    Rendezvous,
-    Store,
-)
 from repro.core.rule import RuleInstance
+from repro.core.runtime import AggressiveRuntime, RuntimeStats, TaskExecution
 from repro.core.spec import ApplicationSpec
-from repro.errors import SchedulingError, SimulationError
+from repro.core.task import TaskInstance
+from repro.errors import SchedulingError
 
 
-@dataclass
-class FuturesStats:
-    tasks_executed: int = 0
-    tasks_committed: int = 0
-    tasks_squashed: int = 0
-    rules_allocated: int = 0
-    events_broadcast: int = 0
-    threads: int = 0
-    errors: list = field(default_factory=list)
-
-
-class _LiveRule:
-    """A rule instance paired with the future its parent blocks on."""
-
-    def __init__(self, instance: RuleInstance, owner_uid: int) -> None:
-        self.instance = instance
-        self.owner_uid = owner_uid
-        self.future: Future = Future()
-        self.awaited = False
-
-    def maybe_resolve(self) -> None:
-        if self.instance.returned and not self.future.done():
-            self.future.set_result(self.instance.value)
-
-
-class FuturesRuntime:
+class FuturesRuntime(AggressiveRuntime):
     """Thread-pool execution of a specification with future-based rules."""
 
     def __init__(self, spec: ApplicationSpec, threads: int = 4,
                  timeout_s: float = 120.0) -> None:
-        if threads < 1:
-            raise SchedulingError("need at least one thread")
-        self.spec = spec
-        self.threads = threads
+        super().__init__(spec, workers=threads)
         self.timeout_s = timeout_s
-        self.state = spec.make_state()
-        self.minter = spec.make_loop_nest()
-        self.stats = FuturesStats(threads=threads)
-
-        self._lock = threading.RLock()
-        self._work_available = threading.Condition(self._lock)
-        self._heap: list[tuple[tuple, int, str, dict]] = []
-        self._serial = itertools.count()
-        self._uid = itertools.count()
-        self._executing: dict[int, TaskIndex] = {}
-        self._live_rules: list[_LiveRule] = []
-        self._outstanding = 0      # queued + executing tasks
+        # Guards all runtime state; idle workers wait on it for work.
+        self._lock = threading.Condition()
+        # The rule each blocked parent waits on, with its future.
+        self._blocked: list[tuple[RuleInstance, Future]] = []
         self._stop = False
-        self._host_batches = (
-            spec.host_feed.batches(self.state)
-            if spec.host_feed is not None else None
-        )
+        self._error: Exception | None = None
 
-    # -- scheduling core (all under self._lock) -----------------------------
+    def activate(self, task_set: str, fields: dict[str, Any],
+                 parent: TaskIndex | None,
+                 source: TaskExecution | None) -> TaskInstance:
+        task = super().activate(task_set, fields, parent, source)
+        self._lock.notify()
+        return task
 
-    def _activate(self, task_set: str, fields: dict[str, Any],
-                  parent: TaskIndex | None) -> None:
-        index = self.minter.mint(task_set, fields, parent)
-        heapq.heappush(
-            self._heap,
-            (index.positions, next(self._serial), task_set, fields),
-        )
-        self._outstanding += 1
-        self._broadcast(
-            Event(EventKind.ACTIVATE, task_set, "", index, dict(fields)),
-            source_uid=-1,
-        )
-        self._work_available.notify_all()
+    # -- the worker loop (scheduling under self._lock) ----------------------
 
-    def _broadcast(self, event: Event, source_uid: int) -> None:
-        self.stats.events_broadcast += 1
-        for live in self._live_rules:
-            if live.owner_uid == source_uid:
-                continue
-            live.instance.observe(event)
-            live.maybe_resolve()
+    def _take_task(self) -> TaskExecution | None:
+        """The minimum active task, once there is one; None at the end."""
+        while not self._stop:
+            task = self.pop_min_active()
+            if task is not None:
+                execution = TaskExecution(self, task)
+                self.in_flight.append(execution)
+                self.stats.tasks_executed += 1
+                return execution
+            if self.in_flight:
+                self._lock.wait()
+            elif not self.feed_host_batch():
+                self._stop = True
+                self._lock.notify_all()
+        return None
 
-    def _min_live(self) -> TaskIndex | None:
-        candidates = list(self._executing.values())
-        if self._heap:
-            candidates.append(TaskIndex(self._heap[0][0]))
-        return min(candidates) if candidates else None
-
-    def _trigger_otherwise(self) -> None:
-        minimum = self._min_live()
-        for live in list(self._live_rules):
-            if not live.awaited or live.instance.returned:
-                continue
-            parent = live.instance.parent_index
-            if minimum is None or not minimum.earlier_than(parent):
-                live.instance.trigger_otherwise()
-                live.maybe_resolve()
-
-    def _release_rule(self, live: _LiveRule) -> None:
-        if live in self._live_rules:
-            self._live_rules.remove(live)
-
-    def _feed_host(self) -> bool:
-        if self._host_batches is None:
-            return False
-        batch = next(self._host_batches, None)
-        if batch is None:
-            self._host_batches = None
-            return False
-        for task_set, fields in batch:
-            self._activate(task_set, dict(fields), parent=None)
-        return True
-
-    # -- the worker loop -----------------------------------------------------
+    def _step(self, execution: TaskExecution) -> Future | None:
+        """One op of ``execution``, then the otherwise clauses the minimum
+        allows; returns the future to block on at a waiting rendezvous."""
+        execution.step()
+        self.stats.steps += 1
+        self.trigger_otherwise_for_minimum(self.min_live_index())
+        blocked = []
+        for rule, future in self._blocked:
+            if rule.returned:
+                future.set_result(rule.value)
+            else:
+                blocked.append((rule, future))
+        self._blocked = blocked
+        if execution.done:
+            self.in_flight.remove(execution)
+            self._lock.notify_all()
+            return None
+        if not execution.waiting or execution.pending_rules[0].returned:
+            return None
+        future: Future = Future()
+        self._blocked.append((execution.pending_rules[0], future))
+        return future
 
     def _worker(self) -> None:
-        while True:
-            with self._lock:
-                while not self._heap and not self._stop:
-                    if self._outstanding == 0 and not self._feed_host():
-                        self._stop = True
-                        self._work_available.notify_all()
-                        break
-                    if self._heap:
-                        break
-                    self._work_available.wait(timeout=0.05)
-                if self._stop and not self._heap:
+        try:
+            while True:
+                with self._lock:
+                    execution = self._take_task()
+                if execution is None:
                     return
-                positions, _, task_set, fields = heapq.heappop(self._heap)
-                index = TaskIndex(positions)
-                uid = next(self._uid)
-                self._executing[uid] = index
-                self.stats.tasks_executed += 1
-            try:
-                self._execute_task(uid, task_set, index, dict(fields))
-            except Exception as error:  # propagate to run()
-                with self._lock:
-                    self.stats.errors.append(error)
-                    self._stop = True
-                    self._work_available.notify_all()
-                return
-            finally:
-                with self._lock:
-                    # completes_task Calls may have released the entry.
-                    self._executing.pop(uid, None)
-                    self._outstanding -= 1
-                    self._trigger_otherwise()
-                    self._work_available.notify_all()
-
-    # -- task-body interpreter --------------------------------------------------
-
-    def _execute_task(self, uid: int, task_set: str, index: TaskIndex,
-                      env: dict[str, Any]) -> None:
-        kernel = self.spec.kernels[task_set]
-        committed = self._execute_ops(
-            uid, task_set, index, env, list(kernel.ops)
-        )
-        with self._lock:
-            if committed:
-                self.stats.tasks_committed += 1
-
-    def _execute_ops(self, uid: int, task_set: str, index: TaskIndex,
-                     env: dict[str, Any], ops: list[Op]) -> bool:
-        """Run ops; returns False when the token was squashed/dropped."""
-        pending_rules: list[_LiveRule] = []
-        try:
-            for position, op in enumerate(ops):
-                if isinstance(op, Const):
-                    env[op.dst] = op.value
-                elif isinstance(op, Alu):
-                    env[op.dst] = op.fn(env)
-                elif isinstance(op, Load):
+                while not execution.done:
                     with self._lock:
-                        env[op.dst] = self.state.load(op.region,
-                                                      op.addr(env))
-                elif isinstance(op, Store):
-                    self._do_store(uid, task_set, index, env, op)
-                elif isinstance(op, Label):
-                    payload = (
-                        {k: env[k] for k in op.payload} if op.payload
-                        else dict(env)
-                    )
-                    with self._lock:
-                        self._broadcast(
-                            Event(EventKind.REACH, task_set, op.label,
-                                  index, payload),
-                            source_uid=uid,
-                        )
-                elif isinstance(op, Guard):
-                    if not op.pred(env):
-                        self._execute_ops(uid, task_set, index, env,
-                                          list(op.else_ops))
-                        return False
-                elif isinstance(op, Expand):
-                    with self._lock:
-                        items = list(op.items(env, self.state))
-                    rest = ops[position + 1:]
-                    for extra in items:
-                        child = dict(env)
-                        child.update(extra)
-                        self._execute_ops(uid, task_set, index, child, rest)
-                    return True
-                elif isinstance(op, AllocRule):
-                    rule_type = self.spec.rules[op.resolve(env)]
-                    with self._lock:
-                        instance = rule_type.instantiate(
-                            index, dict(op.args(env))
-                        )
-                        live = _LiveRule(instance, uid)
-                        self._live_rules.append(live)
-                        self.stats.rules_allocated += 1
-                    pending_rules.append(live)
-                elif isinstance(op, Rendezvous):
-                    if not pending_rules:
+                        if self._stop:
+                            return
+                        future = self._step(execution)
+                    if future is None:
+                        continue
+                    try:
+                        # Outside the lock: a waiting rendezvous retries
+                        # once the rule has returned.
+                        future.result(timeout=self.timeout_s)
+                    except FutureTimeout:  # not the builtin before 3.11
                         raise SchedulingError(
-                            f"rendezvous {op.label!r} without a rule"
-                        )
-                    live = pending_rules.pop(0)
-                    verdict = self._await_rule(live)
-                    if not verdict:
-                        with self._lock:
-                            self.stats.tasks_squashed += 1
-                        self._execute_ops(uid, task_set, index, env,
-                                          list(op.abort_ops))
-                        return False
-                elif isinstance(op, Enqueue):
-                    if op.when is None or op.when(env):
-                        with self._lock:
-                            self._activate(op.task_set,
-                                           dict(op.fields(env)), index)
-                elif isinstance(op, Call):
-                    with self._lock:
-                        updates = op.fn(env, self.state)
-                        if updates:
-                            env.update(updates)
-                        if op.label:
-                            self._broadcast(
-                                Event(EventKind.REACH, task_set, op.label,
-                                      index, dict(env)),
-                                source_uid=uid,
-                            )
-                        if op.completes_task:
-                            self._executing.pop(uid, None)
-                            self._trigger_otherwise()
-                else:
-                    raise SimulationError(f"unknown op {op!r}")
-            return True
-        finally:
+                            "rendezvous timed out — liveliness violation"
+                        ) from None
+        except Exception as error:  # propagate to run()
             with self._lock:
-                for live in pending_rules:
-                    self._release_rule(live)
-
-    def _do_store(self, uid: int, task_set: str, index: TaskIndex,
-                  env: dict[str, Any], op: Store) -> None:
-        with self._lock:
-            addr = op.addr(env)
-            value = op.value(env)
-            if op.combine is not None or op.dst:
-                old = self.state.load(op.region, addr)
-                if op.dst:
-                    env[op.dst] = old
-                if op.combine is not None:
-                    value = op.combine(old, value)
-            self.state.store(op.region, addr, value)
-            payload = {"addr": self.state.address(op.region, addr),
-                       "value": value}
-            for name in op.extra_payload:
-                payload[name] = env[name]
-            self._broadcast(
-                Event(EventKind.REACH, task_set, op.label or op.region,
-                      index, payload),
-                source_uid=uid,
-            )
-
-    def _await_rule(self, live: _LiveRule) -> bool:
-        with self._lock:
-            live.awaited = True
-            if live.instance.rule_type.immediate and \
-                    not live.instance.returned:
-                live.instance.trigger_otherwise()
-            live.maybe_resolve()
-            self._trigger_otherwise()
-        try:
-            verdict = bool(live.future.result(timeout=self.timeout_s))
-        except TimeoutError:
-            raise SchedulingError(
-                "rendezvous timed out — liveliness violation"
-            ) from None
-        with self._lock:
-            self._release_rule(live)
-        return verdict
+                if self._error is None:
+                    self._error = error
+                self._stop = True
+                for _rule, future in self._blocked:
+                    future.cancel()
+                self._lock.notify_all()
 
     # -- entry point --------------------------------------------------------------
 
-    def run(self) -> FuturesStats:
+    def run(self) -> RuntimeStats:
         with self._lock:
-            for task_set, fields in self.spec.initial_tasks(self.state):
-                self._activate(task_set, dict(fields), parent=None)
-            if self._outstanding == 0:
-                self._feed_host()
+            self.seed()
         workers = [
             threading.Thread(target=self._worker, daemon=True,
                              name=f"repro-worker-{i}")
-            for i in range(self.threads)
+            for i in range(self.workers)
         ]
         for worker in workers:
             worker.start()
@@ -353,7 +141,7 @@ class FuturesRuntime:
             worker.join(timeout=self.timeout_s)
             if worker.is_alive():
                 raise SchedulingError("worker thread hung")
-        if self.stats.errors:
-            raise self.stats.errors[0]
+        if self._error is not None:
+            raise self._error
         self.spec.verify(self.state)
         return self.stats

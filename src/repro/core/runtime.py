@@ -1,6 +1,8 @@
 """Software runtimes: the reference interpreters for specifications.
 
-Three interpreters over the same :class:`~repro.core.spec.ApplicationSpec`:
+Three drivers over the same :class:`~repro.core.spec.ApplicationSpec`, all
+stepping task bodies through one :class:`TaskExecution`, the micro-thread
+that applies a task body's primitive ops functionally to the MemorySpace:
 
 * :class:`SequentialRuntime` — Definition 4.3: repeatedly apply the minimum
   active task.  Rules trivially resolve through their otherwise clause (the
@@ -13,9 +15,9 @@ Three interpreters over the same :class:`~repro.core.spec.ApplicationSpec`:
   per step, events are broadcast to live rules, and rendezvous block until
   rules return.  This exposes the interleavings the FPGA pipelines create,
   without timing.
-
-All interpreters share :class:`TaskExecution`, the micro-thread that steps a
-task body's primitive ops functionally against the MemorySpace.
+* :class:`~repro.core.futures_runtime.FuturesRuntime` — Section 4.4's
+  threads-and-futures implementation: the aggressive runtime's workers
+  become OS threads, and a parent blocks on a future at its rendezvous.
 """
 
 from __future__ import annotations
@@ -276,9 +278,9 @@ class _BaseRuntime:
         self.stats = RuntimeStats()
         self._heap: list[tuple[tuple, int, TaskInstance]] = []
         self._counter = itertools.count()
+        # Live rules keyed by id(rule): a rule is released once, by a
+        # holder of it, so its id names no other rule while it is here.
         self._live_rules: dict[int, tuple[RuleInstance, TaskExecution]] = {}
-        self._rule_ids = itertools.count()
-        self._rule_owner_uid: dict[int, int] = {}
         self._host_batches: Iterator[list[SeedTask]] | None = None
         if spec.host_feed is not None:
             self._host_batches = spec.host_feed.batches(self.state)
@@ -332,9 +334,7 @@ class _BaseRuntime:
     # -- rules and events ---------------------------------------------------------
 
     def register_rule(self, rule: RuleInstance, owner: TaskExecution) -> None:
-        rule_id = next(self._rule_ids)
-        self._live_rules[rule_id] = (rule, owner)
-        self._rule_owner_uid[id(rule)] = owner.task.uid
+        self._live_rules[id(rule)] = (rule, owner)
         self.stats.rules_allocated += 1
 
     def release_rule(self, rule: RuleInstance) -> None:
@@ -344,10 +344,7 @@ class _BaseRuntime:
             self.stats.otherwise_fired += 1
         elif rule.returned:
             self.stats.clause_fired += 1
-        dead = [k for k, (r, _) in self._live_rules.items() if r is rule]
-        for key in dead:
-            del self._live_rules[key]
-        self._rule_owner_uid.pop(id(rule), None)
+        del self._live_rules[id(rule)]
 
     def broadcast(self, event: Event, source: TaskExecution | None) -> None:
         self.stats.events_broadcast += 1

@@ -45,6 +45,11 @@ class HostFeed:
     simulator charges each batch's transfer to the QPI channel (host->FPGA
     direction), which is what makes these applications' speedup scale
     linearly with bandwidth in Figure 10.
+
+    Every batch must follow from the initial state alone (SPEC-DMR's bad
+    triangles of the starting mesh, COOR-LU's precomputed task list): the
+    simulator draws them all at cycle 0, before any task runs, so a
+    checkpoint keeps only its position in the drawn list.
     """
 
     batches: Callable[[MemorySpace], Iterator[list[SeedTask]]]

@@ -11,12 +11,7 @@ pristine so the same snapshot can absorb repeated rollbacks.
 Nothing in the copied graph is keyed by object identity, which a deep
 copy changes: a rule lane is the instance its token holds, and the
 engine's kept orders sort on parent positions and an allocation sequence
-number, which a copy preserves.  One object-graph subtlety makes this
-more than ``copy.deepcopy(sim)``: a host feed is a live generator (not
-copyable).  The host adapter logs every batch it pulls, and a restored
-run first *replays* the logged batches past its cursor before touching
-the shared generator — see
-:meth:`repro.sim.host.HostAdapter.enable_replay`.
+number, which a copy preserves.
 """
 
 from __future__ import annotations
@@ -28,19 +23,14 @@ from dataclasses import dataclass, field
 def _shared_roots(sim) -> list:
     """Objects shared (not copied) between a simulator and its clones.
 
-    These are either immutable build artifacts, diagnostics that should
-    keep observing the live run, or objects that cannot be deep-copied
-    (the host-feed generator).
+    These are either immutable build artifacts (the host feed's batches
+    among them) or diagnostics that should keep observing the live run.
     """
-    shared = [sim.spec, sim.platform, sim.config, sim.datapath]
+    shared = [sim.spec, sim.platform, sim.config, sim.datapath,
+              sim.host._batches]
     for extra in (sim.faults, sim.checker, sim.checkpoints):
         if extra is not None:
             shared.append(extra)
-    host = sim.host
-    if host._batches is not None:
-        shared.append(host._batches)
-    if host._batch_log is not None:
-        shared.append(host._batch_log)
     for pipeline in sim.pipelines:
         for stage in pipeline.stages:
             if stage.op is not None:
@@ -105,7 +95,6 @@ class CheckpointManager:
         self.captures = 0
         self.rollbacks = 0
         self._next_capture = 0
-        sim.host.enable_replay()
 
     # -- capture --------------------------------------------------------------
 

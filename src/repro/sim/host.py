@@ -11,7 +11,6 @@ for SPEC-DMR and COOR-LU.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator
 
 from repro.core.indexing import TaskIndex
 from repro.core.spec import ApplicationSpec, SeedTask
@@ -24,42 +23,15 @@ class HostAdapter:
     def __init__(self, ctx, spec: ApplicationSpec) -> None:
         self.ctx = ctx
         self.spec = spec
-        self._batches: Iterator[list[SeedTask]] | None = None
+        # The host feed's batches, drawn whole at start() (a checkpoint
+        # shares them), and the next one's position.
+        self._batches: list[list[SeedTask]] = []
+        self._next = 0
         self._pending: list[SeedTask] | None = None
         # Completion cycle of the in-flight batch DMA (None when none).
         self._transfer_done: int | None = None
         self._exhausted = spec.host_feed is None
         self.batches_sent = 0
-        # Checkpoint replay: the generator cannot be deep-copied, so when
-        # checkpointing is enabled every batch pulled from it is logged
-        # (``_batch_log`` is shared across clones by identity) and a
-        # restored run replays the log past its own ``_batch_cursor``
-        # before pulling the live generator again.
-        self._batch_log: list[list[SeedTask] | None] | None = None
-        self._batch_cursor = 0
-        if spec.host_feed is not None:
-            self._batches = spec.host_feed.batches(ctx.state)
-
-    def enable_replay(self) -> None:
-        """Start logging pulled batches (required before checkpointing)."""
-        if self._batch_log is None:
-            self._batch_log = []
-
-    def _next_batch(self) -> list[SeedTask] | None:
-        if self._batch_log is None:
-            if self._batches is None:
-                return None
-            return next(self._batches, None)
-        if self._batch_cursor < len(self._batch_log):
-            batch = self._batch_log[self._batch_cursor]
-        else:
-            batch = (
-                next(self._batches, None)
-                if self._batches is not None else None
-            )
-            self._batch_log.append(batch)
-        self._batch_cursor += 1
-        return batch
 
     def start(self) -> None:
         """Seed the initial tasks (free: they are enqueued before t=0).
@@ -76,17 +48,18 @@ class HostAdapter:
                     f"overflow its task queue, which holds {capacity}")
         for task_set, fields in seeds:
             self.ctx.activate(task_set, dict(fields), parent=None)
+        if self.spec.host_feed is not None:
+            self._batches = list(self.spec.host_feed.batches(self.ctx.state))
         self._advance_batch()
 
     def _advance_batch(self) -> None:
-        if self.spec.host_feed is None:
-            self._update_horizon()
-            return
-        self._pending = self._next_batch()
-        if self._pending is None:
+        if self._next == len(self._batches):
+            self._pending = None
             self._exhausted = True
             self._update_horizon()
             return
+        self._pending = self._batches[self._next]
+        self._next += 1
         # tick() injects a batch whole, once every target queue has room
         # for its share: a share beyond a queue's capacity never fits.
         shares = Counter(task_set for task_set, _ in self._pending)

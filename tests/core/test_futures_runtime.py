@@ -1,19 +1,14 @@
 """Tests for the threaded futures/promises runtime (Section 4.4)."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.apps.registry import build_app
 from repro.core.eca import compile_rule
 from repro.core.futures_runtime import FuturesRuntime
-from repro.core.kernel import (
-    AllocRule,
-    Enqueue,
-    Guard,
-    Kernel,
-    Rendezvous,
-    Store,
-)
+from repro.core.kernel import Alu, AllocRule, Kernel, Rendezvous, Store
 from repro.core.spec import ApplicationSpec, make_task_sets
 from repro.core.state import MemorySpace
 from repro.errors import SchedulingError
@@ -35,9 +30,10 @@ CASES = [
 
 @pytest.mark.parametrize("name,builder", CASES)
 def test_apps_verify_under_real_threads(name, builder):
-    stats = FuturesRuntime(builder(), threads=4).run()
-    assert stats.tasks_executed > 0
-    assert not stats.errors
+    for threads in (1, 4, 6):
+        stats = FuturesRuntime(builder(), threads=threads).run()
+        assert 0 < stats.tasks_committed <= stats.tasks_executed
+        assert stats.steps >= stats.tasks_executed
 
 
 def test_single_thread_works():
@@ -51,35 +47,46 @@ def test_thread_count_validated():
 
 
 def test_repeated_runs_all_verify():
-    """Different OS interleavings every run; all must converge."""
-    for _ in range(3):
-        FuturesRuntime(build_app("SPEC-SSSP", GRAPH, 0), threads=6).run()
+    """Different OS interleavings every run; all must converge.  A short
+    switch interval hands the scheduler lock between threads often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            FuturesRuntime(build_app("SPEC-SSSP", GRAPH, 0), threads=6,
+                           timeout_s=60.0).run()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _toy_spec(ops, rules=None):
+    """One ``t`` task running ``ops`` over an eight-word ``mem`` region."""
+    def make_state():
+        state = MemorySpace()
+        state.add_array("mem", np.zeros(8, dtype=np.int64))
+        return state
+
+    return ApplicationSpec(
+        name="toy",
+        mode="speculative",
+        task_sets=make_task_sets([("t", "for-each", ("x",))]),
+        kernels={"t": Kernel("t", ops)},
+        rules=rules or {},
+        make_state=make_state,
+        initial_tasks=lambda state: [("t", {"x": 1})],
+        verify=lambda state: None,
+    )
 
 
 def test_immediate_rule_resolves_without_blocking():
     immediate = compile_rule(
         "rule now():\n  otherwise immediately return true"
     )
-
-    def make_state():
-        state = MemorySpace()
-        state.add_array("mem", np.zeros(8, dtype=np.int64))
-        return state
-
-    spec = ApplicationSpec(
-        name="toy",
-        mode="speculative",
-        task_sets=make_task_sets([("t", "for-each", ("x",))]),
-        kernels={"t": Kernel("t", [
-            AllocRule("now", lambda env: {}),
-            Rendezvous("rv"),
-            Store("mem", lambda env: 0, lambda env: 1),
-        ])},
-        rules={"now": immediate},
-        make_state=make_state,
-        initial_tasks=lambda state: [("t", {"x": 1})],
-        verify=lambda state: None,
-    )
+    spec = _toy_spec([
+        AllocRule("now", lambda env: {}),
+        Rendezvous("rv"),
+        Store("mem", lambda env: 0, lambda env: 1),
+    ], rules={"now": immediate})
     runtime = FuturesRuntime(spec, threads=2, timeout_s=10.0)
     runtime.run()
     assert runtime.state.load("mem", 0) == 1
@@ -87,27 +94,21 @@ def test_immediate_rule_resolves_without_blocking():
 
 def test_squash_counted():
     nope = compile_rule("rule nope():\n  otherwise return false")
-
-    def make_state():
-        state = MemorySpace()
-        state.add_array("mem", np.zeros(8, dtype=np.int64))
-        return state
-
-    spec = ApplicationSpec(
-        name="toy",
-        mode="speculative",
-        task_sets=make_task_sets([("t", "for-each", ("x",))]),
-        kernels={"t": Kernel("t", [
-            AllocRule("nope", lambda env: {}),
-            Rendezvous("rv"),
-            Store("mem", lambda env: 0, lambda env: 1),
-        ])},
-        rules={"nope": nope},
-        make_state=make_state,
-        initial_tasks=lambda state: [("t", {"x": 1})],
-        verify=lambda state: None,
-    )
+    spec = _toy_spec([
+        AllocRule("nope", lambda env: {}),
+        Rendezvous("rv"),
+        Store("mem", lambda env: 0, lambda env: 1),
+    ], rules={"nope": nope})
     runtime = FuturesRuntime(spec, threads=2, timeout_s=10.0)
     stats = runtime.run()
     assert stats.tasks_squashed == 1
     assert runtime.state.load("mem", 0) == 0
+
+
+def test_task_body_error_propagates_from_a_worker():
+    def fail(env):
+        raise ValueError("task body failed")
+
+    spec = _toy_spec([Alu("y", fail)])
+    with pytest.raises(ValueError, match="task body failed"):
+        FuturesRuntime(spec, threads=2, timeout_s=10.0).run()

@@ -112,6 +112,14 @@ class TestCli:
         assert main(["run", "SPEC-CC", "--workers", "4"]) == 0
         assert "VERIFIED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("app", ["COOR-LU", "SPEC-BFS"])
+    def test_run_threaded(self, app, capsys):
+        # COOR-LU is host-fed; SPEC-BFS is seeded from its graph.
+        assert main(["run", app, "--threaded", "--workers", "4"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith(f"{app}: ") and "OS threads" in line
+        assert line.endswith("VERIFIED")
+
     def test_simulate_with_trace(self, capsys):
         code = main([
             "simulate", "SPEC-CC", "--trace", "--trace-cycles", "200",

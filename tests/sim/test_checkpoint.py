@@ -208,7 +208,6 @@ class TestSnapshotRevive:
         reference = AcceleratorSim(_hosted_spec(), platform=HARP).run()
 
         sim = AcceleratorSim(_hosted_spec(), platform=HARP)
-        sim.host.enable_replay()
         _advance(sim, 60)  # mid-feed: some batches pulled, some not
         frozen = snapshot(sim)
         assert sim.run().cycles == reference.cycles

@@ -56,6 +56,20 @@ class TestCleanRuns:
         checked = _sim(check_interval=1).run()
         assert checked.cycles == plain.cycles
 
+    @pytest.mark.parametrize("app", ["SPEC-BFS", "SPEC-MST"])
+    def test_check_between_steps_has_no_false_positives(self, app):
+        """A stage whose alarm is due at the current cycle is woken by the
+        next step, so a check between steps does not hold it to the
+        stalls it slept on."""
+        sim = _sim(app)
+        checker = InvariantChecker(sim)
+        sim.host.start()
+        sim._started = True
+        while sim._work_remaining():
+            sim.step()
+            checker.check()
+        checker.check(at_drain=True)
+
     def test_checks_run_at_interval(self):
         sim = _sim(check_interval=INTERVAL)
         result = sim.run()
