@@ -13,11 +13,7 @@ from repro.core.events import Event, EventKind
 from repro.core.rule import RuleInstance, RuleType, RuleVerdict
 from repro.core.eca import compile_rule, parse_rule
 from repro.core.spec import ApplicationSpec
-from repro.core.runtime import (
-    CoordinativeRuntime,
-    SequentialRuntime,
-    SpeculativeRuntime,
-)
+from repro.core.runtime import AggressiveRuntime, SequentialRuntime
 from repro.core.futures_runtime import FuturesRuntime
 
 __all__ = [
@@ -35,7 +31,6 @@ __all__ = [
     "parse_rule",
     "ApplicationSpec",
     "SequentialRuntime",
-    "SpeculativeRuntime",
-    "CoordinativeRuntime",
+    "AggressiveRuntime",
     "FuturesRuntime",
 ]

@@ -87,12 +87,6 @@ class LoopNest:
         """M — the number of loops, hence tuple width."""
         return len(self._order)
 
-    def kind_of(self, loop: str) -> str:
-        try:
-            return self._kind[loop]
-        except KeyError:
-            raise SpecificationError(f"unknown loop {loop!r}") from None
-
     def position_of(self, loop: str) -> int:
         try:
             return self._order[loop]

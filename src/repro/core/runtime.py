@@ -9,12 +9,11 @@ that applies a task body's primitive ops functionally to the MemorySpace:
   running task is always the minimum), so sequential semantics need no rule
   machinery — exactly why the paper calls rules pure parallelization
   artifacts.
-* :class:`SpeculativeRuntime` / :class:`CoordinativeRuntime` — the
-  "pure software runtime ... to help programmers debug applications" of
-  Section 4.4: W abstract workers advance in-flight tasks one primitive op
-  per step, events are broadcast to live rules, and rendezvous block until
-  rules return.  This exposes the interleavings the FPGA pipelines create,
-  without timing.
+* :class:`AggressiveRuntime` — the "pure software runtime ... to help
+  programmers debug applications" of Section 4.4: W abstract workers
+  advance in-flight tasks one primitive op per step, events are broadcast
+  to live rules, and rendezvous block until rules return.  This exposes
+  the interleavings the FPGA pipelines create, without timing.
 * :class:`~repro.core.futures_runtime.FuturesRuntime` — Section 4.4's
   threads-and-futures implementation: the aggressive runtime's workers
   become OS threads, and a parent blocks on a future at its rendezvous.
@@ -475,11 +474,3 @@ class AggressiveRuntime(_BaseRuntime):
                 )
         self.spec.verify(self.state)
         return self.stats
-
-
-class SpeculativeRuntime(AggressiveRuntime):
-    """Aggressive runtime for speculative specifications (naming aid)."""
-
-
-class CoordinativeRuntime(AggressiveRuntime):
-    """Aggressive runtime for coordinative specifications (naming aid)."""

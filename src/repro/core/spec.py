@@ -111,16 +111,12 @@ class ApplicationSpec:
                 raise SpecificationError(
                     f"priority field {fieldname!r} not a field of {task_set!r}"
                 )
-        self._loop_order = list(self.task_sets)
 
     # -- well-order management ------------------------------------------------
 
     def make_loop_nest(self) -> "IndexMinter":
         """A fresh index minter for one execution of this application."""
         return IndexMinter(self)
-
-    def loop_position(self, task_set: str) -> int:
-        return self._loop_order.index(task_set)
 
     def rule_for_rendezvous(self, kernel: Kernel) -> dict[str, str]:
         """Map rendezvous labels to the rule allocated before them."""

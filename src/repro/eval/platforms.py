@@ -69,10 +69,6 @@ class XeonPlatform:
     def cycle_seconds(self) -> float:
         return 1.0 / self.clock_hz
 
-    @property
-    def dram_latency_cycles(self) -> float:
-        return self.dram_latency_ns * 1e-9 * self.clock_hz
-
 
 @dataclass(frozen=True)
 class StratixV:

@@ -1,4 +1,4 @@
-"""The sweep runner: serial or process-pool execution of SimJobs.
+"""The sweep runner: one scheduling loop over an inline or a pool executor.
 
 Guarantees, independent of ``jobs``:
 
@@ -6,8 +6,10 @@ Guarantees, independent of ``jobs``:
   completion order, so a parallel sweep is byte-identical to a serial
   one.
 * **Graceful degradation** — ``jobs=1``, a single pending point, or an
-  unpicklable job all run in-process with no pool; a broken pool falls
-  back to in-process execution for the affected points.
+  unpicklable job all run on an inline executor, in this process, one
+  job in flight; a pool that breaks (a failed submit or a broken
+  future) sends every later submission, retries included, to the inline
+  executor, and ``report.fallback`` names the breakage.
 * **Bounded failures** — each job gets a wall-clock budget (enforced by
   an interval timer inside the worker, since a running pool future
   cannot be cancelled) and supervised retries: seeded-deterministic
@@ -20,6 +22,10 @@ Guarantees, independent of ``jobs``:
   completed digests come back as cache hits, quarantined digests are
   skipped with a synthetic error outcome, and earlier failure counts
   carry over.
+
+Both executors feed the same loop, so retries, failure counts, journal
+and cache commits, and the fleet's job spans (written by this process
+from each returned outcome) do not depend on which executor ran a job.
 """
 
 from __future__ import annotations
@@ -30,8 +36,12 @@ import pickle
 import random
 import signal
 import time
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
+    BrokenExecutor,
+    Executor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
@@ -43,61 +53,62 @@ from repro.exec.chaos import maybe_crash_worker
 from repro.exec.job import JobOutcome, JobTimeoutError, SimJob, execute_job
 from repro.exec.journal import JournalState, SweepJournal
 from repro.io.safety import lock_telemetry_delta, lock_telemetry_snapshot
-from repro.obs.fleet import FleetRecorder, SweepProgress, record_job_span
+from repro.obs.fleet import FleetRecorder, SweepProgress
 from repro.obs.metrics import MetricsRegistry
 
 DEFAULT_QUARANTINE_AFTER = 3
 
 
 def run_job_with_timeout(job: SimJob, timeout: float | None) -> JobOutcome:
-    """Pool entry point: one job under an optional wall-clock budget.
+    """One job under an optional wall-clock budget.
 
-    Uses :func:`signal.setitimer` where available so sub-second budgets
-    are honoured exactly (``signal.alarm`` only counts whole seconds);
-    the timer is *always* cancelled in the ``finally`` block so a
-    leftover SIGALRM can never fire into a later job executed by the
-    same pool worker.
-
-    Every executed job also emits one fleet span from whichever process
-    ran it (a no-op — one environment probe — unless a
-    :class:`~repro.obs.fleet.FleetRecorder` is active in the sweep).
+    Uses :func:`signal.setitimer`, so sub-second budgets are honoured
+    exactly; the timer is *always* cancelled in the ``finally`` block so
+    a leftover SIGALRM can never fire into a later job executed by the
+    same pool worker.  Without ``setitimer`` the job runs unbudgeted.
     """
     maybe_crash_worker(job)
-    if not timeout or timeout <= 0 or not hasattr(signal, "SIGALRM"):
-        outcome = execute_job(job)
-        record_job_span(job, outcome)
-        return outcome
+    if not timeout or timeout <= 0 or not hasattr(signal, "setitimer"):
+        return execute_job(job)
 
     def _expired(signum, frame):
         raise JobTimeoutError(
             f"job {job.app!r} exceeded {timeout:g}s"
         )
 
-    use_itimer = hasattr(signal, "setitimer")
     previous = signal.signal(signal.SIGALRM, _expired)
-    if use_itimer:
-        signal.setitimer(signal.ITIMER_REAL, timeout)
-    else:  # pragma: no cover - platforms without setitimer
-        signal.alarm(max(1, int(timeout)))
+    signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        outcome = execute_job(job)
+        return execute_job(job)
     finally:
-        if use_itimer:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-        else:  # pragma: no cover
-            signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-    record_job_span(job, outcome)
-    return outcome
 
 
 def _delayed_run(job: SimJob, timeout: float | None,
                  delay: float) -> JobOutcome:
-    """Retry entry point: back off inside the worker, not the master,
-    so the scheduling loop keeps collecting other completions."""
+    """Every attempt's entry point: a retry backs off inside the
+    executor (a pool worker, not the master, so the scheduling loop
+    keeps collecting other completions)."""
     if delay > 0:
         time.sleep(delay)
     return run_job_with_timeout(job, timeout)
+
+
+class _InlineExecutor(Executor):
+    """Runs each submission to completion inside ``submit``, in this
+    process: the serial executor, and the fallback for a broken pool."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:   # noqa: BLE001 - surfaces via result()
+            future.set_exception(exc)
+        return future
+
+
+_INLINE = _InlineExecutor()
 
 
 class SweepError(RuntimeError):
@@ -229,7 +240,6 @@ class SweepRunner:
         start = time.perf_counter()
         results: list[JobOutcome | None] = [None] * len(jobs)
         digests = self._digests = [job.digest() for job in jobs]
-        self._failures = {}
         self._keys = {
             i: self._job_key(job, digests[i], i)
             for i, job in enumerate(jobs)
@@ -285,17 +295,7 @@ class SweepRunner:
                 self.progress.update(quarantined=report.quarantined)
         try:
             if pending:
-                if self.jobs > 1 and len(pending) > 1:
-                    reason = self._unpicklable(jobs, pending)
-                    if reason:
-                        report.fallback = reason
-                        executed = self._run_serial(jobs, pending, state)
-                    else:
-                        executed = self._run_pool(jobs, pending, state)
-                else:
-                    executed = self._run_serial(jobs, pending, state)
-                for index in pending:
-                    results[index] = executed[index]
+                self._schedule(jobs, pending, state, results)
         finally:
             if self.fleet is not None:
                 self.fleet.record_span(
@@ -303,7 +303,6 @@ class SweepRunner:
                     sweep_id=sweep_id, points=len(jobs),
                     hits=report.hits,
                 )
-                self.fleet.end()
 
         outcomes = [
             outcome if outcome is not None else JobOutcome(
@@ -448,7 +447,7 @@ class SweepRunner:
                     int((time.perf_counter() - commit_t0) * 1e6)
                 )
         else:
-            total = state.failure_count(key) + self._failures.get(index, 1)
+            total = state.failure_count(key) + self._failures[index]
             if self.journal is not None:
                 self.journal.record_fail(key, tag, outcome.error, total)
             if total >= self.quarantine_after:
@@ -463,36 +462,7 @@ class SweepRunner:
         self._observe(jobs[index], index, outcome)
         return outcome
 
-    # -- serial path ----------------------------------------------------------
-
-    def _attempt(self, index: int, job: SimJob) -> JobOutcome:
-        outcome = run_job_with_timeout(job, self.timeout)
-        failures = 1 if outcome.error else 0
-        for attempt in range(self.retries):
-            if not outcome.error:
-                break
-            self.report.retried += 1
-            delay = self.backoff_delay(self._keys[index], attempt)
-            if delay > 0:
-                time.sleep(delay)
-            outcome = run_job_with_timeout(job, self.timeout)
-            if outcome.error:
-                failures += 1
-        self._failures[index] = failures
-        return outcome
-
-    def _run_serial(
-        self, jobs: list[SimJob], pending: list[int], state: JournalState
-    ) -> dict[int, JobOutcome]:
-        out: dict[int, JobOutcome] = {}
-        for index in pending:
-            self._submitted[index] = time.time()
-            out[index] = self._finalize(
-                jobs, index, self._attempt(index, jobs[index]), state
-            )
-        return out
-
-    # -- pool path ------------------------------------------------------------
+    # -- the scheduling loop --------------------------------------------------
 
     @staticmethod
     def _unpicklable(jobs: list[SimJob], pending: list[int]) -> str:
@@ -505,59 +475,86 @@ class SweepRunner:
                         f"({type(exc).__name__})")
         return ""
 
-    def _run_pool(
-        self, jobs: list[SimJob], pending: list[int], state: JournalState
-    ) -> dict[int, JobOutcome]:
+    @staticmethod
+    def _pool(workers: int) -> ProcessPoolExecutor:
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else methods[0]
         )
-        out: dict[int, JobOutcome] = {}
-        attempts = dict.fromkeys(pending, 0)
-        failures = dict.fromkeys(pending, 0)
-        workers = min(self.jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            remaining = {}
-            for i in pending:
-                self._submitted[i] = time.time()
-                remaining[
-                    pool.submit(run_job_with_timeout, jobs[i], self.timeout)
-                ] = i
-            while remaining:
-                done, _ = wait(remaining, return_when=FIRST_COMPLETED)
+        return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+
+    def _broken(self, exc: Exception) -> Executor:
+        """The pool takes no more work: name why, and go in-process."""
+        if not self.report.fallback:
+            self.report.fallback = (f"process pool broke "
+                                    f"({type(exc).__name__})")
+        return _INLINE
+
+    def _schedule(
+        self,
+        jobs: list[SimJob],
+        pending: list[int],
+        state: JournalState,
+        results: list[JobOutcome | None],
+    ) -> None:
+        """The one submit/collect loop, whichever executor runs the jobs.
+
+        Serial work keeps one job in flight on the inline executor, so a
+        point and its retries finish before the next point starts; pool
+        work submits every pending job up front.  A retry goes to the
+        head of the queue with its backoff delay, which the executor
+        sleeps (inside the worker, for a pool).  A failed submit or a
+        broken future sends every later submission to the inline
+        executor.
+        """
+        parallel = self.jobs > 1 and len(pending) > 1
+        if parallel:
+            self.report.fallback = self._unpicklable(jobs, pending)
+            parallel = not self.report.fallback
+        window = len(pending) if parallel else 1
+        queue = deque((index, 0.0) for index in pending)
+        in_flight: dict[Future, int] = {}
+        self._failures = dict.fromkeys(pending, 0)
+        with (self._pool(min(self.jobs, len(pending))) if parallel
+              else _INLINE) as executor:
+            while queue or in_flight:
+                while queue and len(in_flight) < window:
+                    index, delay = queue.popleft()
+                    call = (_delayed_run, jobs[index], self.timeout, delay)
+                    self._submitted[index] = time.time()
+                    try:
+                        future = executor.submit(*call)
+                    except RuntimeError as exc:   # broken or shut down
+                        executor = self._broken(exc)
+                        future = executor.submit(*call)
+                    in_flight[future] = index
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
                 for future in done:
-                    index = remaining.pop(future)
+                    index = in_flight.pop(future)
                     try:
                         outcome = future.result()
-                    except Exception as exc:   # worker died / pool broke
+                    except Exception as exc:   # noqa: BLE001 - worker died
+                        if isinstance(exc, BrokenExecutor):
+                            executor = self._broken(exc)
                         outcome = JobOutcome(
                             app=jobs[index].app,
                             error=f"{type(exc).__name__}: {exc}",
                         )
+                    else:
+                        if self.fleet is not None:
+                            self.fleet.record_job(
+                                jobs[index], outcome,
+                                self._digests[index] or "",
+                            )
                     if outcome.error:
-                        failures[index] += 1
-                    if outcome.error and attempts[index] < self.retries:
-                        delay = self.backoff_delay(
-                            self._keys[index], attempts[index]
-                        )
-                        attempts[index] += 1
-                        self.report.retried += 1
-                        try:
-                            retry = pool.submit(
-                                _delayed_run, jobs[index],
-                                self.timeout, delay,
-                            )
-                            self._submitted[index] = time.time()
-                            remaining[retry] = index
+                        attempt = self._failures[index]
+                        self._failures[index] += 1
+                        if attempt < self.retries:
+                            self.report.retried += 1
+                            queue.appendleft((index, self.backoff_delay(
+                                self._keys[index], attempt
+                            )))
                             continue
-                        except Exception:   # pool unusable: run inline
-                            if delay > 0:
-                                time.sleep(delay)
-                            outcome = run_job_with_timeout(
-                                jobs[index], self.timeout
-                            )
-                            if outcome.error:
-                                failures[index] += 1
-                    self._failures[index] = failures[index]
-                    out[index] = self._finalize(jobs, index, outcome, state)
-        return out
+                    results[index] = self._finalize(
+                        jobs, index, outcome, state
+                    )

@@ -110,9 +110,6 @@ class Bdfg:
     def outgoing(self, actor: Actor) -> list[Channel]:
         return [c for c in self.channels if c.src is actor]
 
-    def incoming(self, actor: Actor) -> list[Channel]:
-        return [c for c in self.channels if c.dst is actor]
-
     def successors(self, actor: Actor) -> list[Actor]:
         return [c.dst for c in self.outgoing(actor)]
 

@@ -7,15 +7,15 @@ a running (or crashed) sweep has progressed.
 
 Three cooperating pieces:
 
-* :class:`FleetRecorder` — span collection.  The parent opens a spans
-  file (``fleet-spans.jsonl``) and advertises it through the
-  ``REPRO_FLEET`` environment variable, which crosses the fork into pool
-  workers exactly like ``REPRO_CHAOS`` does.  Each worker appends one
-  span line per executed job via the crash-safe :func:`append_line`
-  primitive (lock held, no fsync — telemetry rides the same torn-
-  tolerant reader as everything else, and a lost tail costs one span,
-  not a result).  Zero-cost when no recorder is active: a single
-  ``os.environ`` probe per job.
+* :class:`FleetRecorder` — span collection.  The sweep's parent
+  process writes every row of ``fleet-spans.jsonl``: a meta line per
+  sweep, the sweep span, and one job span per executed attempt, built
+  from the :class:`~repro.exec.job.JobOutcome` that attempt returned
+  (its worker pid, start, wall clock and phase windows cross the pool
+  boundary with the result).  Rows go through the crash-safe
+  :func:`append_line` primitive (lock held, no fsync — telemetry rides
+  the same torn-tolerant reader as everything else, and a lost tail
+  costs one span, not a result).  No worker touches the file.
 * :func:`merge_fleet_trace` — post-hoc merge of the span file into one
   Chrome ``trace_event`` JSON, one lane per real worker pid, with
   nested spec-rebuild/simulate phase slices under each job span and the
@@ -39,7 +39,6 @@ from typing import Any
 
 from repro.io.safety import append_line, pid_alive, read_jsonl, replace_file
 
-FLEET_ENV = "REPRO_FLEET"
 SPANS_FILENAME = "fleet-spans.jsonl"
 STATUS_FILENAME = "sweep-status.json"
 SPAN_SCHEMA = 1
@@ -52,16 +51,16 @@ STATUS_SCHEMA = 1
 
 
 class FleetRecorder:
-    """Collects job spans from every process of a sweep into one file."""
+    """One file of spans covering every process of a sweep, written by
+    the sweep's parent."""
 
     def __init__(self, root: str | Path = ".repro") -> None:
         self.root = Path(root)
         self.path = self.root / SPANS_FILENAME
-        self._installed = False
         self._begun = False
 
     def begin(self, sweep_id: str, points: int) -> None:
-        """Start (or extend) recording and advertise the file to workers.
+        """Start (or extend) recording.
 
         The first ``begin`` of a recorder truncates any stale span file;
         later ones (a command running several sweeps back to back, e.g.
@@ -82,19 +81,11 @@ class FleetRecorder:
             self._begun = True
         else:
             append_line(self.path, meta, fsync=False)
-        os.environ[FLEET_ENV] = json.dumps({"path": str(self.path)})
-        self._installed = True
-
-    def end(self) -> None:
-        if self._installed:
-            os.environ.pop(FLEET_ENV, None)
-            self._installed = False
 
     def record_span(self, name: str, start: float, end: float,
                     **args: Any) -> None:
         """Parent-side span (sweep, store-commit, ...)."""
-        _write_span(self.path, {
-            "schema": SPAN_SCHEMA,
+        self._write({
             "kind": "span",
             "name": name,
             "pid": os.getpid(),
@@ -103,56 +94,34 @@ class FleetRecorder:
             **({"args": args} if args else {}),
         })
 
+    def record_job(self, job, outcome, key: str) -> None:
+        """One job span for an executed attempt, from its outcome: the
+        pid that ran it, its start and wall clock, its phase windows."""
+        start = outcome.started or time.time()
+        self._write({
+            "kind": "job",
+            "name": job.tag or job.app,
+            "app": job.app,
+            "key": key,
+            "pid": outcome.worker_pid or os.getpid(),
+            "start": start,
+            "end": start + outcome.wall_seconds,
+            "phases": outcome.phases or {},
+            "error": bool(outcome.error),
+        })
+
     def spans(self) -> list[dict]:
         return read_jsonl(self.path, warn=False).dicts
 
-
-def _write_span(path: str | Path, row: dict) -> None:
-    # fsync=False: spans are telemetry, not results — a torn tail after
-    # a crash loses at most one span and read_jsonl skips it.
-    try:
-        append_line(path, json.dumps(row, sort_keys=True), fsync=False)
-    except OSError:
-        pass  # never let telemetry take down a job
-
-
-def active_fleet() -> dict | None:
-    """The recorder advertised to this process, or None."""
-    raw = os.environ.get(FLEET_ENV)
-    if not raw:
-        return None
-    try:
-        data = json.loads(raw)
-    except ValueError:
-        return None
-    if not isinstance(data, dict) or "path" not in data:
-        return None
-    return data
-
-
-def record_job_span(job, outcome) -> None:
-    """Append one job span from whichever process executed the job.
-
-    Called by the runner after every *executed* (non-cache-hit) job —
-    inside the pool worker for parallel sweeps, in the parent for serial
-    ones.  No-op unless a :class:`FleetRecorder` is active.
-    """
-    fleet = active_fleet()
-    if fleet is None:
-        return
-    start = outcome.started or time.time()
-    _write_span(fleet["path"], {
-        "schema": SPAN_SCHEMA,
-        "kind": "job",
-        "name": job.tag or job.app,
-        "app": job.app,
-        "key": job.digest() or "",
-        "pid": outcome.worker_pid or os.getpid(),
-        "start": start,
-        "end": start + outcome.wall_seconds,
-        "phases": outcome.phases or {},
-        "error": bool(outcome.error),
-    })
+    def _write(self, row: dict) -> None:
+        # fsync=False: spans are telemetry, not results — a torn tail
+        # after a crash loses at most one span and read_jsonl skips it.
+        try:
+            append_line(self.path, json.dumps(
+                {"schema": SPAN_SCHEMA, **row}, sort_keys=True
+            ), fsync=False)
+        except OSError:
+            pass  # never let telemetry take down a sweep
 
 
 # ---------------------------------------------------------------------------

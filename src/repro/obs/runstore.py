@@ -127,6 +127,56 @@ class RunRecord:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
+def _run_record(
+    kind: str,
+    run,
+    *,
+    platform,
+    config,
+    app_mode: str,
+    host_fed: bool,
+    verified: bool,
+    seed: int | None,
+    wall_seconds: float,
+    metrics: dict[str, Any] | None,
+    extra: dict[str, Any] | None,
+    **observed: Any,
+) -> RunRecord:
+    """The one mapping of a run's scalar fields to a record.
+
+    ``run`` is a :class:`~repro.sim.accelerator.SimResult` or a
+    :class:`~repro.exec.job.JobOutcome`: both carry the app, cycle,
+    time, utilization, squash and memory scalars under the same names.
+    ``observed`` holds the fields only a live run can fill (stalls,
+    timeline, critical path).
+    """
+    return RunRecord(
+        kind=kind,
+        app=run.app,
+        app_mode=app_mode,
+        host_fed=host_fed,
+        sim_mode=config.engine,
+        cycles=run.cycles,
+        seconds=run.seconds,
+        utilization=run.utilization,
+        squash_fraction=run.squash_fraction,
+        verified=verified,
+        seed=seed,
+        wall_seconds=round(wall_seconds, 6),
+        platform=platform_to_dict(platform),
+        config=asdict(config),
+        config_digest=config_digest(config),
+        memory={
+            "bytes": run.memory_bytes,
+            "loads": run.memory_loads,
+            "hit_rate": round(run.memory_hit_rate, 6),
+        },
+        metrics=metrics,
+        extra=extra or {},
+        **observed,
+    )
+
+
 def record_from_result(
     kind: str,
     spec,
@@ -164,32 +214,13 @@ def record_from_result(
             rule_lanes=getattr(config, "rule_lanes", 32),
             saturation=result_saturation(result, platform),
         ))
-    return RunRecord(
-        kind=kind,
-        app=result.app,
-        app_mode=spec.mode,
-        host_fed=spec.host_feed is not None,
-        sim_mode=config.engine,
-        cycles=result.cycles,
-        seconds=result.seconds,
-        utilization=result.utilization,
-        squash_fraction=result.squash_fraction,
-        verified=verified,
-        seed=seed,
-        wall_seconds=round(wall_seconds, 6),
-        platform=platform_to_dict(platform),
-        config=asdict(config),
-        config_digest=config_digest(config),
-        memory={
-            "bytes": result.memory_bytes,
-            "loads": result.memory_loads,
-            "hit_rate": round(result.memory_hit_rate, 6),
-        },
+    return _run_record(
+        kind, result, platform=platform, config=config,
+        app_mode=spec.mode, host_fed=spec.host_feed is not None,
+        verified=verified, seed=seed, wall_seconds=wall_seconds,
         metrics=result.metrics.snapshot() if result.metrics else None,
-        stalls=stalls,
-        timeline=timeline,
+        extra=extra, stalls=stalls, timeline=timeline,
         critical_path=critical_path,
-        extra=extra or {},
     )
 
 
@@ -209,29 +240,12 @@ def record_from_outcome(
     of the result cache), so everything a record needs is already a
     field — no spec or live metrics registry required.
     """
-    return RunRecord(
-        kind=kind,
-        app=outcome.app,
-        app_mode=outcome.app_mode,
-        host_fed=outcome.host_fed,
-        sim_mode=config.engine,
-        cycles=outcome.cycles,
-        seconds=outcome.seconds,
-        utilization=outcome.utilization,
-        squash_fraction=outcome.squash_fraction,
-        verified=outcome.verified,
-        seed=seed,
-        wall_seconds=round(outcome.wall_seconds, 6),
-        platform=platform_to_dict(platform),
-        config=asdict(config),
-        config_digest=config_digest(config),
-        memory={
-            "bytes": outcome.memory_bytes,
-            "loads": outcome.memory_loads,
-            "hit_rate": round(outcome.memory_hit_rate, 6),
-        },
-        metrics=outcome.metrics,
-        extra=extra or {},
+    return _run_record(
+        kind, outcome, platform=platform, config=config,
+        app_mode=outcome.app_mode, host_fed=outcome.host_fed,
+        verified=outcome.verified, seed=seed,
+        wall_seconds=outcome.wall_seconds, metrics=outcome.metrics,
+        extra=extra,
     )
 
 

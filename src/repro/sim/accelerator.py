@@ -612,7 +612,6 @@ def run_resilient(
     check_interval: int | None = DEFAULT_CHECK_INTERVAL,
     checkpoint_interval: int = 20_000,
     max_attempts: int = 8,
-    degrade: bool = True,
     verify: bool = True,
     obs: Observability | None = None,
     ledger: TokenLedger | None = None,
@@ -627,8 +626,8 @@ def run_resilient(
     good checkpoint, disarms the transient faults that already fired, and
     retries.  When a retry fails at the same point again it backs off:
     the newest checkpoint is discarded (falling back toward the initial
-    snapshot) and, with ``degrade``, the accelerator re-runs in a
-    degraded mode (half bandwidth, half rule lanes per level).
+    snapshot) and the accelerator re-runs in a degraded mode (half
+    bandwidth, half rule lanes per level).
 
     A rollback revives copies of the attached ``obs``, ``ledger`` and
     ``tracer``: read them from the returned :class:`SimResult`.
@@ -668,7 +667,7 @@ def run_resilient(
             )
             last_failure_cycle = failure.cycle
             sim = manager.rollback(drop_latest=repeated)
-            if degrade and repeated:
+            if repeated:
                 degradations += 1
             # Degradation mutates component state the checkpoint predates,
             # so the accumulated level is re-applied after every rollback.

@@ -88,9 +88,6 @@ class Mesh:
         result.discard(tri_id)
         return result
 
-    def edge_triangles(self, a: int, b: int) -> set[int]:
-        return set(self._edge_map.get(_edge_key(a, b), set()))
-
     def in_circumcircle(self, tri_id: int, p: Point) -> bool:
         """True when ``p`` is strictly inside ``tri_id``'s circumcircle."""
         a, b, c = self.vertices_of(tri_id)

@@ -133,15 +133,6 @@ def _center_in_bounds(mesh: Mesh, center: Point) -> bool:
     return min(xs) <= center[0] <= max(xs) and min(ys) <= center[1] <= max(ys)
 
 
-def remaining_bad_fraction(
-    mesh: Mesh, min_angle: float = DEFAULT_MIN_ANGLE
-) -> float:
-    """Fraction of triangles still bad (refinement progress metric)."""
-    if not mesh.triangles:
-        return 0.0
-    return len(bad_triangles(mesh, min_angle)) / len(mesh.triangles)
-
-
 def make_refinement_instance(
     n_points: int, seed: int = 0
 ) -> tuple[Mesh, list[int]]:

@@ -51,18 +51,6 @@ class StageProgram:
     task_set: str
     stages: list[StageSpec]
 
-    def count_stages(self) -> int:
-        total = 0
-
-        def visit(stages: list[StageSpec]) -> None:
-            nonlocal total
-            for stage in stages:
-                total += 1
-                visit(stage.epilogue)
-
-        visit(self.stages)
-        return total
-
 
 @dataclass
 class Datapath:

@@ -138,6 +138,49 @@ class TestCrashInjection:
         assert runner.report.retried >= 1
         assert comparable(chaotic) == comparable(clean)
 
+    def test_crash_before_submission_ends_falls_back(self, tmp_path,
+                                                     monkeypatch):
+        """A worker that dies before the parent has submitted every job
+        breaks the pool under ``submit`` itself: that job and every
+        later one, retries included, run in-process instead of the
+        ``BrokenProcessPool`` escaping ``run()``."""
+        from concurrent.futures import ProcessPoolExecutor, wait
+
+        from repro.obs.fleet import FleetRecorder
+
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        clean = SweepRunner(jobs=1).run(grid_jobs(4))
+
+        submit = ProcessPoolExecutor.submit
+
+        def submit_and_settle(self, fn, /, *args, **kwargs):
+            future = submit(self, fn, *args, **kwargs)
+            wait([future])   # the worker dies before the next submit
+            return future
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit",
+                            submit_and_settle)
+        monkeypatch.setenv(
+            CHAOS_ENV, ChaosConfig(seed=1, crash_rate=1.0).to_env()
+        )
+        fleet = FleetRecorder(tmp_path)
+        runner = SweepRunner(jobs=2, retries=1, backoff_base=0.0,
+                             fleet=fleet)
+        chaotic = runner.run(grid_jobs(4))
+
+        assert comparable(chaotic) == comparable(clean)
+        # Only the first job reached a worker; its crash is one failure
+        # and returned no outcome, so no span: the four job spans are
+        # the in-process attempts.
+        assert runner.report.retried == 1
+        jobs = [row for row in fleet.spans() if row["kind"] == "job"]
+        assert sorted(row["name"] for row in jobs) == \
+            sorted(job.tag for job in grid_jobs(4))
+        assert {row["pid"] for row in jobs} == {os.getpid()}
+        assert runner.report.fallback == \
+            "process pool broke (BrokenProcessPool)"
+        assert "in-process: process pool broke" in runner.report.summary()
+
     def test_selective_crashes_are_seed_deterministic(self, monkeypatch):
         monkeypatch.setenv(
             CHAOS_ENV, ChaosConfig(seed=2, crash_rate=0.5).to_env()
