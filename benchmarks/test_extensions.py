@@ -13,6 +13,7 @@ import pytest
 
 from repro.apps.registry import build_app
 from repro.eval.platforms import EVAL_HARP
+from repro.exec import CallableSource
 from repro.sim import simulate_app
 from repro.substrates.graphs import random_graph
 from repro.synthesis.dse import explore
@@ -47,7 +48,7 @@ def test_dse_frontier_shape(benchmark, capsys):
 
     def run():
         return explore(
-            lambda: build_app("SPEC-SSSP", small, 0),
+            CallableSource(lambda: build_app("SPEC-SSSP", small, 0)),
             replica_options=(1, 4),
             lane_options=(16, 128),
             station_options=(8,),

@@ -15,21 +15,18 @@ Run:  python examples/design_space_exploration.py [APP]
 
 import sys
 
-from repro.cli import _default_spec
 from repro.eval.platforms import EVAL_HARP
+from repro.exec import WorkloadSource
 from repro.synthesis.dse import explore, format_frontier
 
 
 def main() -> None:
     app = sys.argv[1] if len(sys.argv) > 1 else "SPEC-SSSP"
 
-    def spec_builder():
-        return _default_spec(app)
-
     print(f"exploring the design space of {app} "
           "(each point is a full, verified cycle-level simulation)")
     result = explore(
-        spec_builder,
+        WorkloadSource(app, 0.5),   # the input `repro dse APP` explores
         replica_options=(1, 2, 4),
         lane_options=(16, 64),
         station_options=(8, 16),

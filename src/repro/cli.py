@@ -58,7 +58,7 @@ import sys
 import time
 from typing import Any, Callable, NamedTuple
 
-from repro.apps.registry import APP_BUILDERS, app_builder, build_app
+from repro.apps.registry import APP_BUILDERS, app_builder
 from repro.core.runtime import AggressiveRuntime
 from repro.core.eca import parse_rule
 from repro.core.eca_format import format_rule
@@ -80,19 +80,13 @@ from repro.obs.runstore import (
 )
 from repro.sim.accelerator import AcceleratorSim, SimConfig
 from repro.sim.trace import ScheduleTracer
-from repro.substrates.graphs.generators import random_graph
 
 
-def _default_spec(app: str):
-    """Build ``app`` with a reasonable default input."""
-    from repro.eval.workloads import default_workloads
+def _source(app: str):
+    """The input every command that takes an APP runs ``app`` on."""
+    from repro.exec import WorkloadSource
 
-    workloads = default_workloads(scale=0.5)
-    if app in workloads:
-        return workloads[app].build_spec()
-    if app in ("SPEC-CC", "COOR-SSSP"):
-        return build_app(app, random_graph(200, 500, seed=1))
-    return build_app(app)
+    return WorkloadSource(app, 0.5)
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -100,13 +94,13 @@ def cmd_list(args: argparse.Namespace) -> int:
 
     _ensure_registered()
     for name in sorted(APP_BUILDERS):
-        spec = _default_spec(name)
+        spec = _source(name).build()
         print(f"{name:10s} [{spec.mode:12s}] {spec.description}")
     return 0
 
 
 def cmd_rules(args: argparse.Namespace) -> int:
-    spec = _default_spec(args.app)
+    spec = _source(args.app).build()
     print(f"# rules of {spec.name} ({spec.mode})")
     for name, rule in spec.rules.items():
         print()
@@ -118,7 +112,7 @@ def cmd_rules(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = _default_spec(args.app)
+    spec = _source(args.app).build()
     if args.threaded:
         from repro.core.futures_runtime import FuturesRuntime
 
@@ -378,7 +372,7 @@ def _simulate(args: argparse.Namespace, *, spec=None,
     ``check_interval``) go to :class:`AcceleratorSim`; only ``run()`` is
     timed.
     """
-    spec = _default_spec(args.app) if spec is None else spec
+    spec = _source(args.app).build() if spec is None else spec
     platform = EVAL_HARP.scaled(args.bandwidth)
     config = SimConfig(engine=args.engine) if config is None else config
     sim = AcceleratorSim(spec, platform=platform, config=config, **consumers)
@@ -416,7 +410,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.sim.accelerator import run_resilient
     from repro.sim.invariants import DEFAULT_CHECK_INTERVAL
 
-    spec = _default_spec(args.app)
+    spec = _source(args.app).build()
     store = _store_from_args(args)
     tracer = ScheduleTracer(max_cycles=args.trace_cycles) if args.trace \
         else None
@@ -533,7 +527,7 @@ def cmd_fault_campaign(args: argparse.Namespace) -> int:
     repeated invocations with the same seed.
     """
     from repro.eval.platforms import HARP
-    from repro.exec import CliAppSource, FaultSpec, SimJob
+    from repro.exec import FaultSpec, SimJob
     from repro.obs.runstore import record_from_outcome
     from repro.sim.stats import SimStats
 
@@ -551,7 +545,7 @@ def cmd_fault_campaign(args: argparse.Namespace) -> int:
           f"intensity={args.intensity}")
 
     baseline_jobs = [
-        SimJob(source=CliAppSource(app), platform=HARP, config=config,
+        SimJob(source=_source(app), platform=HARP, config=config,
                verify=False, tag=f"campaign-baseline:{app}")
         for app in args.apps
     ]
@@ -570,7 +564,7 @@ def cmd_fault_campaign(args: argparse.Namespace) -> int:
     ]
     trial_jobs = [
         SimJob(
-            source=CliAppSource(app),
+            source=_source(app),
             platform=HARP,
             config=config,
             fault=FaultSpec(seed=args.seed + trial,
@@ -993,18 +987,15 @@ def cmd_regress(args: argparse.Namespace) -> int:
 
 
 def cmd_dse(args: argparse.Namespace) -> int:
-    from repro.exec import CliAppSource
     from repro.synthesis.dse import explore, format_frontier
 
-    spec_builder = lambda: _default_spec(args.app)  # noqa: E731
     runner = _runner_from_args(args)
     result = explore(
-        spec_builder,
+        _source(args.app),
         replica_options=tuple(args.replicas),
         lane_options=tuple(args.lanes),
         platform=EVAL_HARP,
         runner=runner,
-        spec_source=CliAppSource(args.app),
     )
     print(format_frontier(result))
     print(runner.report.summary())
@@ -1018,7 +1009,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
 def cmd_rtl(args: argparse.Namespace) -> int:
     from repro.synthesis.rtl import emit_rtl_for_spec
 
-    text = emit_rtl_for_spec(_default_spec(args.app))
+    text = emit_rtl_for_spec(_source(args.app).build())
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from repro.cpu.timing import parallel_seconds, sequential_seconds
 from repro.eval.platforms import EVAL_HARP, EVAL_XEON, HarpPlatform
 from repro.eval.workloads import APP_NAMES, Workload, default_workloads
-from repro.exec import CallableSource, SimJob, SweepRunner
+from repro.exec import SimJob, SweepRunner
 from repro.hls_baseline.opencl_model import OpenClBfsModel
 from repro.sim.accelerator import SimConfig, simulate_app
 from repro.substrates.graphs.generators import road_network
@@ -37,19 +37,17 @@ def _sweep_job(
     tag: str,
     engine: str | None = None,
 ) -> SimJob:
-    """One figure-sweep point as a runner job.
+    """One figure-sweep point as a runner job over the workload's source.
 
-    Workloads that predate the declarative sources (``source=None``) fall
-    back to wrapping their builder — still correct, but uncacheable and
-    executed in-process by the runner.  ``engine`` overrides the
-    simulation engine while keeping the workload's other knobs (it is
-    digest-relevant, so each engine caches separately).
+    ``engine`` overrides the simulation engine while keeping the
+    workload's other knobs (it is digest-relevant, so each engine caches
+    separately).
     """
     config = config or workload.config
     if engine is not None:
         config = replace(config, engine=engine)
     return SimJob(
-        source=workload.source or CallableSource(workload.build_spec),
+        source=workload.source,
         platform=platform,
         config=config,
         replicas=workload.replicas,

@@ -24,7 +24,6 @@ from repro.exec.cache import ResultCache
 from repro.exec.chaos import ChaosConfig
 from repro.exec.job import (
     CallableSource,
-    CliAppSource,
     FaultSpec,
     GraphAppSource,
     JobOutcome,
@@ -40,7 +39,6 @@ __all__ = [
     "ChaosConfig",
     "JournalState",
     "SweepJournal",
-    "CliAppSource",
     "FaultSpec",
     "GraphAppSource",
     "JobOutcome",

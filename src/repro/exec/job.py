@@ -7,9 +7,9 @@ be hashed into a cache key (the result cache).
 
 Application specs themselves are *not* picklable (they carry lambdas),
 so a job holds a declarative *source* that rebuilds the spec inside the
-worker: :class:`WorkloadSource` (named evaluation workloads),
-:class:`GraphAppSource` (an app over a seeded random graph),
-:class:`CliAppSource` (the CLI's default input), or
+worker: :class:`WorkloadSource` (one app's evaluation input at a scale,
+the input of every ``repro`` command and figure sweep),
+:class:`GraphAppSource` (an app over a seeded random graph), or
 :class:`CallableSource` as an escape hatch for arbitrary builders (which
 forfeits caching unless an explicit ``key`` is given, and parallelism
 unless the callable pickles).
@@ -39,14 +39,18 @@ JOB_SCHEMA = 2
 
 @dataclass(frozen=True)
 class WorkloadSource:
-    """A named workload from :mod:`repro.eval.workloads`."""
+    """``app`` over its evaluation input at ``scale``
+    (:func:`repro.eval.workloads.app_input`)."""
 
     app: str
-    family: str = "default"   # "default" | "road"
     scale: float = 1.0
 
     def build(self):
-        return _workload(self.family, self.scale)[self.app].build_spec()
+        from repro.apps.registry import build_app
+        from repro.eval.workloads import app_input
+
+        args, kwargs = app_input(self.app, self.scale)
+        return build_app(self.app, *args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -70,25 +74,6 @@ class GraphAppSource:
 
 
 @dataclass(frozen=True)
-class CliAppSource:
-    """The CLI's default input for ``app`` (mirrors ``repro simulate``)."""
-
-    app: str
-    scale: float = 0.5
-
-    def build(self):
-        from repro.apps.registry import build_app
-        from repro.substrates.graphs.generators import random_graph
-
-        workloads = _workload("default", self.scale)
-        if self.app in workloads:
-            return workloads[self.app].build_spec()
-        if self.app in ("SPEC-CC", "COOR-SSSP"):
-            return build_app(self.app, random_graph(200, 500, seed=1))
-        return build_app(self.app)
-
-
-@dataclass(frozen=True)
 class CallableSource:
     """Wraps an arbitrary spec builder.
 
@@ -103,24 +88,6 @@ class CallableSource:
 
     def build(self):
         return self.builder()
-
-
-# Worker-side memo: workload tables regenerate their input graphs on
-# every call, so a pool worker running many points of one sweep builds
-# them once.  Keyed by (family, scale); safe because sequential sims
-# over a shared input graph is the pattern the serial harness always
-# used.
-_WORKLOAD_MEMO: dict[tuple[str, float], dict] = {}
-
-
-def _workload(family: str, scale: float) -> dict:
-    table = _WORKLOAD_MEMO.get((family, scale))
-    if table is None:
-        from repro.eval.workloads import default_workloads, road_workloads
-
-        maker = road_workloads if family == "road" else default_workloads
-        table = _WORKLOAD_MEMO[(family, scale)] = maker(scale)
-    return table
 
 
 def _source_key(source) -> dict[str, Any] | None:

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.core.spec import ApplicationSpec
 from repro.eval.platforms import STRATIX_V, HarpPlatform, HARP, StratixV
-from repro.exec import CallableSource, SimJob, SweepRunner
+from repro.exec import SimJob, SweepRunner
 from repro.sim.accelerator import SimConfig
 from repro.synthesis.datapath import build_datapath
 from repro.synthesis.resources import estimate_datapath
@@ -77,33 +76,31 @@ class DseResult:
 
 
 def explore(
-    spec_builder: Callable[[], ApplicationSpec],
+    source,
     replica_options: Sequence[int] = (1, 2, 4),
     lane_options: Sequence[int] = (16, 64),
     station_options: Sequence[int] = (8, 16),
     platform: HarpPlatform = HARP,
     device: StratixV = STRATIX_V,
     runner: SweepRunner | None = None,
-    spec_source=None,
 ) -> DseResult:
     """Sweep the knob grid; simulate what fits; return Pareto data.
 
-    ``spec_builder`` must return a fresh spec per call (simulation mutates
-    program state).  Resource estimation stays in-process (it is cheap and
-    structural); the surviving grid points — each a full cycle-level
-    simulation — are batched through ``runner``.  Pass ``spec_source`` (a
-    declarative source from :mod:`repro.exec`) to make the points
-    cacheable and executable in pool workers; without it the builder is
-    wrapped in an uncacheable :class:`CallableSource`.
+    ``source`` is a spec source from :mod:`repro.exec` (wrap a plain
+    builder in :class:`~repro.exec.CallableSource`); a declarative one
+    makes the points cacheable and executable in pool workers.  Resource
+    estimation stays in-process (it is cheap and structural, and only
+    reads the spec, so one probe spec serves the whole grid); the
+    surviving grid points — each a full cycle-level simulation, on a
+    fresh spec — are batched through ``runner``.
     """
     result = DseResult()
     runner = runner or SweepRunner()
-    source = spec_source or CallableSource(spec_builder)
+    probe_spec = source.build()
     grid = itertools.product(replica_options, lane_options, station_options)
     jobs: list[SimJob] = []
     estimates: list = []
     for replicas_per_set, lanes, station in grid:
-        probe_spec = spec_builder()
         replicas = {name: replicas_per_set for name in probe_spec.task_sets}
         datapath = build_datapath(
             probe_spec, replicas=replicas, rule_lanes=lanes,

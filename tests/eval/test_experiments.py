@@ -16,11 +16,7 @@ from repro.eval.reporting import (
     format_resources,
     format_table1,
 )
-from repro.eval.workloads import (
-    APP_NAMES,
-    default_workloads,
-    road_workloads,
-)
+from repro.eval.workloads import APP_NAMES, default_workloads
 
 
 @pytest.fixture(scope="module")
@@ -40,10 +36,6 @@ class TestWorkloads:
         for workload in tiny_workloads.values():
             spec = workload.build_spec()
             assert spec.name == workload.app
-
-    def test_road_variants(self):
-        roads = road_workloads(scale=0.3)
-        assert set(roads) == {"SPEC-BFS", "COOR-BFS", "SPEC-SSSP"}
 
 
 class TestPlatforms:

@@ -7,7 +7,6 @@ import pytest
 from repro.eval.platforms import HARP
 from repro.exec import (
     CallableSource,
-    CliAppSource,
     FaultSpec,
     GraphAppSource,
     JobOutcome,
@@ -70,10 +69,7 @@ class TestDigest:
             source=GraphAppSource("SPEC-SSSP", 60, 180, seed=7)
         ).digest()
         assert base.digest() != tiny_job(
-            source=WorkloadSource("SPEC-BFS", "default", 0.5)
-        ).digest()
-        assert base.digest() != tiny_job(
-            source=CliAppSource("SPEC-BFS")
+            source=WorkloadSource("SPEC-BFS", 0.5)
         ).digest()
 
     @pytest.mark.parametrize("fault", [

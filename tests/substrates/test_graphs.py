@@ -170,7 +170,8 @@ RMAT_DIGESTS = {
     (8, 8): "8865a9625b3ece1a",
     (9, 8): "8043513556fad118",
 }
-# default_workloads' random_graph and road_workloads' road_network.
+# SPEC-MST's random_graph at the default workload scales, and road_network
+# at the same scales of a 36x22 lattice.
 WORKLOAD_DIGESTS = {
     (0.25, "random"): "71d7c995fd5428db",
     (0.25, "road"): "a70176006a0b1b8a",

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.registry import build_app
 from repro.eval.platforms import EVAL_HARP
+from repro.exec import CallableSource
 from repro.substrates.graphs import random_graph
 from repro.synthesis.dse import (
     DesignPoint,
@@ -47,7 +48,7 @@ class TestPareto:
 @pytest.fixture(scope="module")
 def dse_result():
     return explore(
-        lambda: build_app("SPEC-SSSP", GRAPH, 0),
+        CallableSource(lambda: build_app("SPEC-SSSP", GRAPH, 0)),
         replica_options=(1, 2),
         lane_options=(16, 64),
         station_options=(8,),
@@ -81,3 +82,21 @@ class TestExplore:
         text = format_frontier(dse_result)
         assert "Pareto" in text
         assert "*" in text
+
+
+def test_one_probe_build_serves_every_resource_estimate():
+    builds = []
+
+    def builder():
+        builds.append(None)
+        return build_app("SPEC-SSSP", GRAPH, 0)
+
+    result = explore(
+        CallableSource(builder),
+        replica_options=(1, 2),
+        lane_options=(16, 64),
+        station_options=(8,),
+        platform=EVAL_HARP,
+    )
+    # One probe for the grid's estimates, one fresh spec per simulation.
+    assert len(builds) == 1 + len(result.points)
